@@ -23,10 +23,8 @@ from scipy.interpolate import make_interp_spline
 from .displacement import ClassicalPoint
 from .errors import EscapeError, ExtractionError
 from .grids import Grid
-from .models import PotentialModel
+from .models import _EXP_CAP, PotentialModel
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
-
-_EXP_CAP = 350.0
 
 
 @dataclass(frozen=True)
@@ -40,6 +38,11 @@ class Trajectory:
     points: tuple
     forces: np.ndarray
     dt: float
+
+    @classmethod
+    def from_arrays(cls, t, q, p, forces, dt: float) -> "Trajectory":
+        points = tuple(map(ClassicalPoint, map(float, q), map(float, p), map(float, t)))
+        return cls(points=points, forces=forces, dt=dt)
 
     def __len__(self):
         return len(self.points)
@@ -168,6 +171,44 @@ def turning_points(model: PotentialModel, e_cl: float) -> tuple[float, float]:
     return math.log(1.0 - r) / model.a, math.log(1.0 + r) / model.a
 
 
+def _verlet(
+    model: PotentialModel,
+    q0: float,
+    p0: float,
+    dt: float,
+    steps: int,
+    q_bounds: tuple[float, float] | None = None,
+):
+    """Velocity-Verlet orbit of the center equation as arrays t, Q, P, F.
+
+    Entry i is the state at t = i * dt, with F[i] the force at Q[i]. Raises
+    EscapeError when, with q_bounds given, Q leaves that interval, and when
+    the orbit stops being finite; unbounded but finite orbits pass.
+    """
+    m = model.mass
+    q, p = float(q0), float(p0)
+    f = float(classical_force(model, q))
+    orbit = np.empty((3, steps + 1))
+    orbit[:, 0] = q, p, f
+    for s in range(1, steps + 1):
+        p_half = p + 0.5 * dt * f
+        q = q + dt * p_half / m
+        f = float(classical_force(model, q))
+        p = p_half + 0.5 * dt * f
+        if q_bounds is not None and not (q_bounds[0] <= q <= q_bounds[1]):
+            raise EscapeError(
+                f"trajectory left [{q_bounds[0]:g}, {q_bounds[1]:g}] at Q = {q:g}",
+                step=s,
+            )
+        orbit[:, s] = q, p, f
+    finite = np.isfinite(orbit).all(axis=0)
+    if not finite.all():
+        raise EscapeError(
+            "center orbit is not finite", step=int(np.argmin(finite))
+        )
+    return np.arange(steps + 1) * dt, orbit[0], orbit[1], orbit[2]
+
+
 def integrate_trajectory(
     model: PotentialModel,
     q0: float,
@@ -191,22 +232,5 @@ def integrate_trajectory(
         raise EscapeError(
             f"unbounded Morse orbit: E = {e_cl:g} >= U0 = {model.well_depth:g}"
         )
-
-    m = model.mass
-    q, p = float(q0), float(p0)
-    f = float(classical_force(model, q))
-    points = [ClassicalPoint(Q=q, P=p, t=0.0)]
-    forces = [f]
-    for s in range(steps):
-        p_half = p + 0.5 * dt * f
-        q = q + dt * p_half / m
-        f = float(classical_force(model, q))
-        p = p_half + 0.5 * dt * f
-        if q_bounds is not None and not (q_bounds[0] <= q <= q_bounds[1]):
-            raise EscapeError(
-                f"trajectory left [{q_bounds[0]:g}, {q_bounds[1]:g}] at Q = {q:g}",
-                step=s + 1,
-            )
-        points.append(ClassicalPoint(Q=q, P=p, t=(s + 1) * dt))
-        forces.append(f)
-    return Trajectory(points=tuple(points), forces=np.array(forces), dt=dt)
+    t, q, p, f = _verlet(model, q0, p0, dt, steps, q_bounds)
+    return Trajectory.from_arrays(t, q, p, f, dt)

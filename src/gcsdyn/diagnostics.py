@@ -8,7 +8,6 @@ and the phase-equation residual against the frozen-packet ansatz.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import make_interp_spline
@@ -17,7 +16,6 @@ from .displacement import ClassicalPoint, GCSState, density_phase
 from .errors import CoverageError, DiagnosticsError, InvalidFieldError
 from .grids import (
     ComplexField,
-    Grid,
     RealField,
     _derivative_arrays,
     boundary_mass,
@@ -70,13 +68,6 @@ class DiagnosticsRecord:
             self.boundary_mass,
             self.l2_distance,
         )
-
-
-@lru_cache(maxsize=64)
-def _reference_norm(model: PotentialModel, grid: Grid, q: float) -> float:
-    return float(
-        np.dot(quadrature_weights(grid), ground_density_values(model, grid.points - q))
-    )
 
 
 def coherence_overlap(

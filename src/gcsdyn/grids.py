@@ -284,9 +284,8 @@ def expectation(
 
 def boundary_mass(rho_values: np.ndarray, grid: Grid) -> float:
     """Probability mass within BOUNDARY_POINTS of either edge."""
-    dx = grid.dx
-    edge = float(np.sum(rho_values[:BOUNDARY_POINTS]) + np.sum(rho_values[-BOUNDARY_POINTS:]))
-    return edge * dx
+    edge = rho_values[:BOUNDARY_POINTS].sum() + rho_values[-BOUNDARY_POINTS:].sum()
+    return float(edge) * grid.dx
 
 
 def density(psi: ComplexField) -> np.ndarray:

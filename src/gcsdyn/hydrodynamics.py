@@ -38,9 +38,9 @@ from .grids import (
 )
 from .models import (
     PotentialModel,
+    _potential_into,
     ground_density_values,
     ground_energy,
-    potential_value,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -152,23 +152,54 @@ def assemble_potential(
         )
 
     if curvature == "analytic":
-        curv = potential_value(model, xi) - ground_energy(model)
+        v = _potential_into(model, xi, np.empty(grid.n))
+        np.subtract(v, ground_energy(model), out=v)
     elif curvature == "numeric":
         res = quantum_curvature(RealField(grid, rho_shift / mass), tol)
-        curv = (model.hbar**2 / (2.0 * model.mass)) * res.F.values
+        v = (model.hbar**2 / (2.0 * model.mass)) * res.F.values
     else:
         raise ValueError(f"unknown curvature evaluation {curvature!r}")
 
+    _add_center_terms(v, x, point.Q, point.P, dPdt, model.mass, xi)
     dQdt = point.P / model.mass
-    v = (
-        curv
-        - dPdt * x
-        - point.P**2 / (2.0 * model.mass)
-        + 0.5 * (dQdt * point.P + dPdt * point.Q)
-    )
     return PotentialSnapshot(
         V=RealField(grid, v), point=point, dPdt=float(dPdt), dQdt=dQdt
     )
+
+
+def _add_center_terms(v, x, q, p, dPdt, m, scratch):
+    """v += -(dP/dt) x - P^2/2m + ((dQ/dt) P + (dP/dt) Q)/2, in place.
+
+    scratch is overwritten.
+    """
+    np.multiply(x, dPdt, out=scratch)
+    np.subtract(v, scratch, out=v)
+    np.subtract(v, p**2 / (2.0 * m), out=v)
+    return np.add(v, 0.5 * (p / m * p + dPdt * q), out=v)
+
+
+def _assembler(model: PotentialModel, grid: Grid, cap: float):
+    """The analytic assemble_potential, clamped at cap, for an evolve loop.
+
+    Returns fill(Q, P, dPdt), which writes V(x, t) into one array it reuses
+    on every call and returns that array. It runs the same arithmetic as
+    assemble_potential followed by np.minimum(V, cap), so the values agree
+    bit for bit, but it allocates nothing and skips the coverage check,
+    which the loop makes once for the whole orbit.
+    """
+    x = grid.points
+    e0 = ground_energy(model)
+    out = np.empty(grid.n)
+    xi = np.empty(grid.n)
+
+    def fill(q, p, dPdt):
+        np.subtract(x, q, out=xi)
+        _potential_into(model, xi, out)
+        np.subtract(out, e0, out=out)
+        _add_center_terms(out, x, q, p, dPdt, model.mass, xi)
+        return np.minimum(out, cap, out=out)
+
+    return fill
 
 
 def continuity_residual(

@@ -117,12 +117,21 @@ class PotentialModel:
 def potential_value(model: PotentialModel, x):
     """V(x) for scalars or arrays."""
     x = np.asarray(x, dtype=np.float64)
-    if model.kind == "harmonic":
-        v = 0.5 * model.mass * model.omega**2 * x * x
-    else:
-        e = np.exp(np.minimum(-model.a * x, _EXP_CAP))
-        v = model.well_depth * (1.0 - e) ** 2
+    v = _potential_into(model, x, np.empty_like(x))
     return v if v.ndim else float(v)
+
+
+def _potential_into(model: PotentialModel, x: np.ndarray, out: np.ndarray):
+    """V(x) written into out, a float array shaped like x; returns out."""
+    if model.kind == "harmonic":
+        np.multiply(x, 0.5 * model.mass * model.omega**2, out=out)
+        return np.multiply(out, x, out=out)
+    np.multiply(x, -model.a, out=out)
+    np.minimum(out, _EXP_CAP, out=out)
+    np.exp(out, out=out)
+    np.subtract(1.0, out, out=out)
+    np.square(out, out=out)
+    return np.multiply(out, model.well_depth, out=out)
 
 
 def potential_gradient(model: PotentialModel, x):

@@ -6,11 +6,26 @@ spreading; in static mode the original potential stays frozen and serves as
 the spreading baseline. The classical trajectory is autonomous: the quantum
 mean is never fed back into it, diagnostics only compare the two.
 
-Per step the coupling order is: classical half-kick, drift, half-kick
-(velocity Verlet); the potential is then assembled at the time-centered
-classical state (midpoint position and half-kicked momentum, with the force
-evaluated at the midpoint) and the quantum step uses it. This keeps the
-coupled loop second-order accurate in dt.
+So the center orbit is integrated once, before the first quantum step, by
+the velocity-Verlet helper behind integrate_trajectory, and the quantum loop
+only reads it. Quantum step s uses the potential assembled at the
+time-centered classical state of Verlet step s: midpoint position
+(Q[s-1] + Q[s]) / 2, half-kicked momentum P[s-1] + F[s-1] dt/2, and the
+force evaluated at the midpoint. This keeps the coupled loop second-order
+accurate in dt. In feedback mode, grid coverage of the translated ground
+density is checked at the orbit's turning points and then once more at the
+smallest and largest Q the loop uses, before any quantum step runs.
+
+Per step the loop does only this:
+
+* feedback: write V(x, t), clamped at the grid's kinetic ceiling, into one
+  reused array (hydrodynamics._assembler);
+* the quantum step: split-step makes the half-step phase exp(-i V dt/2hbar)
+  (once per run in static mode), one FFT pair and pointwise products;
+  Crank-Nicolson makes one tridiagonal LAPACK solve (zgtsv);
+* the monitors: norm drift and edge mass from one |psi|^2 pass.
+
+Snapshot frames go through the public assemble_potential and record.
 """
 
 from dataclasses import dataclass
@@ -18,9 +33,10 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+import scipy.fft
+from scipy.linalg.lapack import zgtsv
 
-from .classical import Trajectory, classical_force, turning_points, v_class
+from .classical import Trajectory, _verlet, classical_force, turning_points, v_class
 from .diagnostics import DiagnosticsRecord, record
 from .displacement import ClassicalPoint, GCSState, gcs_from_model
 from .errors import CoverageError, PropagationError, UnitarityError
@@ -29,9 +45,11 @@ from .grids import (
     Grid,
     RealField,
     boundary_mass,
+    expectation,
+    normalized,
     quadrature_weights,
 )
-from .hydrodynamics import PotentialSnapshot, assemble_potential
+from .hydrodynamics import PotentialSnapshot, _assembler, assemble_potential
 from .models import (
     PotentialModel,
     ground_density_values,
@@ -99,33 +117,59 @@ def _kinetic_phase(n: int, dx: float, dt: float, m: float, hbar: float) -> np.nd
     return ph
 
 
-def _step_split(vals, v_vals, dt, dx, m, hbar):
-    kin = _kinetic_phase(len(vals), dx, dt, m, hbar)
-    half = np.exp(-0.5j * v_vals * dt / hbar)
-    return half * np.fft.ifft(kin * np.fft.fft(half * vals))
+def _split_step(n, dx, dt, m, hbar):
+    kin = _kinetic_phase(n, dx, dt, m, hbar)
+
+    def prepare(v_vals):
+        # exp(-i V dt / 2 hbar) as cos + i sin of its real angle
+        angle = v_vals * (-0.5 * dt) / hbar
+        half = np.empty(n, dtype=np.complex128)
+        np.cos(angle, out=half.real)
+        np.sin(angle, out=half.imag)
+        return half
+
+    def advance(vals, half):
+        # factor order as in half * ifft(kin * fft(half * vals)): complex
+        # products are not bitwise commutative
+        np.multiply(half, vals, out=vals)
+        vals = scipy.fft.fft(vals, overwrite_x=True)
+        np.multiply(kin, vals, out=vals)
+        vals = scipy.fft.ifft(vals, overwrite_x=True)
+        return np.multiply(half, vals, out=vals)
+
+    return prepare, advance
 
 
-def _step_cn(vals, v_vals, dt, dx, m, hbar):
-    n = len(vals)
+def _crank_nicolson(n, dx, dt, m, hbar):
     theta = dt / (2.0 * hbar)
     off = -(hbar * hbar) / (2.0 * m * dx * dx)
-    diag = (hbar * hbar) / (m * dx * dx) + v_vals
-    h_psi = np.empty_like(vals)
-    h_psi[1:-1] = off * (vals[:-2] + vals[2:]) + diag[1:-1] * vals[1:-1]
-    h_psi[0] = diag[0] * vals[0] + off * vals[1]
-    h_psi[-1] = diag[-1] * vals[-1] + off * vals[-2]
-    rhs = vals - 1j * theta * h_psi
-    ab = np.zeros((3, n), dtype=np.complex128)
-    ab[0, 1:] = 1j * theta * off
-    ab[1, :] = 1.0 + 1j * theta * diag
-    ab[2, :-1] = 1j * theta * off
-    try:
-        return solve_banded((1, 1), ab, rhs)
-    except Exception as exc:
-        raise PropagationError(f"tridiagonal solve failed: {exc}") from exc
+    band = np.full(n - 1, 1j * theta * off)
+
+    def prepare(v_vals):
+        diag = (hbar * hbar) / (m * dx * dx) + v_vals
+        return diag, 1.0 + 1j * theta * diag
+
+    def advance(vals, operand):
+        diag, lhs = operand
+        h_psi = np.empty_like(vals)
+        h_psi[1:-1] = off * (vals[:-2] + vals[2:]) + diag[1:-1] * vals[1:-1]
+        h_psi[0] = diag[0] * vals[0] + off * vals[1]
+        h_psi[-1] = diag[-1] * vals[-1] + off * vals[-2]
+        rhs = vals - 1j * theta * h_psi
+        # solve_banded((1, 1), ...) calls this same routine; it skips the
+        # finiteness scans, as the step monitors catch a NaN
+        *_, out, info = zgtsv(band, lhs, band, rhs, overwrite_b=1)
+        if info != 0:
+            raise PropagationError(f"tridiagonal solve failed (zgtsv info {info})")
+        return out
+
+    return prepare, advance
 
 
-_STEPPERS = {"split-step": _step_split, "crank-nicolson": _step_cn}
+# scheme -> kernel factory (n, dx, dt, m, hbar) -> (prepare, advance):
+# prepare(V values) builds the per-potential operand, advance(vals, operand)
+# returns the stepped values and may overwrite vals
+_STEPPERS = {"split-step": _split_step, "crank-nicolson": _crank_nicolson}
 
 
 def step(
@@ -147,7 +191,8 @@ def step(
         raise PropagationError("psi and V live on different grids")
     if scheme not in _STEPPERS:
         raise PropagationError(f"scheme must be one of {SCHEMES}")
-    out = _STEPPERS[scheme](psi.values, V.values, dt, psi.grid.dx, m, hbar)
+    prepare, advance = _STEPPERS[scheme](psi.grid.n, psi.grid.dx, dt, m, hbar)
+    out = advance(psi.values.copy(), prepare(V.values))
     return ComplexField(psi.grid, out)
 
 
@@ -165,14 +210,16 @@ def _potential_cap(grid: Grid, m: float, hbar: float) -> float:
 
 
 def _check_monitors(vals, grid, w, step_index, tol):
-    nrm = float(np.dot(w, np.abs(vals) ** 2))
-    if abs(nrm - 1.0) > tol.unitarity_drift:
+    # written as "not <=" so that a NaN raises at the step it appears
+    re, im = vals.real, vals.imag
+    rho = re * re + im * im
+    nrm = float(np.dot(w, rho))
+    if not abs(nrm - 1.0) <= tol.unitarity_drift:
         raise UnitarityError(
             f"norm drifted to {nrm:.12g} at step {step_index}"
         )
-    rho = np.abs(vals) ** 2
     bm = boundary_mass(rho, grid)
-    if bm > tol.boundary_mass:
+    if not bm <= tol.boundary_mass:
         raise CoverageError(
             f"packet reached the grid boundary at step {step_index} "
             f"(edge mass {bm:.3e})"
@@ -201,11 +248,12 @@ def evolve_feedback(
 ) -> RunResult:
     """Propagate the displaced ground state with the self-adjusting potential.
 
-    Every step advances (Q, P) by one Verlet step, rebuilds V(x, t) at the
-    time-centered classical state, and advances psi one quantum step in it.
-    Snapshot frames (state, potential, diagnostics) are emitted every
-    snapshot_stride steps, always including the initial and final ones.
-    Cheap monitors (norm drift, boundary mass) run every step.
+    The Verlet orbit of (Q, P) is integrated first; every quantum step then
+    rebuilds V(x, t) at the time-centered classical state of its Verlet step
+    and advances psi in it. Snapshot frames (state, potential, diagnostics)
+    are emitted every snapshot_stride steps, always including the initial
+    and final ones. Cheap monitors (norm drift, boundary mass) run every
+    step.
     """
     if T <= 0.0:
         raise PropagationError("T must be positive")
@@ -217,53 +265,41 @@ def evolve_feedback(
     q_lo, q_hi = turning_points(model, e_cl)
     _precheck_coverage(model, grid, q_lo, q_hi, tol)
 
+    t, q, p, f = _verlet(model, point0.Q, point0.P, dt, nsteps)
+    q_mid = 0.5 * (q[:-1] + q[1:])
+    p_half = p[:-1] + 0.5 * dt * f[:-1]
+    f_mid = classical_force(model, q_mid)
+    # every midpoint lies between two step ends, so this covers all Q used
+    _precheck_coverage(model, grid, q.min(), q.max(), tol)
+    traj = Trajectory.from_arrays(t, q, p, f, dt)
+
     state0 = gcs_from_model(model, grid, point0, tol)
     info = ground_moments(model, grid)
     w = quadrature_weights(grid)
-    stepper = _STEPPERS[config.scheme]
-    v_cap = _potential_cap(grid, m, hbar)
-
-    vals = state0.psi.values.copy()
-    q, p = point0.Q, point0.P
-    f = float(classical_force(model, q))
-    points = [ClassicalPoint(Q=q, P=p, t=0.0)]
-    forces = [f]
+    prepare, advance = _STEPPERS[config.scheme](grid.n, grid.dx, dt, m, hbar)
+    fill = _assembler(model, grid, _potential_cap(grid, m, hbar))
     frames = []
 
-    def emit(step_index, vals, q, p, f):
-        pt = ClassicalPoint(Q=q, P=p, t=step_index * dt)
-        snap = assemble_potential(model, pt, f, grid, tol=tol)
+    def emit(s, vals):
+        pt = traj.points[s]
+        snap = assemble_potential(model, pt, float(f[s]), grid, tol=tol)
         st = GCSState(
             psi=ComplexField(grid, vals),
             point=pt,
             model=model,
-            shift_method="analytic" if step_index == 0 else "propagated",
+            shift_method="analytic" if s == 0 else "propagated",
             base_mean=info.q0,
         )
         frames.append(FeedbackFrame(st, snap, record(st, model, pt, snap, tol)))
 
-    emit(0, vals, q, p, f)
-    for s in range(1, nsteps + 1):
-        p_half = p + 0.5 * dt * f
-        q_new = q + dt * p_half / m
-        q_mid = 0.5 * (q + q_new)
-        f_mid = float(classical_force(model, q_mid))
-        f_new = float(classical_force(model, q_new))
-        p_new = p_half + 0.5 * dt * f_new
-
-        mid_point = ClassicalPoint(Q=q_mid, P=p_half, t=(s - 0.5) * dt)
-        snap_mid = assemble_potential(model, mid_point, f_mid, grid, tol=tol)
-        vals = stepper(vals, np.minimum(snap_mid.V.values, v_cap), dt,
-                       grid.dx, m, hbar)
-
-        q, p, f = q_new, p_new, f_new
-        points.append(ClassicalPoint(Q=q, P=p, t=s * dt))
-        forces.append(f)
+    vals = state0.psi.values.copy()
+    emit(0, vals)
+    for s, (qm, pm, fm) in enumerate(zip(q_mid, p_half, f_mid), start=1):
+        vals = advance(vals, prepare(fill(qm, pm, fm)))
         _check_monitors(vals, grid, w, s, tol)
         if s % config.snapshot_stride == 0 or s == nsteps:
-            emit(s, vals, q, p, f)
+            emit(s, vals)
 
-    traj = Trajectory(points=tuple(points), forces=np.array(forces), dt=dt)
     return RunResult(
         frames=tuple(frames), trajectory=traj, grid=grid, model=model, config=config
     )
@@ -288,7 +324,7 @@ def evolve_static(
     still integrated and returned for twin-run comparisons. The diagnostics
     potential carries the at-rest assembled convention (V_model - E0);
     propagation itself uses the plain model potential clamped at the grid's
-    kinetic ceiling (densities are offset-invariant).
+    kinetic ceiling (densities are offset-invariant), prepared once.
     """
     if T <= 0.0:
         raise PropagationError("T must be positive")
@@ -297,56 +333,40 @@ def evolve_static(
     dt = config.dt
     m, hbar = model.mass, model.hbar
 
-    v_run = np.minimum(
-        potential_value(model, grid.points), _potential_cap(grid, m, hbar)
-    )
-    v_diag = RealField(
-        grid, potential_value(model, grid.points) - ground_energy(model)
-    )
+    t, q, p, f = _verlet(model, state0.point.Q, state0.point.P, dt, nsteps)
+    traj = Trajectory.from_arrays(t, q, p, f, dt)
+
+    v_model = potential_value(model, grid.points)
+    v_diag = RealField(grid, v_model - ground_energy(model))
     w = quadrature_weights(grid)
-    stepper = _STEPPERS[config.scheme]
+    prepare, advance = _STEPPERS[config.scheme](grid.n, grid.dx, dt, m, hbar)
+    operand = prepare(np.minimum(v_model, _potential_cap(grid, m, hbar)))
     info = ground_moments(model, grid)
     x = grid.points
-
-    vals = state0.psi.values.copy()
-    q, p = state0.point.Q, state0.point.P
-    f = float(classical_force(model, q))
-    points = [ClassicalPoint(Q=q, P=p, t=0.0)]
-    forces = [f]
     frames = []
 
-    def emit(step_index, vals, q, p, f):
+    def emit(s, vals):
         # reference point anchored at the measured center
+        psi_field = ComplexField(grid, vals)
         rho = np.abs(vals) ** 2
         nrm = float(np.dot(w, rho))
         q_meas = float(np.dot(w, x * rho)) / nrm - info.q0
-        dpsi = np.gradient(vals, grid.dx)
-        p_meas = hbar * float(np.dot(w, np.imag(np.conj(vals) * dpsi))) / nrm
-        pt = ClassicalPoint(Q=q_meas, P=p_meas, t=step_index * dt)
+        p_meas = expectation(normalized(psi_field), "p", hbar=hbar, tol=tol)
+        pt = ClassicalPoint(Q=q_meas, P=p_meas, t=s * dt)
         f_ref = float(classical_force(model, q_meas))
         snap = PotentialSnapshot(V=v_diag, point=pt, dPdt=f_ref, dQdt=p_meas / m)
-        psi_field = ComplexField(grid, vals)
         frames.append(
             StaticFrame(psi_field, record(psi_field, model, pt, snap, tol))
         )
 
-    emit(0, vals, q, p, f)
+    vals = state0.psi.values.copy()
+    emit(0, vals)
     for s in range(1, nsteps + 1):
-        p_half = p + 0.5 * dt * f
-        q_new = q + dt * p_half / m
-        f_new = float(classical_force(model, q_new))
-        p_new = p_half + 0.5 * dt * f_new
-
-        vals = stepper(vals, v_run, dt, grid.dx, m, hbar)
-
-        q, p, f = q_new, p_new, f_new
-        points.append(ClassicalPoint(Q=q, P=p, t=s * dt))
-        forces.append(f)
+        vals = advance(vals, operand)
         _check_monitors(vals, grid, w, s, tol)
         if s % config.snapshot_stride == 0 or s == nsteps:
-            emit(s, vals, q, p, f)
+            emit(s, vals)
 
-    traj = Trajectory(points=tuple(points), forces=np.array(forces), dt=dt)
     return RunResult(
         frames=tuple(frames), trajectory=traj, grid=grid, model=model, config=config
     )

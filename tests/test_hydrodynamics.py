@@ -235,3 +235,20 @@ def test_constant_offset_leaves_density_invariant(morse, morse_grid):
         b = step(b, v2, 5e-3, scheme="split-step")
     diff = np.abs(np.abs(a.values) ** 2 - np.abs(b.values) ** 2)
     assert np.max(diff) < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["morse", "harmonic"])
+def test_loop_assembler_matches_assemble_potential_bitwise(kind, request):
+    # the evolve loops fill V in place; it must be the public assembled
+    # potential clamped at the kinetic ceiling, bit for bit
+    from gcsdyn.hydrodynamics import _assembler
+    from gcsdyn.propagation import _potential_cap
+
+    model = request.getfixturevalue(kind)
+    grid = request.getfixturevalue(f"{kind}_grid")
+    cap = _potential_cap(grid, model.mass, model.hbar)
+    fill = _assembler(model, grid, cap)
+    for q, p in [(0.0, 0.0), (0.37, -0.21), (-0.8, 0.45)]:
+        f = classical_force(model, q)
+        snap = assemble_potential(model, ClassicalPoint(q, p), f, grid)
+        assert np.array_equal(fill(q, p, f), np.minimum(snap.V.values, cap))

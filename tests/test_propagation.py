@@ -3,6 +3,9 @@ import pytest
 
 from gcsdyn import (
     ClassicalPoint,
+    assemble_potential,
+    classical_force,
+    integrate_trajectory,
     ComplexField,
     CoverageError,
     EscapeError,
@@ -25,6 +28,8 @@ from gcsdyn import (
     step,
     suggest_grid,
 )
+from gcsdyn import propagation
+from gcsdyn.propagation import _check_monitors, _potential_cap
 from gcsdyn.tolerances import DEFAULT_TOLERANCES
 
 
@@ -296,3 +301,110 @@ def test_unbounded_initial_point_escapes(morse, morse_run_grid):
     with pytest.raises(EscapeError):
         evolve_feedback(morse, ClassicalPoint(0.0, 10.0), conf, 1.0,
                         morse_run_grid)
+
+
+def test_monitor_raises_on_nan_at_its_step():
+    g = Grid(-5.0, 5.0, 64)
+    vals = np.full(g.n, np.nan + 0j)
+    with pytest.raises(UnitarityError, match="at step 7$"):
+        _check_monitors(vals, g, quadrature_weights(g), 7, DEFAULT_TOLERANCES)
+
+
+def _clamped(model, grid, v_vals):
+    return RealField(grid, np.minimum(v_vals, _potential_cap(grid, model.mass,
+                                                              model.hbar)))
+
+
+def _reference_feedback(model, point0, grid, dt, nsteps, scheme):
+    # the feedback loop spelled out with public calls: Verlet orbit,
+    # potential at the time-centered state of each Verlet step, one step
+    traj = integrate_trajectory(model, point0.Q, point0.P, dt, nsteps)
+    psi = gcs_from_model(model, grid, point0).psi
+    for s in range(1, nsteps + 1):
+        a, b = traj.points[s - 1], traj.points[s]
+        q_mid = 0.5 * (a.Q + b.Q)
+        p_half = a.P + 0.5 * dt * traj.forces[s - 1]
+        mid = ClassicalPoint(q_mid, p_half, (s - 0.5) * dt)
+        V = assemble_potential(model, mid, classical_force(model, q_mid), grid).V
+        psi = step(psi, _clamped(model, grid, V.values), dt, scheme,
+                   model.mass, model.hbar)
+    return traj, psi.values
+
+
+@pytest.mark.parametrize("kind, scheme", [("morse", "split-step"),
+                                          ("harmonic", "crank-nicolson")])
+def test_feedback_loop_matches_public_reference(kind, scheme, request):
+    model = request.getfixturevalue(kind)
+    grid = suggest_grid(model, q_reach_min=-1.5, q_reach_max=1.5, n=1024)
+    point0 = ClassicalPoint(0.3, 0.4)
+    dt, nsteps = 2e-3, 20
+    conf = PropagatorConfig(dt=dt, scheme=scheme, mode="feedback",
+                            snapshot_stride=nsteps)
+    run = evolve_feedback(model, point0, conf, nsteps * dt, grid)
+    traj, ref = _reference_feedback(model, point0, grid, dt, nsteps, scheme)
+    assert run.trajectory.points == traj.points
+    assert np.array_equal(run.trajectory.forces, traj.forces)
+    assert np.max(np.abs(run.frames[-1].state.psi.values - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("scheme", ["split-step", "crank-nicolson"])
+def test_static_loop_matches_repeated_step(morse, scheme):
+    grid = suggest_grid(morse, q_reach_min=-1.5, q_reach_max=1.5, n=1024)
+    dt, nsteps = 2e-3, 20
+    state0 = gcs_from_model(morse, grid, ClassicalPoint(morse.dq, 0.0))
+    conf = PropagatorConfig(dt=dt, scheme=scheme, mode="static",
+                            snapshot_stride=nsteps)
+    run = evolve_static(state0, morse, conf, nsteps * dt)
+    V = _clamped(morse, grid, potential_value(morse, grid.points))
+    psi = state0.psi
+    for _ in range(nsteps):
+        psi = step(psi, V, dt, scheme)
+    assert np.max(np.abs(run.frames[-1].psi.values - psi.values)) <= 1e-12
+
+
+def test_orbit_coverage_fails_before_any_step(harmonic, monkeypatch):
+    # A coarse Verlet step overshoots the exact turning points (+-2 here):
+    # the orbit reaches |Q| = 2.8. The small grid holds the packet at the
+    # turning points but not at the orbit's actual extreme, so the run must
+    # stop before its first quantum step; the wide grid holds both.
+    point0, dt, nsteps = ClassicalPoint(0.0, 2.0), 1.4, 20
+    q_far = np.max(np.abs(integrate_trajectory(harmonic, 0.0, 2.0, dt, nsteps).q))
+    assert q_far > 2.7
+    small, wide = Grid(-6.5, 6.5, 512), Grid(-8.0, 8.0, 512)
+    gcs_from_model(harmonic, small, ClassicalPoint(2.0, 0.0))
+    gcs_from_model(harmonic, small, ClassicalPoint(-2.0, 0.0))
+    with pytest.raises(CoverageError):
+        gcs_from_model(harmonic, small, ClassicalPoint(q_far, 0.0))
+
+    calls = []
+    kernels = propagation._STEPPERS["crank-nicolson"]
+
+    def counting(*args):
+        prepare, advance = kernels(*args)
+
+        def counted(vals, operand):
+            calls.append(1)
+            return advance(vals, operand)
+
+        return prepare, counted
+
+    monkeypatch.setitem(propagation._STEPPERS, "crank-nicolson", counting)
+    conf = PropagatorConfig(dt=dt, scheme="crank-nicolson", mode="feedback",
+                            snapshot_stride=nsteps)
+    with pytest.raises(CoverageError, match="classical trajectory"):
+        evolve_feedback(harmonic, point0, conf, nsteps * dt, small)
+    assert calls == []
+    evolve_feedback(harmonic, point0, conf, nsteps * dt, wide)
+    assert len(calls) == nsteps
+
+
+def test_static_reference_momentum_uses_sixth_order_stencil(morse):
+    # at t = 0 the static state is an exact displaced ground state, so its
+    # phase-equation residual sits at the feedback-mode floor only if the
+    # measured <p> is as accurate as record's (second-order np.gradient
+    # left 3e-5 here)
+    grid = suggest_grid(morse, q_reach_min=-1.5, q_reach_max=1.5, n=2048)
+    state0 = gcs_from_model(morse, grid, ClassicalPoint(0.0, 0.45))
+    conf = PropagatorConfig(dt=1e-3, scheme="split-step", mode="static")
+    run = evolve_static(state0, morse, conf, 1e-3)
+    assert run.records[0].hjm_residual < 1e-6
