@@ -80,10 +80,9 @@ from .models import (
     suggest_grid,
 )
 from .propagation import (
-    FeedbackFrame,
+    Frame,
     PropagatorConfig,
     RunResult,
-    StaticFrame,
     evolve_feedback,
     evolve_static,
     step,

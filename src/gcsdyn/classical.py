@@ -9,9 +9,12 @@ and requiring a(t) = 0 yields the autonomous center equation
 
     dP/dt = F_cl(Q) = -d V_class / dQ.
 
-For the Morse well the center potential is the mirror image of the original,
-V_class(Q) = U0 (1 - exp(+aQ))^2 = V(-Q); for symmetric wells it coincides
-with the original potential.
+The center potential is the well seen from -Q, V_class(Q) = V(-Q): for the
+Morse well that is the mirror image U0 (1 - exp(+aQ))^2, for symmetric wells
+the original potential. v_class and classical_force are defined that way,
+from models.potential_value and models.potential_gradient; verify's
+vclass_mirror check and `gcsdyn extract-vclass` test the identity against
+the linear coefficient of the assembled potential.
 """
 
 import math
@@ -23,7 +26,7 @@ from scipy.interpolate import make_interp_spline
 from .displacement import ClassicalPoint
 from .errors import EscapeError, ExtractionError
 from .grids import Grid
-from .models import _EXP_CAP, PotentialModel
+from .models import PotentialModel, potential_gradient, potential_value
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -31,61 +34,40 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 class Trajectory:
     """Velocity-Verlet trajectory of the wave-packet center.
 
-    points[i] is the state at t = i * dt; forces[i] the force evaluated at
-    points[i].Q, aligned for downstream potential assembly.
+    t, q, p and forces are read-only arrays with one entry per step: entry i
+    is the state at t = i * dt, and forces[i] the force at q[i], aligned for
+    downstream potential assembly.
     """
 
-    points: tuple
+    t: np.ndarray
+    q: np.ndarray
+    p: np.ndarray
     forces: np.ndarray
     dt: float
 
-    @classmethod
-    def from_arrays(cls, t, q, p, forces, dt: float) -> "Trajectory":
-        points = tuple(map(ClassicalPoint, map(float, q), map(float, p), map(float, t)))
-        return cls(points=points, forces=forces, dt=dt)
+    def __post_init__(self):
+        for arr in (self.t, self.q, self.p, self.forces):
+            arr.setflags(write=False)
 
     def __len__(self):
-        return len(self.points)
+        return len(self.t)
 
-    @property
-    def t(self) -> np.ndarray:
-        return np.array([p.t for p in self.points])
-
-    @property
-    def q(self) -> np.ndarray:
-        return np.array([p.Q for p in self.points])
-
-    @property
-    def p(self) -> np.ndarray:
-        return np.array([p.P for p in self.points])
+    def point(self, i: int) -> ClassicalPoint:
+        """The state at step i as a ClassicalPoint."""
+        return ClassicalPoint(float(self.q[i]), float(self.p[i]), float(self.t[i]))
 
     def energy(self, model: PotentialModel) -> np.ndarray:
         return self.p**2 / (2.0 * model.mass) + v_class(model, self.q)
 
 
 def classical_force(model: PotentialModel, q):
-    """dP/dt = -dV_class/dQ at center displacement q."""
-    q = np.asarray(q, dtype=np.float64)
-    if model.kind == "harmonic":
-        f = -model.mass * model.omega**2 * q
-    else:
-        a = model.a
-        u0 = model.well_depth
-        e1 = np.exp(np.minimum(a * q, _EXP_CAP))
-        e2 = np.exp(np.minimum(2.0 * a * q, _EXP_CAP))
-        f = 2.0 * a * u0 * (e1 - e2)
-    return f if f.ndim else float(f)
+    """dP/dt = -dV_class/dQ at center displacement q, i.e. V'(-q)."""
+    return potential_gradient(model, -np.asarray(q, dtype=np.float64))
 
 
 def v_class(model: PotentialModel, q):
-    """Center potential: mirror Morse well, or the harmonic well itself."""
-    q = np.asarray(q, dtype=np.float64)
-    if model.kind == "harmonic":
-        v = 0.5 * model.mass * model.omega**2 * q * q
-    else:
-        e = np.exp(np.minimum(model.a * q, _EXP_CAP))
-        v = model.well_depth * (1.0 - e) ** 2
-    return v if v.ndim else float(v)
+    """Center potential V_class(q) = V(-q)."""
+    return potential_value(model, -np.asarray(q, dtype=np.float64))
 
 
 def linear_coefficient(
@@ -232,5 +214,4 @@ def integrate_trajectory(
         raise EscapeError(
             f"unbounded Morse orbit: E = {e_cl:g} >= U0 = {model.well_depth:g}"
         )
-    t, q, p, f = _verlet(model, q0, p0, dt, steps, q_bounds)
-    return Trajectory.from_arrays(t, q, p, f, dt)
+    return Trajectory(*_verlet(model, q0, p0, dt, steps, q_bounds), dt)

@@ -9,7 +9,8 @@ Subcommands:
                      check.
 
 Exit codes: 0 success; 1 verification failures (count reported); 2 config
-errors; 3 coverage/escape; 4 unitarity alarm; 5 extraction failure.
+errors; 3 coverage/escape; 4 unitarity alarm; 5 extraction failure; 6 any
+other gcsdyn error.
 """
 
 import argparse
@@ -47,6 +48,7 @@ EXIT_CONFIG = 2
 EXIT_COVERAGE = 3
 EXIT_UNITARITY = 4
 EXIT_EXTRACTION = 5
+EXIT_ERROR = 6
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -156,16 +158,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         if args.command == "run":
             return cmd_run(cfg)
         if args.command == "extract-vclass":
             return cmd_extract_vclass(cfg)
         return cmd_verify(cfg)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (CoverageError, EscapeError) as exc:
         print(f"coverage/escape error: {exc}", file=sys.stderr)
         return EXIT_COVERAGE
@@ -177,7 +177,7 @@ def main(argv=None) -> int:
         return EXIT_EXTRACTION
     except GcsdynError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -16,10 +16,10 @@ from pathlib import Path
 
 from .classical import classical_period, v_class
 from .displacement import ClassicalPoint
-from .errors import ConfigError, GcsdynError
+from .errors import ConfigError, GcsdynError, PropagationError
 from .grids import Grid
 from .models import PotentialModel, suggest_grid
-from .propagation import MODES, SCHEMES, PropagatorConfig
+from .propagation import PropagatorConfig
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 OUTPUT_DIR_ENV = "GCSDYN_OUTPUT_DIR"
@@ -117,7 +117,7 @@ def config_from_dict(raw: dict) -> RunConfig:
                 mass=_number(msec, "mass", 1.0, "model"),
                 hbar=_number(msec, "hbar", 1.0, "model"),
             )
-    except (GcsdynError, NotImplementedError) as exc:
+    except GcsdynError as exc:
         raise ConfigError(f"invalid model: {exc}") from exc
 
     isec = _require_mapping(raw.get("initial", {}), "initial")
@@ -160,18 +160,15 @@ def config_from_dict(raw: dict) -> RunConfig:
     dt = _number(psec, "dt", T / 5000.0, "propagation")
     scheme = psec.get("scheme", "crank-nicolson")
     mode = psec.get("mode", "feedback")
-    if scheme not in SCHEMES:
-        raise ConfigError(f"propagation.scheme must be one of {SCHEMES}")
-    if mode not in MODES:
-        raise ConfigError(f"propagation.mode must be one of {MODES}")
     stride = _number(psec, "snapshot_stride", 10, "propagation", kind=int)
-    if T <= 0.0 or dt <= 0.0:
-        raise ConfigError("propagation.T and propagation.dt must be positive")
-    if stride < 1:
-        raise ConfigError("propagation.snapshot_stride must be >= 1")
+    try:
+        prop = PropagatorConfig(dt=dt, scheme=scheme, mode=mode, snapshot_stride=stride)
+    except PropagationError as exc:
+        raise ConfigError(f"invalid propagation: {exc}") from exc
+    if T <= 0.0:
+        raise ConfigError("propagation.T must be positive")
     if dt > T:
         raise ConfigError("propagation.dt exceeds the horizon T")
-    prop = PropagatorConfig(dt=dt, scheme=scheme, mode=mode, snapshot_stride=stride)
 
     osec = _require_mapping(raw.get("output", {}), "output")
     _reject_unknown(osec, _OUTPUT_KEYS, "output")

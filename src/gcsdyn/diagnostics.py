@@ -13,7 +13,7 @@ import numpy as np
 from scipy.interpolate import make_interp_spline
 
 from .displacement import ClassicalPoint, GCSState, density_phase
-from .errors import CoverageError, DiagnosticsError, InvalidFieldError
+from .errors import DiagnosticsError, InvalidFieldError
 from .grids import (
     ComplexField,
     RealField,
@@ -23,7 +23,12 @@ from .grids import (
     quadrature_weights,
 )
 from .hydrodynamics import PotentialSnapshot, hjm_residual
-from .models import PotentialModel, ground_density_values, ground_moments
+from .models import (
+    PotentialModel,
+    ground_moments,
+    reference_density,
+    require_coverage,
+)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -82,13 +87,17 @@ def coherence_overlap(
     iff rho coincides with the translated reference there. Dimensionless and
     bounded by 1.
     """
-    grid = rho.grid
-    w = quadrature_weights(grid)
-    ref = ground_density_values(model, grid.points - q)
-    mass = float(np.dot(w, ref))
-    ref /= mass
-    if boundary_mass(ref, grid) > tol.boundary_mass:
-        raise CoverageError(f"translated reference (Q = {q:g}) leaves the grid")
+    return _bhattacharyya(rho, _checked_reference(model, rho.grid, q, tol))
+
+
+def _checked_reference(model, grid, q, tol) -> np.ndarray:
+    ref = reference_density(model, grid, q)
+    require_coverage(ref, grid, tol, f"translated reference (Q = {q:g})")
+    return ref
+
+
+def _bhattacharyya(rho: RealField, ref: np.ndarray) -> float:
+    w = quadrature_weights(rho.grid)
     own = np.maximum(rho.values, 0.0)
     own = own / float(np.dot(w, own))
     return float(np.dot(w, np.sqrt(own * ref)))
@@ -106,11 +115,8 @@ def potential_slope_at(v: RealField, x_c: float, width: float) -> float:
     return float(spline(x_c))
 
 
-def _l2_distance(rho: RealField, model: PotentialModel, q: float) -> float:
-    grid = rho.grid
-    w = quadrature_weights(grid)
-    ref = ground_density_values(model, grid.points - q)
-    ref /= float(np.dot(w, ref))
+def _l2_distance(rho: RealField, ref: np.ndarray) -> float:
+    w = quadrature_weights(rho.grid)
     d = rho.values - ref
     return math.sqrt(float(np.dot(w, d * d)))
 
@@ -157,8 +163,9 @@ def record(
     dq2 = x2 - q_mean * q_mean
 
     rho = RealField(grid, rho_raw / nrm)
-    overlap = coherence_overlap(rho, model, point.Q, tol)
-    l2 = _l2_distance(rho, model, point.Q)
+    ref = _checked_reference(model, grid, point.Q, tol)
+    overlap = _bhattacharyya(rho, ref)
+    l2 = _l2_distance(rho, ref)
 
     info = ground_moments(model, grid)
     x_c = q_mean - info.q0

@@ -27,11 +27,17 @@ from .grids import (
     ComplexField,
     Grid,
     RealField,
+    _peak_segment,
     boundary_mass,
     expectation,
     quadrature_weights,
 )
-from .models import PotentialModel, ground_state, ground_state_values
+from .models import (
+    PotentialModel,
+    _normalized_ground_state,
+    ground_state,
+    require_coverage,
+)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 INVARIANT_TOL = 1e-6  # |<x> - q0 - Q| and |<p> - P| allowed on construction
@@ -111,11 +117,12 @@ def displace(
     expectations <x> - q0 = Q, <p> = P.
     """
     grid = psi0.grid
+    w = quadrature_weights(grid)
     rho0 = psi0.values**2
-    nrm0 = float(np.dot(quadrature_weights(grid), rho0))
+    nrm0 = float(np.dot(w, rho0))
     if abs(nrm0 - 1.0) > tol.norm:
         raise NormalizationError(nrm0, tol.norm, "base state")
-    base_mean = float(np.dot(quadrature_weights(grid), grid.points * rho0))
+    base_mean = float(np.dot(w, grid.points * rho0))
 
     if translator == "auto":
         clean = boundary_mass(rho0, grid) <= tol.spectral_shift_mass
@@ -132,28 +139,20 @@ def displace(
     else:
         raise ValueError(f"unknown translator {translator!r}")
 
-    w = quadrature_weights(grid)
     shifted_norm = float(np.dot(w, shifted * shifted))
-    if boundary_mass(shifted * shifted, grid) > tol.boundary_mass:
-        raise CoverageError(
-            f"displaced packet (Q = {point.Q:g}) touches the grid boundary"
-        )
+    require_coverage(
+        shifted * shifted, grid, tol, f"displaced packet (Q = {point.Q:g})"
+    )
     if abs(shifted_norm - nrm0) > NORM_SHIFT_TOL:
         raise CoverageError(
             f"translation by Q = {point.Q:g} lost norm "
             f"({nrm0:.12g} -> {shifted_norm:.12g}); grid too small or aliased"
         )
 
-    phase = np.exp(1j * (point.P * grid.points - 0.5 * point.P * point.Q) / hbar)
-    state = GCSState(
-        psi=ComplexField(grid, shifted * phase),
-        point=point,
-        model=model,
-        shift_method=method,
-        base_mean=base_mean,
+    return _boosted_state(
+        grid, shifted, point, hbar, tol,
+        model=model, shift_method=method, base_mean=base_mean,
     )
-    _verify_state(state, hbar, tol)
-    return state
 
 
 def gcs_from_model(
@@ -171,27 +170,20 @@ def gcs_from_model(
     w = quadrature_weights(grid)
     base_mean = float(np.dot(w, grid.points * base.values**2))
 
-    shifted = ground_state_values(model, grid.points - point.Q)
-    mass = float(np.dot(w, shifted * shifted))
-    if boundary_mass(shifted * shifted / mass, grid) > tol.boundary_mass:
-        raise CoverageError(
-            f"displaced packet (Q = {point.Q:g}) touches the grid boundary"
-        )
-    shifted /= math.sqrt(mass)
-    hbar = model.hbar
-    phase = np.exp(1j * (point.P * grid.points - 0.5 * point.P * point.Q) / hbar)
-    state = GCSState(
-        psi=ComplexField(grid, shifted * phase),
-        point=point,
-        model=model,
-        shift_method="analytic",
-        base_mean=base_mean,
+    shifted = _normalized_ground_state(
+        model, grid, point.Q, tol, f"displaced packet (Q = {point.Q:g})"
     )
-    _verify_state(state, hbar, tol)
-    return state
+    return _boosted_state(
+        grid, shifted, point, model.hbar, tol,
+        model=model, shift_method="analytic", base_mean=base_mean,
+    )
 
 
-def _verify_state(state: GCSState, hbar: float, tol: Tolerances):
+def _boosted_state(grid, shifted, point, hbar, tol, **fields) -> GCSState:
+    """The translated samples times exp(i (P x - P Q / 2) / hbar), as a
+    GCSState with the given fields, checked against its label point."""
+    phase = np.exp(1j * (point.P * grid.points - 0.5 * point.P * point.Q) / hbar)
+    state = GCSState(psi=ComplexField(grid, shifted * phase), point=point, **fields)
     x_mean = expectation(state.psi, "x", hbar=hbar, tol=tol)
     p_mean = expectation(state.psi, "p", hbar=hbar, tol=tol)
     dx_err = abs(x_mean - state.base_mean - state.point.Q)
@@ -201,6 +193,7 @@ def _verify_state(state: GCSState, hbar: float, tol: Tolerances):
             f"displaced state off its label: |<x> - q0 - Q| = {dx_err:.3e}, "
             f"|<p> - P| = {dp_err:.3e}"
         )
+    return state
 
 
 @dataclass(frozen=True)
@@ -244,16 +237,7 @@ def density_phase(
     grid = psi.grid
     rho = np.abs(psi.values) ** 2
     peak = int(np.argmax(rho))
-    floor = tol.phase_floor * rho[peak]
-    valid = rho > floor
-
-    # restrict to the contiguous valid run containing the peak
-    left = peak
-    while left > 0 and valid[left - 1]:
-        left -= 1
-    right = peak
-    while right < grid.n - 1 and valid[right + 1]:
-        right += 1
+    left, right = _peak_segment(rho, tol.phase_floor * rho[peak])
     valid = np.zeros(grid.n, dtype=bool)
     valid[left : right + 1] = True
 

@@ -135,6 +135,9 @@ def _edge_fill(out, vals, edge_rows, order):
 
 
 def _derivative_arrays(vals: np.ndarray, dx: float, order: int, stencil: str):
+    if np.iscomplexobj(vals):
+        re = _derivative_arrays(vals.real, dx, order, stencil)
+        return re + 1j * _derivative_arrays(vals.imag, dx, order, stencil)
     f = vals
     out = np.empty_like(f)
     if stencil == "5pt" and order == 1:
@@ -169,17 +172,9 @@ def _differentiate(fld, order: int, method: str):
     vals = fld.values
     dx = fld.grid.dx
     if method == "spectral":
-        if np.iscomplexobj(vals):
-            der = _spectral_derivative(vals, dx, order)
-        else:
-            der = _spectral_derivative(vals.astype(np.float64), dx, order)
+        der = _spectral_derivative(vals, dx, order)
     elif method == "central-5pt":
-        if np.iscomplexobj(vals):
-            der = _derivative_arrays(vals.real, dx, order, "5pt") + 1j * _derivative_arrays(
-                vals.imag, dx, order, "5pt"
-            )
-        else:
-            der = _derivative_arrays(vals, dx, order, "5pt")
+        der = _derivative_arrays(vals, dx, order, "5pt")
     else:
         raise ValueError(f"unknown derivative method {method!r}")
     cls = ComplexField if np.iscomplexobj(vals) else RealField
@@ -272,9 +267,7 @@ def expectation(
     if weight == "x2":
         return float(np.dot(w, x * x * np.abs(vals) ** 2))
     dx = psi.grid.dx
-    dpsi = _derivative_arrays(vals.real, dx, 1, "7pt") + 1j * _derivative_arrays(
-        vals.imag, dx, 1, "7pt"
-    )
+    dpsi = _derivative_arrays(vals, dx, 1, "7pt")
     if weight == "p":
         return float(hbar * np.dot(w, np.imag(np.conj(vals) * dpsi)))
     if weight == "p2":
@@ -288,5 +281,16 @@ def boundary_mass(rho_values: np.ndarray, grid: Grid) -> float:
     return float(edge) * grid.dx
 
 
-def density(psi: ComplexField) -> np.ndarray:
-    return np.abs(psi.values) ** 2
+def _peak_segment(vals: np.ndarray, floor: float) -> tuple[int, int]:
+    """Bounds i0, i1 of the contiguous run above `floor` containing the peak.
+
+    The run always holds the argmax sample, even when that sample is not
+    above the floor; a NaN sample ends the run like one below the floor.
+    """
+    peak = int(np.argmax(vals))
+    stops = np.flatnonzero(~(vals > floor))
+    k0 = int(np.searchsorted(stops, peak))  # stops[:k0] lie left of the peak
+    k1 = int(np.searchsorted(stops, peak, side="right"))  # stops[k1:] right of it
+    i0 = int(stops[k0 - 1]) + 1 if k0 > 0 else 0
+    i1 = int(stops[k1]) - 1 if k1 < stops.size else len(vals) - 1
+    return i0, i1

@@ -27,20 +27,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .displacement import ClassicalPoint
-from .errors import CoverageError, InvalidFieldError, NodeError, NormalizationError
+from .errors import InvalidFieldError, NodeError, NormalizationError
 from .grids import (
     Grid,
     RealField,
     _derivative_arrays,
-    boundary_mass,
+    _peak_segment,
     integrate,
     quadrature_weights,
 )
 from .models import (
     PotentialModel,
     _potential_into,
-    ground_density_values,
     ground_energy,
+    reference_density,
+    require_coverage,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -114,19 +115,6 @@ def _log_curvature_segment(vals: np.ndarray, dx: float, i0: int, i1: int) -> np.
     return g2 + g1 * g1
 
 
-def _peak_segment(vals: np.ndarray, floor: float) -> tuple[int, int]:
-    """Contiguous run above `floor` containing the density peak."""
-    peak = int(np.argmax(vals))
-    above = vals > floor
-    i0 = peak
-    while i0 > 0 and above[i0 - 1]:
-        i0 -= 1
-    i1 = peak
-    while i1 < len(vals) - 1 and above[i1 + 1]:
-        i1 += 1
-    return i0, i1
-
-
 def assemble_potential(
     model: PotentialModel,
     point: ClassicalPoint,
@@ -143,19 +131,14 @@ def assemble_potential(
     """
     x = grid.points
     xi = x - point.Q
-    rho_shift = ground_density_values(model, xi)
-    w = quadrature_weights(grid)
-    mass = float(np.dot(w, rho_shift))
-    if boundary_mass(rho_shift / mass, grid) > tol.boundary_mass:
-        raise CoverageError(
-            f"density shifted by Q = {point.Q:g} leaves the grid"
-        )
+    rho_shift = reference_density(model, grid, point.Q)
+    require_coverage(rho_shift, grid, tol, f"density shifted by Q = {point.Q:g}")
 
     if curvature == "analytic":
         v = _potential_into(model, xi, np.empty(grid.n))
         np.subtract(v, ground_energy(model), out=v)
     elif curvature == "numeric":
-        res = quantum_curvature(RealField(grid, rho_shift / mass), tol)
+        res = quantum_curvature(RealField(grid, rho_shift), tol)
         v = (model.hbar**2 / (2.0 * model.mass)) * res.F.values
     else:
         raise ValueError(f"unknown curvature evaluation {curvature!r}")
@@ -215,12 +198,7 @@ def continuity_residual(
     dx = grid.dx
     flux = rho.values * _derivative_arrays(S.values, dx, 1, "5pt")
     r = rho_t.values + _derivative_arrays(flux, dx, 1, "5pt") / m
-    w = quadrature_weights(grid)
-    num = math.sqrt(float(np.dot(w, r * r)))
-    den = math.sqrt(float(np.dot(w, rho_t.values**2)))
-    if den == 0.0:
-        return num
-    return num / den
+    return _relative_norm(quadrature_weights(grid), r, rho_t.values)
 
 
 def hjm_residual(
@@ -256,9 +234,11 @@ def hjm_residual(
         - (hbar**2 / (2.0 * m)) * curv
         + V.values[sl]
     )
-    w = quadrature_weights(grid)[sl] * vals[sl]
+    return _relative_norm(quadrature_weights(grid)[sl] * vals[sl], r, V.values[sl])
+
+
+def _relative_norm(w, r, ref) -> float:
+    """sqrt(sum w r^2) / sqrt(sum w ref^2); the bare numerator if ref is 0."""
     num = math.sqrt(float(np.dot(w, r * r)))
-    den = math.sqrt(float(np.dot(w, V.values[sl] ** 2)))
-    if den == 0.0:
-        return num
-    return num / den
+    den = math.sqrt(float(np.dot(w, ref**2)))
+    return num / den if den != 0.0 else num

@@ -5,8 +5,8 @@ Two families are built in:
 * harmonic -- V(x) = (1/2) m omega^2 x^2, Gaussian ground state.
 * morse    -- V(x) = U0 (1 - exp(-a x))^2 with depth U0 = lam^2 * E_scale,
   E_scale = (hbar a)^2 / (2 m). The closed-form ground state is wired for
-  the well-depth index lam = 1; other depths are a typed extension point
-  and currently rejected.
+  the well-depth index lam = 1; other depths are rejected with
+  InvalidFieldError.
 
 Natural units hbar = m = 1 are the defaults; both are configurable so unit
 scaling can be exercised. All models are immutable values and every
@@ -72,7 +72,7 @@ class PotentialModel:
                     "morse model needs lam > 1/2 for a bound state"
                 )
             if self.lam != 1.0:
-                raise NotImplementedError(
+                raise InvalidFieldError(
                     "closed-form Morse ground state is wired for lam = 1; "
                     f"got lam = {self.lam}"
                 )
@@ -140,8 +140,11 @@ def potential_gradient(model: PotentialModel, x):
     if model.kind == "harmonic":
         g = model.mass * model.omega**2 * x
     else:
-        e = np.exp(np.minimum(-model.a * x, _EXP_CAP))
-        g = 2.0 * model.a * model.well_depth * (1.0 - e) * e
+        # 2 a U0 (1 - e) e with e = exp(-a x), each exponent capped
+        a = model.a
+        e1 = np.exp(np.minimum(-a * x, _EXP_CAP))
+        e2 = np.exp(np.minimum(-2.0 * a * x, _EXP_CAP))
+        g = 2.0 * a * model.well_depth * (e1 - e2)
     return g if g.ndim else float(g)
 
 
@@ -168,6 +171,23 @@ def ground_density_values(model: PotentialModel, x) -> np.ndarray:
     return psi * psi
 
 
+def reference_density(model: PotentialModel, grid: Grid, q: float) -> np.ndarray:
+    """Ground density translated by q, normalized to 1 on the grid."""
+    ref = ground_density_values(model, grid.points - q)
+    return ref / float(np.dot(quadrature_weights(grid), ref))
+
+
+def require_coverage(rho: np.ndarray, grid: Grid, tol: Tolerances, what: str):
+    """Raise CoverageError when the normalized density rho has more mass at
+    the grid edges than the coverage tolerance allows."""
+    bm = boundary_mass(rho, grid)
+    if bm > tol.boundary_mass:
+        raise CoverageError(
+            f"{what} touches the grid boundary "
+            f"(edge mass {bm:.3e} > {tol.boundary_mass:g})"
+        )
+
+
 def ground_state(
     model: PotentialModel, grid: Grid, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> RealField:
@@ -176,15 +196,18 @@ def ground_state(
     Raises CoverageError when the grid clips the state (boundary mass above
     the coverage tolerance).
     """
-    psi = ground_state_values(model, grid.points)
+    psi = _normalized_ground_state(model, grid, 0.0, tol, "ground state")
+    return RealField(grid, psi)
+
+
+def _normalized_ground_state(model, grid, q, tol, what) -> np.ndarray:
+    """Ground-state samples translated by q and normalized on the grid,
+    after the coverage check of their density."""
+    psi = ground_state_values(model, grid.points - q)
     rho = psi * psi
     mass = float(np.dot(quadrature_weights(grid), rho))
-    bm = boundary_mass(rho / mass, grid)
-    if bm > tol.boundary_mass:
-        raise CoverageError(
-            f"ground state clipped by grid: boundary mass {bm:.3e} > {tol.boundary_mass:g}"
-        )
-    return RealField(grid, psi / math.sqrt(mass))
+    require_coverage(rho / mass, grid, tol, what)
+    return psi / math.sqrt(mass)
 
 
 def ground_energy(model: PotentialModel) -> float:

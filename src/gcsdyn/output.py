@@ -15,6 +15,11 @@ independent. Column names and order are part of the contract:
 * plots/potential_snapshots.csv: x, then one V_<t> column per sampled
   snapshot
 
+Feedback and static runs write the same files from the same Frame fields;
+fields/ and potential_snapshots.csv take V from each frame (the assembled
+potential, or the at-rest V_model - E0 of a static run), and
+center_tracking.csv reads Q from the trajectory at each frame's step.
+
 The plot CSVs need only numpy. The SVG figures rendered from the same
 series need the optional matplotlib ('plots' extra).
 """
@@ -29,7 +34,7 @@ from .diagnostics import DiagnosticsRecord
 from .displacement import density_phase
 from .errors import OptionalDependencyError
 from .models import PotentialModel
-from .propagation import FeedbackFrame, RunResult
+from .propagation import RunResult
 
 
 def _fmt(value) -> str:
@@ -49,20 +54,16 @@ def _write_rows(path: Path, header, rows):
 
 
 def write_diagnostics_csv(path, records) -> Path:
-    path = Path(path)
-    _write_rows(path, DiagnosticsRecord.CSV_COLUMNS, (r.csv_row() for r in records))
-    return path
+    rows = (r.csv_row() for r in records)
+    return _write_rows(Path(path), DiagnosticsRecord.CSV_COLUMNS, rows)
 
 
 def write_trajectory_csv(path, trajectory: Trajectory, model: PotentialModel) -> Path:
-    path = Path(path)
-    energy = trajectory.energy(model)
-    rows = (
-        (pt.t, pt.Q, pt.P, trajectory.forces[i], energy[i])
-        for i, pt in enumerate(trajectory.points)
+    rows = zip(
+        trajectory.t, trajectory.q, trajectory.p, trajectory.forces,
+        trajectory.energy(model),
     )
-    _write_rows(path, ("t", "Q", "P", "dPdt", "E_cl"), rows)
-    return path
+    return _write_rows(Path(path), ("t", "Q", "P", "dPdt", "E_cl"), rows)
 
 
 def write_fields_csv(directory, result: RunResult) -> list[Path]:
@@ -70,26 +71,15 @@ def write_fields_csv(directory, result: RunResult) -> list[Path]:
     directory = Path(directory)
     paths = []
     for i, frame in enumerate(result.frames):
-        if isinstance(frame, FeedbackFrame):
-            psi = frame.state.psi
-            v_vals = frame.potential.V.values
-        else:
-            psi = frame.psi
-            v_vals = None
+        psi = frame.psi
         polar = density_phase(psi, hbar=result.model.hbar, on_ambiguity="mask")
-        if v_vals is None:
-            from .models import ground_energy, potential_value
-
-            v_vals = potential_value(result.model, psi.grid.points) - ground_energy(
-                result.model
-            )
         rows = zip(
             psi.grid.points,
             psi.values.real,
             psi.values.imag,
             polar.rho.values,
             polar.S.values,
-            v_vals,
+            frame.V.values,
         )
         path = directory / f"{i:04d}.csv"
         _write_rows(path, ("x", "re_psi", "im_psi", "rho", "S", "V"), rows)
@@ -99,11 +89,8 @@ def write_fields_csv(directory, result: RunResult) -> list[Path]:
 
 def write_vclass_csv(path, rows) -> Path:
     """rows: iterables of (Q, analytic, numeric, relative deviation)."""
-    path = Path(path)
-    _write_rows(
-        path, ("Q", "V_class_analytic", "V_class_numeric", "relative_deviation"), rows
-    )
-    return path
+    header = ("Q", "V_class_analytic", "V_class_numeric", "relative_deviation")
+    return _write_rows(Path(path), header, rows)
 
 
 def write_plot_data(outdir, result: RunResult) -> list[Path]:
@@ -117,26 +104,15 @@ def write_plot_data(outdir, result: RunResult) -> list[Path]:
             outdir / "overlap_t.csv", ("t", "overlap"), zip(t, (r.overlap for r in records))
         ),
     ]
-    q_of_t = {round(p.t, 12): p.Q for p in result.trajectory.points}
-    rows = ((r.t, q_of_t.get(round(r.t, 12), np.nan), r.q_mean) for r in records)
+    q = result.trajectory.q
+    rows = ((r.t, q[f.step], r.q_mean) for f, r in zip(result.frames, records))
     paths.append(_write_rows(outdir / "center_tracking.csv", ("t", "Q", "q_mean"), rows))
 
     # a handful of potential profiles across the run
     frames = result.frames
     picks = sorted({0, len(frames) // 4, len(frames) // 2, (3 * len(frames)) // 4, len(frames) - 1})
     header = ["x"] + [f"V_{frames[i].diagnostics.t:.6g}" for i in picks]
-    columns = [result.grid.points]
-    for i in picks:
-        frame = frames[i]
-        if isinstance(frame, FeedbackFrame):
-            columns.append(frame.potential.V.values)
-        else:
-            from .models import ground_energy, potential_value
-
-            columns.append(
-                potential_value(result.model, result.grid.points)
-                - ground_energy(result.model)
-            )
+    columns = [result.grid.points] + [frames[i].V.values for i in picks]
     paths.append(_write_rows(outdir / "potential_snapshots.csv", header, zip(*columns)))
     return paths
 
@@ -183,8 +159,7 @@ def render_plots(outdir, result: RunResult) -> list[Path]:
     save(fig, "overlap_t.svg")
 
     fig, ax = plt.subplots()
-    q_of_t = {round(p.t, 12): p.Q for p in result.trajectory.points}
-    ax.plot(t, [q_of_t.get(round(r.t, 12), np.nan) for r in records], label="Q")
+    ax.plot(t, result.trajectory.q[[f.step for f in result.frames]], label="Q")
     ax.plot(t, [r.q_mean for r in records], "--", label="q_mean")
     ax.set_xlabel("t")
     ax.legend()
@@ -198,15 +173,15 @@ def render_plots(outdir, result: RunResult) -> list[Path]:
     x = result.grid.points
     window = (x >= lo - span) & (x <= hi + span)
     v_lo, v_hi = np.inf, -np.inf
-    plotted = False
-    for i in picks:
-        frame = result.frames[i]
-        if isinstance(frame, FeedbackFrame):
-            v = frame.potential.V.values
+    # profiles of feedback runs only: a static run's V is one frozen well
+    plotted = result.config.mode == "feedback"
+    if plotted:
+        for i in picks:
+            frame = result.frames[i]
+            v = frame.V.values
             ax.plot(x, v, label=f"t = {frame.diagnostics.t:.3g}")
             v_lo = min(v_lo, float(v[window].min()))
             v_hi = max(v_hi, float(v[window].max()))
-            plotted = True
     ax.set_xlabel("x")
     ax.set_ylabel("V")
     ax.set_xlim(lo - span, hi + span)

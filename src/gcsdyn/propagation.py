@@ -25,9 +25,15 @@ Per step the loop does only this:
   Crank-Nicolson makes one tridiagonal LAPACK solve (zgtsv);
 * the monitors: norm drift and edge mass from one |psi|^2 pass.
 
-Snapshot frames go through the public assemble_potential and record.
+Both modes emit the same Frame every snapshot_stride steps (and at the
+first and last step): the step index, psi, the potential V the diagnostics
+read, the classical point they refer to, and the DiagnosticsRecord. In
+feedback mode V comes from the public assemble_potential at the trajectory
+point; in static mode it is the at-rest model potential V_model - E0 and the
+point is anchored at the measured packet center.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -52,10 +58,11 @@ from .grids import (
 from .hydrodynamics import PotentialSnapshot, _assembler, assemble_potential
 from .models import (
     PotentialModel,
-    ground_density_values,
     ground_energy,
     ground_moments,
     potential_value,
+    reference_density,
+    require_coverage,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -83,14 +90,14 @@ class PropagatorConfig:
             raise PropagationError("snapshot_stride must be >= 1")
 
 
-class FeedbackFrame(NamedTuple):
-    state: GCSState
-    potential: PotentialSnapshot
-    diagnostics: DiagnosticsRecord
+class Frame(NamedTuple):
+    """One snapshot of a run: step index, state, and what it was measured
+    against (the potential and classical point handed to record)."""
 
-
-class StaticFrame(NamedTuple):
+    step: int
     psi: ComplexField
+    V: RealField
+    point: ClassicalPoint
     diagnostics: DiagnosticsRecord
 
 
@@ -226,18 +233,6 @@ def _check_monitors(vals, grid, w, step_index, tol):
         )
 
 
-def _precheck_coverage(model, grid, q_lo, q_hi, tol):
-    w = quadrature_weights(grid)
-    for q in (q_lo, q_hi):
-        ref = ground_density_values(model, grid.points - q)
-        ref = ref / float(np.dot(w, ref))
-        if boundary_mass(ref, grid) > tol.boundary_mass:
-            raise CoverageError(
-                f"grid does not cover the classical trajectory (packet at "
-                f"Q = {q:g} touches the boundary)"
-            )
-
-
 def evolve_feedback(
     model: PotentialModel,
     point0: ClassicalPoint,
@@ -250,10 +245,10 @@ def evolve_feedback(
 
     The Verlet orbit of (Q, P) is integrated first; every quantum step then
     rebuilds V(x, t) at the time-centered classical state of its Verlet step
-    and advances psi in it. Snapshot frames (state, potential, diagnostics)
-    are emitted every snapshot_stride steps, always including the initial
-    and final ones. Cheap monitors (norm drift, boundary mass) run every
-    step.
+    and advances psi in it. A Frame (psi, the potential assembled at the
+    trajectory point, diagnostics) is emitted every snapshot_stride steps,
+    always including the initial and final ones. Cheap monitors (norm
+    drift, boundary mass) run every step.
     """
     if T <= 0.0:
         raise PropagationError("T must be positive")
@@ -263,46 +258,31 @@ def evolve_feedback(
 
     e_cl = point0.P**2 / (2.0 * m) + float(v_class(model, point0.Q))
     q_lo, q_hi = turning_points(model, e_cl)
-    _precheck_coverage(model, grid, q_lo, q_hi, tol)
-
-    t, q, p, f = _verlet(model, point0.Q, point0.P, dt, nsteps)
+    traj = Trajectory(*_verlet(model, point0.Q, point0.P, dt, nsteps), dt)
+    q, p, f = traj.q, traj.p, traj.forces
+    # the exact turning points, then the Verlet orbit's extremes; every
+    # midpoint lies between two step ends, so this covers all Q used
+    for qc in (q_lo, q_hi, q.min(), q.max()):
+        require_coverage(
+            reference_density(model, grid, qc), grid, tol,
+            f"packet on the classical trajectory (Q = {qc:g})",
+        )
     q_mid = 0.5 * (q[:-1] + q[1:])
     p_half = p[:-1] + 0.5 * dt * f[:-1]
     f_mid = classical_force(model, q_mid)
-    # every midpoint lies between two step ends, so this covers all Q used
-    _precheck_coverage(model, grid, q.min(), q.max(), tol)
-    traj = Trajectory.from_arrays(t, q, p, f, dt)
 
     state0 = gcs_from_model(model, grid, point0, tol)
-    info = ground_moments(model, grid)
-    w = quadrature_weights(grid)
     prepare, advance = _STEPPERS[config.scheme](grid.n, grid.dx, dt, m, hbar)
     fill = _assembler(model, grid, _potential_cap(grid, m, hbar))
-    frames = []
+    operands = (prepare(fill(*c)) for c in zip(q_mid, p_half, f_mid))
 
-    def emit(s, vals):
-        pt = traj.points[s]
+    def frame_at(s, vals):
+        pt = traj.point(s)
         snap = assemble_potential(model, pt, float(f[s]), grid, tol=tol)
-        st = GCSState(
-            psi=ComplexField(grid, vals),
-            point=pt,
-            model=model,
-            shift_method="analytic" if s == 0 else "propagated",
-            base_mean=info.q0,
-        )
-        frames.append(FeedbackFrame(st, snap, record(st, model, pt, snap, tol)))
+        psi = ComplexField(grid, vals)
+        return Frame(s, psi, snap.V, pt, record(psi, model, pt, snap, tol))
 
-    vals = state0.psi.values.copy()
-    emit(0, vals)
-    for s, (qm, pm, fm) in enumerate(zip(q_mid, p_half, f_mid), start=1):
-        vals = advance(vals, prepare(fill(qm, pm, fm)))
-        _check_monitors(vals, grid, w, s, tol)
-        if s % config.snapshot_stride == 0 or s == nsteps:
-            emit(s, vals)
-
-    return RunResult(
-        frames=tuple(frames), trajectory=traj, grid=grid, model=model, config=config
-    )
+    return _run(state0, operands, advance, frame_at, traj, model, config, tol)
 
 
 def evolve_static(
@@ -333,8 +313,8 @@ def evolve_static(
     dt = config.dt
     m, hbar = model.mass, model.hbar
 
-    t, q, p, f = _verlet(model, state0.point.Q, state0.point.P, dt, nsteps)
-    traj = Trajectory.from_arrays(t, q, p, f, dt)
+    point0 = state0.point
+    traj = Trajectory(*_verlet(model, point0.Q, point0.P, dt, nsteps), dt)
 
     v_model = potential_value(model, grid.points)
     v_diag = RealField(grid, v_model - ground_energy(model))
@@ -343,30 +323,37 @@ def evolve_static(
     operand = prepare(np.minimum(v_model, _potential_cap(grid, m, hbar)))
     info = ground_moments(model, grid)
     x = grid.points
-    frames = []
 
-    def emit(s, vals):
+    def frame_at(s, vals):
         # reference point anchored at the measured center
-        psi_field = ComplexField(grid, vals)
+        psi = ComplexField(grid, vals)
         rho = np.abs(vals) ** 2
         nrm = float(np.dot(w, rho))
         q_meas = float(np.dot(w, x * rho)) / nrm - info.q0
-        p_meas = expectation(normalized(psi_field), "p", hbar=hbar, tol=tol)
+        p_meas = expectation(normalized(psi), "p", hbar=hbar, tol=tol)
         pt = ClassicalPoint(Q=q_meas, P=p_meas, t=s * dt)
         f_ref = float(classical_force(model, q_meas))
         snap = PotentialSnapshot(V=v_diag, point=pt, dPdt=f_ref, dQdt=p_meas / m)
-        frames.append(
-            StaticFrame(psi_field, record(psi_field, model, pt, snap, tol))
-        )
+        return Frame(s, psi, v_diag, pt, record(psi, model, pt, snap, tol))
 
+    operands = itertools.repeat(operand, nsteps)
+    return _run(state0, operands, advance, frame_at, traj, model, config, tol)
+
+
+def _run(state0, operands, advance, frame_at, traj, model, config, tol) -> RunResult:
+    """The step loop of both modes: advance psi by one operand per step, run
+    the monitors, and collect frame_at(step, values) at the snapshot steps
+    (the first and last step included)."""
+    grid = state0.psi.grid
+    w = quadrature_weights(grid)
+    nsteps = len(traj) - 1
     vals = state0.psi.values.copy()
-    emit(0, vals)
-    for s in range(1, nsteps + 1):
+    frames = [frame_at(0, vals)]
+    for s, operand in enumerate(operands, start=1):
         vals = advance(vals, operand)
         _check_monitors(vals, grid, w, s, tol)
         if s % config.snapshot_stride == 0 or s == nsteps:
-            emit(s, vals)
-
+            frames.append(frame_at(s, vals))
     return RunResult(
         frames=tuple(frames), trajectory=traj, grid=grid, model=model, config=config
     )

@@ -261,7 +261,7 @@ def test_criterion_7_static_limit(morse, run_grid):
     _report(7, "frozen density", worst, 1e-8, worst < 1e-8)
 
     # assembled potential profile == the well, up to a spatial constant
-    v_run = run.frames[-1].potential.V.values
+    v_run = run.frames[-1].V.values
     v_model = potential_value(morse, run_grid.points)
     profile_dev = float(np.max(np.abs((v_run - v_run[0]) - (v_model - v_model[0]))))
     ok = profile_dev < 1e-8 * morse.well_depth
@@ -284,7 +284,7 @@ def test_criterion_8_harmonic_cross_checks(harmonic):
         center = np.cos(frame.diagnostics.t)
         ref = np.exp(-((x - center) ** 2))
         ref /= float(np.dot(w, ref))
-        rho = np.abs(frame.state.psi.values) ** 2
+        rho = np.abs(frame.psi.values) ** 2
         rho /= float(np.dot(w, rho))
         worst = max(worst, 1.0 - float(np.dot(w, np.sqrt(rho * ref))))
     _report(8, "Glauber fidelity", worst, 1e-6, worst < 1e-6)
@@ -295,7 +295,7 @@ def test_criterion_8_harmonic_cross_checks(harmonic):
                        conf_st, period)
     worst_pair = 0.0
     for fa, fs in zip(fb.frames, st.frames):
-        rho_a = np.abs(fa.state.psi.values) ** 2
+        rho_a = np.abs(fa.psi.values) ** 2
         rho_b = np.abs(fs.psi.values) ** 2
         worst_pair = max(worst_pair, float(np.max(np.abs(rho_a - rho_b))))
     _report(8, "mode equivalence", worst_pair, 1e-6, worst_pair < 1e-6)

@@ -145,7 +145,7 @@ def test_ehrenfest_closure_along_trajectory(morse, morse_grid):
     traj = integrate_trajectory(morse, 0.0, p0, period / 500.0, 500)
     scale = float(np.max(np.abs(traj.forces)))
     for i in range(0, len(traj), 25):
-        pt = traj.points[i]
+        pt = traj.point(i)
         snap = assemble_potential(morse, pt, float(traj.forces[i]), morse_grid)
         grad = potential_slope_at(snap.V, pt.Q, morse.dq)
         assert abs(traj.forces[i] + grad) / scale < 1e-6

@@ -4,9 +4,21 @@ import sys
 import numpy as np
 import pytest
 
-from gcsdyn import ConfigError, load_config, potential_value
+from gcsdyn import (
+    ClassicalPoint,
+    ConfigError,
+    PropagatorConfig,
+    errors,
+    evolve_static,
+    gcs_from_model,
+    load_config,
+    potential_value,
+    suggest_grid,
+)
+from gcsdyn import cli
 from gcsdyn.cli import main
 from gcsdyn.config import OUTPUT_DIR_ENV, config_from_dict
+from gcsdyn.output import write_plot_data
 
 
 def _write_config(tmp_path, name="cfg.json", **overrides):
@@ -204,6 +216,53 @@ def test_plots_without_matplotlib(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "'plots' extra" in err
     assert len(err.splitlines()) == 1
+
+
+def test_static_center_tracking_reads_trajectory(tmp_path, morse):
+    # Q at each snapshot is the trajectory entry at that frame's step, bit
+    # for bit; no time-keyed lookup that could miss and write NaN
+    grid = suggest_grid(morse, q_reach_min=-1.5, q_reach_max=1.5, n=1024)
+    state0 = gcs_from_model(morse, grid, ClassicalPoint(morse.dq, 0.0))
+    conf = PropagatorConfig(dt=2e-3, scheme="split-step", mode="static",
+                            snapshot_stride=7)
+    run = evolve_static(state0, morse, conf, 25 * 2e-3)
+    write_plot_data(tmp_path, run)
+    rows = (tmp_path / "plots" / "center_tracking.csv").read_text().splitlines()
+    assert rows[0] == "t,Q,q_mean"
+    q_col = np.array([float(r.split(",")[1]) for r in rows[1:]])
+    steps = [f.step for f in run.frames]
+    assert steps == [0, 7, 14, 21, 25]
+    assert np.all(np.isfinite(q_col))
+    assert np.array_equal(q_col, run.trajectory.q[steps])
+
+
+def _error_classes(cls=errors.GcsdynError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+# constructor arguments where a single message does not fit
+_ERROR_ARGS = {errors.NormalizationError: (1.5, 1e-8),
+               errors.PhaseUnwrapError: (3, 3.0)}
+_EXIT_CODES = {errors.ConfigError: 2, errors.CoverageError: 3,
+               errors.EscapeError: 3, errors.UnitarityError: 4,
+               errors.ExtractionError: 5}
+
+
+@pytest.mark.parametrize("cls", list(_error_classes()), ids=lambda c: c.__name__)
+def test_exit_code_for_every_error_class(cls, tmp_path, monkeypatch, capsys):
+    # every gcsdyn error leaves with its own code and one stderr line;
+    # anything without a dedicated code exits 6, apart from verify's 1
+    exc = cls(*_ERROR_ARGS.get(cls, ("injected failure",)))
+
+    def failing(cfg):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_run", failing)
+    path = _write_config(tmp_path)
+    assert main(["run", "--config", str(path)]) == _EXIT_CODES.get(cls, 6)
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):

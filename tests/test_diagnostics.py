@@ -129,7 +129,7 @@ def test_feedback_run_tracks_trajectory(morse):
     info = ground_moments(morse, grid)
     mid = run.frames[len(run.frames) // 2]
     assert abs(
-        mid.diagnostics.q_mean - info.q0 - mid.state.point.Q
+        mid.diagnostics.q_mean - info.q0 - mid.point.Q
     ) < 1e-4 * morse.dq
 
 

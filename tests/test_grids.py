@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,15 @@ from gcsdyn import (
     boundary_mass,
     expectation,
     first_derivative,
+    gcs_from_model,
     integrate,
+    load_config,
     normalized,
     second_derivative,
 )
+from gcsdyn.grids import _peak_segment
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_grid_invariants():
@@ -144,3 +151,57 @@ def test_boundary_mass_detects_edge_packets():
     shifted = np.exp(-((g.points - 9.8) ** 2))
     shifted /= integrate(RealField(g, shifted))
     assert boundary_mass(shifted, g) > 1e-3
+
+
+def _peak_segment_loop(vals, floor):
+    # the scalar scan _peak_segment replaced, kept as its reference
+    peak = int(np.argmax(vals))
+    above = vals > floor
+    i0 = peak
+    while i0 > 0 and above[i0 - 1]:
+        i0 -= 1
+    i1 = peak
+    while i1 < len(vals) - 1 and above[i1 + 1]:
+        i1 += 1
+    return i0, i1
+
+
+def test_peak_segment_matches_loop_on_random_arrays():
+    rng = np.random.default_rng(20261018)
+    for _ in range(2000):
+        n = int(rng.integers(1, 80))
+        vals = rng.random(n)
+        if rng.random() < 0.25:
+            vals[rng.integers(n)] = np.nan
+        floor = float(rng.random()) if rng.random() < 0.9 else np.nan
+        assert _peak_segment(vals, floor) == _peak_segment_loop(vals, floor)
+
+
+@pytest.mark.parametrize(
+    "vals, expected",
+    [
+        ([5.0, 1.0, 0.0, 2.0], (0, 1)),  # peak at index 0
+        ([0.0, 2.0, 1.0, 5.0], (1, 3)),  # peak at index n - 1
+        ([3.0, 4.0, 5.0, 4.0], (0, 3)),  # every sample above the floor
+        ([0.0, 0.0, 5.0, 0.0], (2, 2)),  # exactly one sample above
+        ([0.1, 0.2, 0.3, 0.2], (2, 2)),  # none above: the peak alone
+        # argmax takes a NaN as the peak; the run grows from it
+        ([1.0, 0.0, 4.0, 5.0, np.nan, 3.0], (2, 5)),  # NaN next to the 5
+        ([1.0, 0.0, 4.0, 5.0, 3.0, np.nan], (2, 5)),  # NaN at index n - 1
+    ],
+)
+def test_peak_segment_edge_cases(vals, expected):
+    vals = np.array(vals)
+    assert _peak_segment(vals, 0.5) == _peak_segment_loop(vals, 0.5) == expected
+
+
+@pytest.mark.parametrize(
+    "name", ["morse_feedback", "harmonic_feedback", "morse_static_twin"]
+)
+def test_peak_segment_matches_loop_on_shipped_densities(name):
+    cfg = load_config(CONFIGS / f"{name}.json")
+    psi = gcs_from_model(cfg.model, cfg.grid, cfg.initial_point, cfg.tolerances).psi
+    rho = np.abs(psi.values) ** 2
+    for frac in (cfg.tolerances.phase_floor, cfg.tolerances.residual_floor):
+        floor = frac * rho.max()
+        assert _peak_segment(rho, floor) == _peak_segment_loop(rho, floor)

@@ -26,7 +26,7 @@ def test_morse_parameter_validation():
         PotentialModel.morse(a=-1.0)
     with pytest.raises(InvalidFieldError):
         PotentialModel.morse(a=1.0, lam=0.4)
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(InvalidFieldError):
         PotentialModel.morse(a=1.0, lam=2.0)
     with pytest.raises(InvalidFieldError):
         PotentialModel.harmonic(omega=0.0)

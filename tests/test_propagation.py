@@ -165,7 +165,7 @@ def test_feedback_fixed_point_keeps_density_frozen(morse, morse_run_grid):
     for rec in run.records:
         assert 1.0 - rec.overlap < 1e-8
         assert rec.q_mean == pytest.approx(info.q0, abs=5e-6)
-    assert all(p.Q == 0.0 and p.P == 0.0 for p in run.trajectory.points)
+    assert np.all(run.trajectory.q == 0.0) and np.all(run.trajectory.p == 0.0)
 
 
 def test_feedback_fixed_point_mean_pinned(morse, morse_run_grid):
@@ -195,7 +195,7 @@ def test_feedback_harmonic_matches_glauber(harmonic):
         center = np.cos(t)
         ref = np.exp(-((x - center) ** 2))  # variance 1/2 Gaussian density
         ref /= float(np.dot(w, ref))
-        rho = np.abs(frame.state.psi.values) ** 2
+        rho = np.abs(frame.psi.values) ** 2
         rho /= float(np.dot(w, rho))
         overlap = float(np.dot(w, np.sqrt(rho * ref)))
         assert 1.0 - overlap < 1e-6
@@ -215,7 +215,7 @@ def test_harmonic_mode_equivalence(harmonic):
     st0 = gcs_from_model(harmonic, grid, point)
     st = evolve_static(st0, harmonic, conf_st, period)
     for fa, fs in zip(fb.frames, st.frames):
-        rho_a = np.abs(fa.state.psi.values) ** 2
+        rho_a = np.abs(fa.psi.values) ** 2
         rho_b = np.abs(fs.psi.values) ** 2
         assert np.max(np.abs(rho_a - rho_b)) < 1e-6
 
@@ -243,7 +243,8 @@ def test_feedback_morse_short_run(morse, morse_run_grid):
                           morse_run_grid)
     info = ground_moments(morse, morse_run_grid)
     dq2_0 = run.records[0].dq2
-    q_by_t = {round(p.t, 12): p.Q for p in run.trajectory.points}
+    q_by_t = {round(t, 12): q for t, q in zip(run.trajectory.t.tolist(),
+                                              run.trajectory.q.tolist())}
     for rec in run.records:
         assert abs(rec.dq2 / dq2_0 - 1.0) < 1e-4
         assert abs(rec.q_mean - info.q0 - q_by_t[round(rec.t, 12)]) < 1e-4 * morse.dq
@@ -275,7 +276,7 @@ def test_snapshot_cadence(morse, morse_run_grid):
                           morse_run_grid)
     steps = [int(round(f.diagnostics.t / 1e-3)) for f in run.frames]
     assert steps == [0, 7, 14, 21, 25]  # stride plus the forced final step
-    assert len(run.trajectory.points) == 26
+    assert len(run.trajectory) == 26
 
 
 def test_unitarity_alarm_fires(morse, morse_run_grid):
@@ -321,7 +322,7 @@ def _reference_feedback(model, point0, grid, dt, nsteps, scheme):
     traj = integrate_trajectory(model, point0.Q, point0.P, dt, nsteps)
     psi = gcs_from_model(model, grid, point0).psi
     for s in range(1, nsteps + 1):
-        a, b = traj.points[s - 1], traj.points[s]
+        a, b = traj.point(s - 1), traj.point(s)
         q_mid = 0.5 * (a.Q + b.Q)
         p_half = a.P + 0.5 * dt * traj.forces[s - 1]
         mid = ClassicalPoint(q_mid, p_half, (s - 0.5) * dt)
@@ -342,9 +343,10 @@ def test_feedback_loop_matches_public_reference(kind, scheme, request):
                             snapshot_stride=nsteps)
     run = evolve_feedback(model, point0, conf, nsteps * dt, grid)
     traj, ref = _reference_feedback(model, point0, grid, dt, nsteps, scheme)
-    assert run.trajectory.points == traj.points
+    for name in ("t", "q", "p"):
+        assert np.array_equal(getattr(run.trajectory, name), getattr(traj, name))
     assert np.array_equal(run.trajectory.forces, traj.forces)
-    assert np.max(np.abs(run.frames[-1].state.psi.values - ref)) <= 1e-12
+    assert np.max(np.abs(run.frames[-1].psi.values - ref)) <= 1e-12
 
 
 @pytest.mark.parametrize("scheme", ["split-step", "crank-nicolson"])
