@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .displacement import ClassicalPoint
 from .errors import EscapeError, ExtractionError
@@ -106,6 +105,9 @@ def linear_coefficient(
         )
     if not (x[window][0] < 0.0 < x[window][-1]):
         raise ExtractionError("expansion point x = 0 not inside the fit window")
+    # imported here: loading scipy.interpolate costs ~0.1 s, and no run needs it
+    from scipy.interpolate import make_interp_spline
+
     try:
         spline = make_interp_spline(x[window], snap.V.values[window], k=5)
     except Exception as exc:  # singular collocation, duplicated knots

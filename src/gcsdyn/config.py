@@ -11,6 +11,7 @@ reproduces the outputs byte for byte.
 import dataclasses
 import json
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,10 +70,13 @@ def _reject_unknown(mapping, allowed, where):
 
 def _number(mapping, key, default, where, kind=float):
     val = mapping.get(key, default)
-    if val is None:
-        return None
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {val!r}")
+    # json accepts null, NaN and Infinity; the abs() test fails on NaN too
+    if (
+        isinstance(val, bool)
+        or not isinstance(val, (int, float))
+        or not abs(val) <= sys.float_info.max
+    ):
+        raise ConfigError(f"{where}.{key} must be a finite number, got {val!r}")
     if kind is int:
         if int(val) != val:
             raise ConfigError(f"{where}.{key} must be an integer, got {val!r}")
@@ -183,10 +187,9 @@ def config_from_dict(raw: dict) -> RunConfig:
 
     tsec = _require_mapping(raw.get("tolerances", {}), "tolerances")
     _reject_unknown(tsec, _TOL_KEYS, "tolerances")
-    for key, val in tsec.items():
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"tolerances.{key} must be a number")
-    tol = DEFAULT_TOLERANCES.replacing(**{k: float(v) for k, v in tsec.items()})
+    tol = DEFAULT_TOLERANCES.replacing(
+        **{k: _number(tsec, k, None, "tolerances") for k in tsec}
+    )
 
     return RunConfig(
         model=model,

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .displacement import ClassicalPoint, GCSState, density_phase
 from .errors import DiagnosticsError, InvalidFieldError
@@ -104,15 +103,25 @@ def _bhattacharyya(rho: RealField, ref: np.ndarray) -> float:
 
 
 def potential_slope_at(v: RealField, x_c: float, width: float) -> float:
-    """dV/dx at an off-lattice point: 5-point stencil + quintic interpolation."""
+    """dV/dx at an off-lattice point: 5-point stencil + local quintic.
+
+    The stencil derivative samples are interpolated at x_c by the degree-5
+    Lagrange polynomial through the 6 nodes bracketing it (3 on each side,
+    shifted inward at the grid edges). x_c must have at least 6 samples
+    within max(4 width, 8 dx) of it.
+    """
     grid = v.grid
     x = grid.points
     dv = _derivative_arrays(v.values, grid.dx, 1, "5pt")
     win = np.abs(x - x_c) <= max(4.0 * width, 8.0 * grid.dx)
     if int(np.count_nonzero(win)) < 6:
         raise DiagnosticsError(f"evaluation point {x_c:g} outside the grid window")
-    spline = make_interp_spline(x[win], dv[win], k=5)
-    return float(spline(x_c))
+    j0 = min(max(math.floor((x_c - grid.x_min) / grid.dx) - 2, 0), grid.n - 6)
+    t = (x_c - x[j0]) / grid.dx  # x_c in node units: nodes at t = 0 .. 5
+    weights = [
+        math.prod((t - m) / (k - m) for m in range(6) if m != k) for k in range(6)
+    ]
+    return float(np.dot(weights, dv[j0:j0 + 6]))
 
 
 def _l2_distance(rho: RealField, ref: np.ndarray) -> float:

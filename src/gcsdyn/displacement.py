@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .errors import (
     CoverageError,
@@ -87,6 +86,9 @@ def _translate_spectral(values: np.ndarray, grid: Grid, shift: float) -> np.ndar
 
 
 def _translate_quintic(values: np.ndarray, grid: Grid, shift: float) -> np.ndarray:
+    # imported here: loading scipy.interpolate costs ~0.1 s, and no run needs it
+    from scipy.interpolate import make_interp_spline
+
     x = grid.points
     spline = make_interp_spline(x, values, k=5)
     xs = x - shift

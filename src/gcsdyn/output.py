@@ -37,33 +37,39 @@ from .models import PotentialModel
 from .propagation import RunResult
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+def _column_text(column) -> list[str]:
+    """Integers as str(int), everything else with 17 significant digits."""
+    arr = np.asarray(column)
+    if arr.dtype.kind in "biu":
+        return [str(v) for v in arr.astype(np.int64).tolist()]
+    return [format(v, ".17g") for v in arr.astype(np.float64).tolist()]
 
 
-def _write_rows(path: Path, header, rows):
+def _write_rows(path: Path, header, columns):
+    """One CSV row per index of the equal-length columns.
+
+    Numbers never need quoting, so the data lines are joined directly, with
+    the csv module's \r\n line ending.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
+    text = [_column_text(c) for c in columns]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        csv.writer(fh).writerow(header)
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*text))
     return path
 
 
 def write_diagnostics_csv(path, records) -> Path:
-    rows = (r.csv_row() for r in records)
-    return _write_rows(Path(path), DiagnosticsRecord.CSV_COLUMNS, rows)
+    columns = zip(*(r.csv_row() for r in records))
+    return _write_rows(Path(path), DiagnosticsRecord.CSV_COLUMNS, columns)
 
 
 def write_trajectory_csv(path, trajectory: Trajectory, model: PotentialModel) -> Path:
-    rows = zip(
+    columns = (
         trajectory.t, trajectory.q, trajectory.p, trajectory.forces,
         trajectory.energy(model),
     )
-    return _write_rows(Path(path), ("t", "Q", "P", "dPdt", "E_cl"), rows)
+    return _write_rows(Path(path), ("t", "Q", "P", "dPdt", "E_cl"), columns)
 
 
 def write_fields_csv(directory, result: RunResult) -> list[Path]:
@@ -73,7 +79,7 @@ def write_fields_csv(directory, result: RunResult) -> list[Path]:
     for i, frame in enumerate(result.frames):
         psi = frame.psi
         polar = density_phase(psi, hbar=result.model.hbar, on_ambiguity="mask")
-        rows = zip(
+        columns = (
             psi.grid.points,
             psi.values.real,
             psi.values.imag,
@@ -82,7 +88,7 @@ def write_fields_csv(directory, result: RunResult) -> list[Path]:
             frame.V.values,
         )
         path = directory / f"{i:04d}.csv"
-        _write_rows(path, ("x", "re_psi", "im_psi", "rho", "S", "V"), rows)
+        _write_rows(path, ("x", "re_psi", "im_psi", "rho", "S", "V"), columns)
         paths.append(path)
     return paths
 
@@ -90,7 +96,7 @@ def write_fields_csv(directory, result: RunResult) -> list[Path]:
 def write_vclass_csv(path, rows) -> Path:
     """rows: iterables of (Q, analytic, numeric, relative deviation)."""
     header = ("Q", "V_class_analytic", "V_class_numeric", "relative_deviation")
-    return _write_rows(Path(path), header, rows)
+    return _write_rows(Path(path), header, zip(*rows))
 
 
 def write_plot_data(outdir, result: RunResult) -> list[Path]:
@@ -99,21 +105,21 @@ def write_plot_data(outdir, result: RunResult) -> list[Path]:
     records = result.records
     t = [r.t for r in records]
     paths = [
-        _write_rows(outdir / "dq2_t.csv", ("t", "dq2"), zip(t, (r.dq2 for r in records))),
+        _write_rows(outdir / "dq2_t.csv", ("t", "dq2"), (t, [r.dq2 for r in records])),
         _write_rows(
-            outdir / "overlap_t.csv", ("t", "overlap"), zip(t, (r.overlap for r in records))
+            outdir / "overlap_t.csv", ("t", "overlap"), (t, [r.overlap for r in records])
         ),
     ]
-    q = result.trajectory.q
-    rows = ((r.t, q[f.step], r.q_mean) for f, r in zip(result.frames, records))
-    paths.append(_write_rows(outdir / "center_tracking.csv", ("t", "Q", "q_mean"), rows))
+    q = result.trajectory.q[[f.step for f in result.frames]]
+    columns = (t, q, [r.q_mean for r in records])
+    paths.append(_write_rows(outdir / "center_tracking.csv", ("t", "Q", "q_mean"), columns))
 
     # a handful of potential profiles across the run
     frames = result.frames
     picks = sorted({0, len(frames) // 4, len(frames) // 2, (3 * len(frames)) // 4, len(frames) - 1})
     header = ["x"] + [f"V_{frames[i].diagnostics.t:.6g}" for i in picks]
     columns = [result.grid.points] + [frames[i].V.values for i in picks]
-    paths.append(_write_rows(outdir / "potential_snapshots.csv", header, zip(*columns)))
+    paths.append(_write_rows(outdir / "potential_snapshots.csv", header, columns))
     return paths
 
 

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +97,21 @@ def test_preconditions_checked_at_load(tmp_path):
         )
 
 
+@pytest.mark.parametrize("value", [None, float("nan"), float("inf")],
+                         ids=["null", "NaN", "Infinity"])
+@pytest.mark.parametrize("section, key", [
+    ("model", "a"), ("initial", "Q0"), ("grid", "n"), ("propagation", "dt"),
+])
+def test_null_and_non_finite_numbers_rejected(section, key, value, tmp_path, capsys):
+    overrides = {"grid": {"x_min": -9.0, "x_max": 25.0, "n": 2048}}
+    overrides.setdefault(section, {})[key] = value
+    path = _write_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(path)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith("config error: ")
+    assert err.endswith(f"{section}.{key} must be a finite number, got {value!r}")
+
+
 def test_malformed_json_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -122,6 +140,38 @@ def test_run_writes_outputs_and_is_deterministic(tmp_path):
     assert main(["run", "--config", str(path2)]) == 0
     assert (tmp_path / "out2" / "diagnostics.csv").read_bytes() == diag
     assert (tmp_path / "out2" / "trajectory.csv").read_bytes() == traj
+
+
+_RUN_WITHOUT_SPLINES = """
+import sys
+from gcsdyn.cli import main
+for path in sys.argv[1:]:
+    assert main(["run", "--config", path]) == 0
+print(" ".join(m for m in ("scipy.interpolate", "scipy.optimize") if m in sys.modules))
+"""
+
+
+def test_run_loads_no_spline_module(tmp_path):
+    # shortened copies of a shipped feedback and static config, every
+    # output on; a fresh interpreter, as other tests import scipy.interpolate
+    paths = []
+    for name in ("morse_feedback", "morse_static_twin"):
+        raw = json.loads((Path(__file__).parents[1] / "configs" / f"{name}.json").read_text())
+        raw["propagation"]["T"] = 40 * raw["propagation"]["dt"]
+        raw["propagation"]["snapshot_stride"] = 20
+        raw["output"] = {"directory": str(tmp_path / name), "emit_fields": True,
+                         "emit_plots": True}
+        paths.append(str(tmp_path / f"{name}.json"))
+        Path(paths[-1]).write_text(json.dumps(raw))
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _RUN_WITHOUT_SPLINES, *paths],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == ""
+    for name in ("morse_feedback", "morse_static_twin"):
+        assert (tmp_path / name / "diagnostics.csv").exists()
+        assert (tmp_path / name / "fields" / "0000.csv").exists()
 
 
 def test_run_overlap_column_quality(tmp_path):

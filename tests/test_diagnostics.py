@@ -19,10 +19,13 @@ from gcsdyn import (
     ground_state,
     integrate,
     momentum_for_energy,
+    potential_gradient,
     record,
     suggest_grid,
 )
 from gcsdyn import PropagatorConfig
+from gcsdyn.diagnostics import potential_slope_at
+from gcsdyn.grids import _derivative_arrays
 
 
 def _unit_density(model, grid, q=0.0):
@@ -69,6 +72,44 @@ def test_overlap_grid_refinement_invariance(morse):
         rho = RealField(grid, wide / integrate(RealField(grid, wide)))
         vals.append(coherence_overlap(rho, morse, 0.4))
     assert abs(vals[0] - vals[1]) < 1e-8
+
+
+def _spline_slope(v, x_c, width):
+    # the former evaluation: a global quintic spline through the stencil
+    # derivative over the whole window
+    from scipy.interpolate import make_interp_spline
+
+    x = v.grid.points
+    dv = _derivative_arrays(v.values, v.grid.dx, 1, "5pt")
+    win = np.abs(x - x_c) <= max(4.0 * width, 8.0 * v.grid.dx)
+    return float(make_interp_spline(x[win], dv[win], k=5)(x_c))
+
+
+@pytest.mark.parametrize("kind", ["morse", "harmonic"])
+def test_slope_matches_spline_and_analytic(kind, request):
+    model = request.getfixturevalue(kind)
+    grid = request.getfixturevalue(f"{kind}_grid")
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        q, p = rng.uniform(-1.5, 1.5, 2) * model.dq
+        dpdt = float(classical_force(model, q))
+        snap = assemble_potential(model, ClassicalPoint(q, p), dpdt, grid)
+        x_c = q + rng.uniform(-1.0, 1.0) * model.dq
+        exact = float(potential_gradient(model, x_c - q)) - dpdt
+        got = potential_slope_at(snap.V, x_c, model.dq)
+        ref = _spline_slope(snap.V, x_c, model.dq)
+        assert abs(got - ref) < 1e-8
+        assert abs(got - exact) < 1e-5
+        assert abs(ref - exact) < 1e-5
+
+
+def test_slope_rejects_point_off_the_grid(morse, morse_grid):
+    v = RealField(morse_grid, morse_grid.points**2)
+    with pytest.raises(DiagnosticsError):
+        potential_slope_at(v, morse_grid.x_max + 1.0, 0.01)
+    # near an edge the nodes shift inward; a parabola's slope stays exact
+    x_c = morse_grid.x_min + 0.3 * morse_grid.dx
+    assert potential_slope_at(v, x_c, 0.01) == pytest.approx(2.0 * x_c, abs=1e-9)
 
 
 def test_record_static_ground_state(morse):

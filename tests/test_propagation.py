@@ -308,7 +308,8 @@ def test_monitor_raises_on_nan_at_its_step():
     g = Grid(-5.0, 5.0, 64)
     vals = np.full(g.n, np.nan + 0j)
     with pytest.raises(UnitarityError, match="at step 7$"):
-        _check_monitors(vals, g, quadrature_weights(g), 7, DEFAULT_TOLERANCES)
+        _check_monitors(vals, g, np.repeat(quadrature_weights(g), 2), 7,
+                        DEFAULT_TOLERANCES)
 
 
 def _clamped(model, grid, v_vals):
