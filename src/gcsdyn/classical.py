@@ -161,13 +161,12 @@ def _verlet(
     p0: float,
     dt: float,
     steps: int,
-    q_bounds: tuple[float, float] | None = None,
 ):
     """Velocity-Verlet orbit of the center equation as arrays t, Q, P, F.
 
     Entry i is the state at t = i * dt, with F[i] the force at Q[i]. Raises
-    EscapeError when, with q_bounds given, Q leaves that interval, and when
-    the orbit stops being finite; unbounded but finite orbits pass.
+    EscapeError, naming the first bad step, when the orbit stops being
+    finite; unbounded but finite orbits pass.
     """
     m = model.mass
     q, p = float(q0), float(p0)
@@ -179,11 +178,6 @@ def _verlet(
         q = q + dt * p_half / m
         f = float(classical_force(model, q))
         p = p_half + 0.5 * dt * f
-        if q_bounds is not None and not (q_bounds[0] <= q <= q_bounds[1]):
-            raise EscapeError(
-                f"trajectory left [{q_bounds[0]:g}, {q_bounds[1]:g}] at Q = {q:g}",
-                step=s,
-            )
         orbit[:, s] = q, p, f
     finite = np.isfinite(orbit).all(axis=0)
     if not finite.all():
@@ -199,13 +193,13 @@ def integrate_trajectory(
     p0: float,
     dt: float,
     steps: int,
-    q_bounds: tuple[float, float] | None = None,
 ) -> Trajectory:
     """Velocity-Verlet integration of the center equation.
 
     Symplectic, second order; records the force at every stored point.
-    Raises EscapeError for unbounded Morse initial data (E >= U0) and, when
-    q_bounds is given, as soon as Q leaves that interval.
+    Raises EscapeError for unbounded Morse initial data (E >= U0) and for
+    an orbit that stops being finite (a time step past Verlet's stability
+    limit).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -216,4 +210,4 @@ def integrate_trajectory(
         raise EscapeError(
             f"unbounded Morse orbit: E = {e_cl:g} >= U0 = {model.well_depth:g}"
         )
-    return Trajectory(*_verlet(model, q0, p0, dt, steps, q_bounds), dt)
+    return Trajectory(*_verlet(model, q0, p0, dt, steps), dt)

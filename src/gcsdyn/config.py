@@ -1,11 +1,13 @@
 """Run-configuration ingestion, validation, and echoing.
 
 Configs are JSON with flat key-value sections. Unknown keys anywhere are
-rejected; every module precondition that can be checked before running
-(model parameters, grid size, bounded classical orbit, packet coverage) is
-checked at load time. The effective configuration, with all defaults
-materialized, is echoed into the output directory; re-running from the echo
-reproduces the outputs byte for byte.
+rejected, the parameters of the other model kind included. What can be
+checked from the config alone (model parameters, grid size, a bounded
+classical orbit, the propagation settings) is checked at load time. Packet
+coverage needs the trajectory: evolve_feedback checks it before its first
+step, and `gcsdyn verify` reports it as grid_coverage. The effective
+configuration, with all defaults materialized, is echoed into the output
+directory; re-running from the echo reproduces the outputs byte for byte.
 """
 
 import dataclasses
@@ -26,12 +28,15 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 OUTPUT_DIR_ENV = "GCSDYN_OUTPUT_DIR"
 
 _SECTIONS = ("model", "grid", "initial", "propagation", "output", "tolerances")
-_MODEL_KEYS = {"kind", "mass", "hbar", "omega", "a", "lam"}
-_GRID_KEYS = {"x_min", "x_max", "n"}
-_INITIAL_KEYS = {"Q0", "P0"}
-_PROP_KEYS = {"dt", "T", "scheme", "mode", "snapshot_stride"}
-_OUTPUT_KEYS = {"directory", "emit_fields", "emit_plots"}
-_TOL_KEYS = {f.name for f in dataclasses.fields(Tolerances)}
+# model kind -> its parameters, in the order they are read; each defaults to 1
+_MODEL_PARAMS = {
+    "harmonic": ("omega", "mass", "hbar"),
+    "morse": ("a", "lam", "mass", "hbar"),
+}
+
+
+def _field_names(cls) -> tuple:
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 @dataclass(frozen=True)
@@ -40,8 +45,7 @@ class RunConfig:
 
     model: PotentialModel
     grid: Grid
-    q0_init: float
-    p0_init: float
+    initial_point: ClassicalPoint
     propagation: PropagatorConfig
     T: float
     output_dir: Path
@@ -49,23 +53,17 @@ class RunConfig:
     emit_plots: bool
     tolerances: Tolerances
 
-    @property
-    def initial_point(self) -> ClassicalPoint:
-        return ClassicalPoint(Q=self.q0_init, P=self.p0_init, t=0.0)
 
-
-def _require_mapping(obj, name):
-    if not isinstance(obj, dict):
+def _section(raw, name, allowed) -> dict:
+    """raw[name] (empty when absent), checked to be a mapping whose keys
+    are all in allowed."""
+    sec = raw.get(name, {})
+    if not isinstance(sec, dict):
         raise ConfigError(f"section {name!r} must be a mapping")
-    return obj
-
-
-def _reject_unknown(mapping, allowed, where):
-    unknown = set(mapping) - set(allowed)
+    unknown = set(sec) - set(allowed)
     if unknown:
-        raise ConfigError(
-            f"unknown key(s) in {where}: {', '.join(sorted(unknown))}"
-        )
+        raise ConfigError(f"unknown key(s) in {name}: {', '.join(sorted(unknown))}")
+    return sec
 
 
 def _number(mapping, key, default, where, kind=float):
@@ -99,33 +97,19 @@ def load_config(path) -> RunConfig:
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    _require_mapping(raw, "config")
-    _reject_unknown(raw, _SECTIONS, "config")
+    raw = _section({"config": raw}, "config", _SECTIONS)
 
-    msec = _require_mapping(raw.get("model", {}), "model")
-    _reject_unknown(msec, _MODEL_KEYS, "model")
-    kind = msec.get("kind")
-    if kind not in ("harmonic", "morse"):
+    kind = _section(raw, "model", _field_names(PotentialModel)).get("kind")
+    if not isinstance(kind, str) or kind not in _MODEL_PARAMS:
         raise ConfigError(f"model.kind must be 'harmonic' or 'morse', got {kind!r}")
+    msec = _section(raw, "model", ("kind", *_MODEL_PARAMS[kind]))
+    params = {k: _number(msec, k, 1.0, "model") for k in _MODEL_PARAMS[kind]}
     try:
-        if kind == "harmonic":
-            model = PotentialModel.harmonic(
-                omega=_number(msec, "omega", 1.0, "model"),
-                mass=_number(msec, "mass", 1.0, "model"),
-                hbar=_number(msec, "hbar", 1.0, "model"),
-            )
-        else:
-            model = PotentialModel.morse(
-                a=_number(msec, "a", 1.0, "model"),
-                lam=_number(msec, "lam", 1.0, "model"),
-                mass=_number(msec, "mass", 1.0, "model"),
-                hbar=_number(msec, "hbar", 1.0, "model"),
-            )
+        model = PotentialModel(kind=kind, **params)
     except GcsdynError as exc:
         raise ConfigError(f"invalid model: {exc}") from exc
 
-    isec = _require_mapping(raw.get("initial", {}), "initial")
-    _reject_unknown(isec, _INITIAL_KEYS, "initial")
+    isec = _section(raw, "initial", ("Q0", "P0"))
     q0 = _number(isec, "Q0", 0.0, "initial")
     p0 = _number(isec, "P0", 0.0, "initial")
 
@@ -136,11 +120,10 @@ def config_from_dict(raw: dict) -> RunConfig:
             f"{model.well_depth:g}"
         )
 
-    gsec = _require_mapping(raw.get("grid", {}), "grid")
-    _reject_unknown(gsec, _GRID_KEYS, "grid")
+    gsec = _section(raw, "grid", _field_names(Grid))
     try:
         if gsec:
-            missing = _GRID_KEYS - set(gsec)
+            missing = set(_field_names(Grid)) - set(gsec)
             if missing:
                 raise ConfigError(
                     f"grid section needs all of x_min, x_max, n; missing "
@@ -157,8 +140,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     except GcsdynError as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
-    psec = _require_mapping(raw.get("propagation", {}), "propagation")
-    _reject_unknown(psec, _PROP_KEYS, "propagation")
+    psec = _section(raw, "propagation", (*_field_names(PropagatorConfig), "T"))
     period = classical_period(model, max(e_cl, 0.0))
     T = _number(psec, "T", period, "propagation")
     dt = _number(psec, "dt", T / 5000.0, "propagation")
@@ -174,8 +156,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     if dt > T:
         raise ConfigError("propagation.dt exceeds the horizon T")
 
-    osec = _require_mapping(raw.get("output", {}), "output")
-    _reject_unknown(osec, _OUTPUT_KEYS, "output")
+    osec = _section(raw, "output", ("directory", "emit_fields", "emit_plots"))
     directory = osec.get("directory", "out")
     if not isinstance(directory, str):
         raise ConfigError("output.directory must be a string")
@@ -185,8 +166,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(emit_fields, bool) or not isinstance(emit_plots, bool):
         raise ConfigError("output.emit_fields and output.emit_plots must be booleans")
 
-    tsec = _require_mapping(raw.get("tolerances", {}), "tolerances")
-    _reject_unknown(tsec, _TOL_KEYS, "tolerances")
+    tsec = _section(raw, "tolerances", _field_names(Tolerances))
     tol = DEFAULT_TOLERANCES.replacing(
         **{k: _number(tsec, k, None, "tolerances") for k in tsec}
     )
@@ -194,8 +174,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     return RunConfig(
         model=model,
         grid=grid,
-        q0_init=q0,
-        p0_init=p0,
+        initial_point=ClassicalPoint(Q=q0, P=p0),
         propagation=prop,
         T=T,
         output_dir=Path(directory),
@@ -207,23 +186,12 @@ def config_from_dict(raw: dict) -> RunConfig:
 
 def effective_dict(cfg: RunConfig) -> dict:
     """The configuration with every default materialized."""
-    model = {"kind": cfg.model.kind, "mass": cfg.model.mass, "hbar": cfg.model.hbar}
-    if cfg.model.kind == "harmonic":
-        model["omega"] = cfg.model.omega
-    else:
-        model["a"] = cfg.model.a
-        model["lam"] = cfg.model.lam
+    model = dataclasses.asdict(cfg.model)
     return {
-        "model": model,
-        "grid": {"x_min": cfg.grid.x_min, "x_max": cfg.grid.x_max, "n": cfg.grid.n},
-        "initial": {"Q0": cfg.q0_init, "P0": cfg.p0_init},
-        "propagation": {
-            "dt": cfg.propagation.dt,
-            "T": cfg.T,
-            "scheme": cfg.propagation.scheme,
-            "mode": cfg.propagation.mode,
-            "snapshot_stride": cfg.propagation.snapshot_stride,
-        },
+        "model": {k: v for k, v in model.items() if v is not None},
+        "grid": dataclasses.asdict(cfg.grid),
+        "initial": {"Q0": cfg.initial_point.Q, "P0": cfg.initial_point.P},
+        "propagation": {**dataclasses.asdict(cfg.propagation), "T": cfg.T},
         "output": {
             "directory": str(cfg.output_dir),
             "emit_fields": cfg.emit_fields,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .displacement import ClassicalPoint, GCSState, density_phase
+from .displacement import ClassicalPoint, density_phase
 from .errors import DiagnosticsError, InvalidFieldError
 from .grids import (
     ComplexField,
@@ -21,7 +21,7 @@ from .grids import (
     expectation,
     quadrature_weights,
 )
-from .hydrodynamics import PotentialSnapshot, hjm_residual
+from .hydrodynamics import hjm_residual
 from .models import (
     PotentialModel,
     ground_moments,
@@ -33,7 +33,8 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
-    """Per-snapshot observables of a run."""
+    """Per-snapshot observables of a run; the fields, in order, are the
+    columns of diagnostics.csv."""
 
     t: float
     norm: float
@@ -45,33 +46,6 @@ class DiagnosticsRecord:
     hjm_residual: float
     boundary_mass: float
     l2_distance: float
-
-    CSV_COLUMNS = (
-        "t",
-        "norm",
-        "q_mean",
-        "p_mean",
-        "dq2",
-        "overlap",
-        "ehrenfest_residual",
-        "hjm_residual",
-        "boundary_mass",
-        "l2_distance",
-    )
-
-    def csv_row(self) -> tuple:
-        return (
-            self.t,
-            self.norm,
-            self.q_mean,
-            self.p_mean,
-            self.dq2,
-            self.overlap,
-            self.ehrenfest_residual,
-            self.hjm_residual,
-            self.boundary_mass,
-            self.l2_distance,
-        )
 
 
 def coherence_overlap(
@@ -131,33 +105,30 @@ def _l2_distance(rho: RealField, ref: np.ndarray) -> float:
 
 
 def record(
-    state: GCSState | ComplexField,
+    psi: ComplexField,
     model: PotentialModel,
     point: ClassicalPoint,
-    snapshot: PotentialSnapshot,
+    V: RealField,
+    dPdt: float,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> DiagnosticsRecord:
-    """Fill a DiagnosticsRecord for one snapshot.
+    """Fill a DiagnosticsRecord for one snapshot of psi, measured against
+    the classical point (Q, P, t), the potential V and the force dP/dt.
 
     The coherence-condition residual |dP/dt + dV/dx| is evaluated at the
     wave-packet center x_c = q_mean - q0, the measured mean stripped of the
     constant ground-state offset (for symmetric wells this is q_mean
     itself). The phase-equation residual uses the frozen-packet ansatz
-    d_t S = (dP/dt) x - (dP/dt Q + P dQ/dt)/2 built from the snapshot, so it
-    vanishes on exact displaced ground states and grows once the packet
-    stops being one. On propagated states it is floored by time-stepping
-    dust in the measured density (amplified by 1/dx^2 inside the curvature
-    term), so treat it as a comparative indicator there; the exact
-    identities are checked on analytic fields.
+    d_t S = (dP/dt) x - (dP/dt Q + P dQ/dt)/2 with the closure dQ/dt = P/m,
+    so it vanishes on exact displaced ground states and grows once the
+    packet stops being one. On propagated states it is floored by
+    time-stepping dust in the measured density (amplified by 1/dx^2 inside
+    the curvature term), so treat it as a comparative indicator there; the
+    exact identities are checked on analytic fields.
     """
-    psi = state.psi if isinstance(state, GCSState) else state
     grid = psi.grid
-    if snapshot.V.grid != grid:
-        raise DiagnosticsError("potential snapshot and state live on different grids")
-    if abs(snapshot.point.t - point.t) > 1e-12 + 1e-9 * abs(point.t):
-        raise DiagnosticsError(
-            f"snapshot time {snapshot.point.t:g} != record time {point.t:g}"
-        )
+    if V.grid != grid:
+        raise DiagnosticsError("potential and state live on different grids")
 
     w = quadrature_weights(grid)
     x = grid.points
@@ -178,16 +149,13 @@ def record(
 
     info = ground_moments(model, grid)
     x_c = q_mean - info.q0
-    ehrenfest = abs(snapshot.dPdt + potential_slope_at(snapshot.V, x_c, model.dq))
+    ehrenfest = abs(dPdt + potential_slope_at(V, x_c, model.dq))
 
-    s_t = RealField(
-        grid,
-        snapshot.dPdt * x
-        - 0.5 * (snapshot.dPdt * point.Q + point.P * snapshot.dQdt),
-    )
+    dQdt = point.P / model.mass
+    s_t = RealField(grid, dPdt * x - 0.5 * (dPdt * point.Q + point.P * dQdt))
     try:
         polar = density_phase(psi_n, hbar=hbar, tol=tol, on_ambiguity="mask")
-        hjm = hjm_residual(s_t, polar.S, rho, snapshot.V, model.mass, hbar, tol)
+        hjm = hjm_residual(s_t, polar.S, rho, V, model.mass, hbar, tol)
     except InvalidFieldError:
         hjm = float("inf")  # support collapsed: coherence entirely lost
 

@@ -240,12 +240,9 @@ def density_phase(
     rho = np.abs(psi.values) ** 2
     peak = int(np.argmax(rho))
     left, right = _peak_segment(rho, tol.phase_floor * rho[peak])
-    valid = np.zeros(grid.n, dtype=bool)
-    valid[left : right + 1] = True
 
     raw = np.angle(psi.values)
-    seg = raw[left : right + 1]
-    d = np.diff(seg)
+    d = np.diff(raw[left : right + 1])
     d -= 2.0 * np.pi * np.round(d / (2.0 * np.pi))
     # jumps near pi are ambiguous, but only where the state carries
     # amplitude; tail samples hold numerical dust with random phases
@@ -256,21 +253,19 @@ def density_phase(
         if on_ambiguity == "raise":
             i = int(np.argmax(too_big))
             raise PhaseUnwrapError(left + i + 1, float(d[i]))
-        # truncate the valid run at the nearest ambiguous jump on each side
+        # truncate the valid run at the nearest ambiguous jump on each side;
+        # the wrapped jumps inside it are a slice of d
         bad = np.flatnonzero(too_big)
         above = bad[bad >= peak - left]
         below = bad[bad < peak - left]
-        if above.size:
-            right = left + int(above[0])
-        if below.size:
-            left = left + int(below[-1]) + 1
-        seg = raw[left : right + 1]
-        d = np.diff(seg)
-        d -= 2.0 * np.pi * np.round(d / (2.0 * np.pi))
-        valid = np.zeros(grid.n, dtype=bool)
-        valid[left : right + 1] = True
+        lo = int(below[-1]) + 1 if below.size else 0
+        hi = int(above[0]) if above.size else d.size
+        d = d[lo:hi]
+        left, right = left + lo, left + hi
+    valid = np.zeros(grid.n, dtype=bool)
+    valid[left : right + 1] = True
     s = np.zeros(grid.n)
-    s_seg = np.concatenate(([seg[0]], seg[0] + np.cumsum(d)))
+    s_seg = np.concatenate(([raw[left]], raw[left] + np.cumsum(d)))
     # anchor the global branch to the principal value at the peak
     s_seg -= 2.0 * np.pi * np.round((s_seg[peak - left] - raw[peak]) / (2.0 * np.pi))
     s[left : right + 1] = s_seg

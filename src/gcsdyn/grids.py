@@ -60,45 +60,36 @@ class Grid:
         return self.x_max - self.x_min
 
 
-def _locked(values: np.ndarray) -> np.ndarray:
-    values.setflags(write=False)
-    return values
-
-
 @dataclass(frozen=True)
-class RealField:
+class _Field:
+    """Samples on a Grid, copied into a read-only array of the subclass's
+    dtype and checked for shape and finiteness."""
+
+    grid: Grid
+    values: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        vals = np.array(self.values, dtype=self._dtype, copy=True)
+        if vals.shape != (self.grid.n,):
+            raise InvalidFieldError(
+                f"field has {vals.shape} samples, grid has {self.grid.n}"
+            )
+        if not np.all(np.isfinite(vals)):
+            raise InvalidFieldError("field contains non-finite samples")
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
+
+
+class RealField(_Field):
     """Real samples on a Grid (density, phase, potential)."""
 
-    grid: Grid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64, copy=True)
-        if vals.shape != (self.grid.n,):
-            raise InvalidFieldError(
-                f"field has {vals.shape} samples, grid has {self.grid.n}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise InvalidFieldError("field contains non-finite samples")
-        object.__setattr__(self, "values", _locked(vals))
+    _dtype = np.float64
 
 
-@dataclass(frozen=True)
-class ComplexField:
+class ComplexField(_Field):
     """Complex samples on a Grid (wavefunction)."""
 
-    grid: Grid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=np.complex128, copy=True)
-        if vals.shape != (self.grid.n,):
-            raise InvalidFieldError(
-                f"field has {vals.shape} samples, grid has {self.grid.n}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise InvalidFieldError("field contains non-finite samples")
-        object.__setattr__(self, "values", _locked(vals))
+    _dtype = np.complex128
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +216,6 @@ def integrate(fld: RealField) -> float:
     return float(np.dot(quadrature_weights(fld.grid), fld.values))
 
 
-def norm_squared(psi: ComplexField) -> float:
-    return float(np.dot(quadrature_weights(psi.grid), np.abs(psi.values) ** 2))
-
-
 def normalized(psi):
     """Rescale a field so its density integrates to 1 on the grid."""
     w = quadrature_weights(psi.grid)
@@ -240,7 +227,7 @@ def normalized(psi):
 
 
 def _check_normalized(psi: ComplexField, tol: float):
-    nrm = norm_squared(psi)
+    nrm = float(np.dot(quadrature_weights(psi.grid), np.abs(psi.values) ** 2))
     if abs(nrm - 1.0) > tol:
         raise NormalizationError(nrm, tol, "wavefunction")
 
@@ -253,10 +240,10 @@ def expectation(
 ) -> float:
     """Expectation value in a normalized state.
 
-    weight: "x", "x2" (position moments via quadrature of x^k |psi|^2),
-    "p" (hbar * Im integral psi* dpsi/dx), or "p2" (hbar^2 integral |dpsi/dx|^2).
-    The wavefunction derivative uses a sixth-order local stencil so momentum
-    moments stay accurate for strongly boosted packets.
+    weight: "x", "x2" (position moments via quadrature of x^k |psi|^2) or
+    "p" (hbar * Im integral psi* dpsi/dx). The wavefunction derivative uses
+    a sixth-order local stencil so the momentum mean stays accurate for
+    strongly boosted packets.
     """
     _check_normalized(psi, tol.norm)
     w = quadrature_weights(psi.grid)
@@ -266,12 +253,9 @@ def expectation(
         return float(np.dot(w, x * np.abs(vals) ** 2))
     if weight == "x2":
         return float(np.dot(w, x * x * np.abs(vals) ** 2))
-    dx = psi.grid.dx
-    dpsi = _derivative_arrays(vals, dx, 1, "7pt")
     if weight == "p":
+        dpsi = _derivative_arrays(vals, psi.grid.dx, 1, "7pt")
         return float(hbar * np.dot(w, np.imag(np.conj(vals) * dpsi)))
-    if weight == "p2":
-        return float(hbar * hbar * np.dot(w, np.abs(dpsi) ** 2))
     raise ValueError(f"unknown expectation weight {weight!r}")
 
 

@@ -63,7 +63,6 @@ class PotentialSnapshot:
     """The reconstructed potential at one instant of the classical motion."""
 
     V: RealField
-    point: ClassicalPoint
     dPdt: float
     dQdt: float
 
@@ -129,25 +128,21 @@ def assemble_potential(
     (hbar^2/2m) F(xi) = V_model(xi) - E0; curvature="numeric" differentiates
     the translated ground density instead and exists as a cross-check.
     """
-    x = grid.points
-    xi = x - point.Q
     rho_shift = reference_density(model, grid, point.Q)
     require_coverage(rho_shift, grid, tol, f"density shifted by Q = {point.Q:g}")
 
     if curvature == "analytic":
-        v = _potential_into(model, xi, np.empty(grid.n))
-        np.subtract(v, ground_energy(model), out=v)
+        v = _assembler(model, grid)(point.Q, point.P, dPdt)
     elif curvature == "numeric":
         res = quantum_curvature(RealField(grid, rho_shift), tol)
         v = (model.hbar**2 / (2.0 * model.mass)) * res.F.values
+        scratch = np.empty(grid.n)
+        _add_center_terms(v, grid.points, point.Q, point.P, dPdt, model.mass, scratch)
     else:
         raise ValueError(f"unknown curvature evaluation {curvature!r}")
 
-    _add_center_terms(v, x, point.Q, point.P, dPdt, model.mass, xi)
     dQdt = point.P / model.mass
-    return PotentialSnapshot(
-        V=RealField(grid, v), point=point, dPdt=float(dPdt), dQdt=dQdt
-    )
+    return PotentialSnapshot(V=RealField(grid, v), dPdt=float(dPdt), dQdt=dQdt)
 
 
 def _add_center_terms(v, x, q, p, dPdt, m, scratch):
@@ -161,14 +156,13 @@ def _add_center_terms(v, x, q, p, dPdt, m, scratch):
     return np.add(v, 0.5 * (p / m * p + dPdt * q), out=v)
 
 
-def _assembler(model: PotentialModel, grid: Grid, cap: float):
-    """The analytic assemble_potential, clamped at cap, for an evolve loop.
+def _assembler(model: PotentialModel, grid: Grid):
+    """The analytic assembly of V(x, t), without the coverage check.
 
     Returns fill(Q, P, dPdt), which writes V(x, t) into one array it reuses
-    on every call and returns that array. It runs the same arithmetic as
-    assemble_potential followed by np.minimum(V, cap), so the values agree
-    bit for bit, but it allocates nothing and skips the coverage check,
-    which the loop makes once for the whole orbit.
+    on every call and returns that array. assemble_potential calls it once
+    per snapshot; the evolve loops keep one and call it every step, having
+    checked coverage once for the whole orbit.
     """
     x = grid.points
     e0 = ground_energy(model)
@@ -179,8 +173,7 @@ def _assembler(model: PotentialModel, grid: Grid, cap: float):
         np.subtract(x, q, out=xi)
         _potential_into(model, xi, out)
         np.subtract(out, e0, out=out)
-        _add_center_terms(out, x, q, p, dPdt, model.mass, xi)
-        return np.minimum(out, cap, out=out)
+        return _add_center_terms(out, x, q, p, dPdt, model.mass, xi)
 
     return fill
 

@@ -25,6 +25,7 @@ series need the optional matplotlib ('plots' extra).
 """
 
 import csv
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +61,10 @@ def _write_rows(path: Path, header, columns):
 
 
 def write_diagnostics_csv(path, records) -> Path:
-    columns = zip(*(r.csv_row() for r in records))
-    return _write_rows(Path(path), DiagnosticsRecord.CSV_COLUMNS, columns)
+    """One row per record, one column per DiagnosticsRecord field."""
+    header = [f.name for f in dataclasses.fields(DiagnosticsRecord)]
+    columns = zip(*map(dataclasses.astuple, records))
+    return _write_rows(Path(path), header, columns)
 
 
 def write_trajectory_csv(path, trajectory: Trajectory, model: PotentialModel) -> Path:

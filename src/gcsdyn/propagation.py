@@ -18,8 +18,8 @@ smallest and largest Q the loop uses, before any quantum step runs.
 
 Per step the loop does only this:
 
-* feedback: write V(x, t), clamped at the grid's kinetic ceiling, into one
-  reused array (hydrodynamics._assembler);
+* feedback: write V(x, t) into one reused array (hydrodynamics._assembler)
+  and clamp it there at the grid's kinetic ceiling;
 * the quantum step: split-step makes the half-step phase exp(-i V dt/2hbar)
   (once per run in static mode), one FFT pair and pointwise products;
   Crank-Nicolson makes one tridiagonal LAPACK solve (zgtsv);
@@ -29,9 +29,10 @@ Per step the loop does only this:
 Both modes emit the same Frame every snapshot_stride steps (and at the
 first and last step): the step index, psi, the potential V the diagnostics
 read, the classical point they refer to, and the DiagnosticsRecord. In
-feedback mode V comes from the public assemble_potential at the trajectory
-point; in static mode it is the at-rest model potential V_model - E0 and the
-point is anchored at the measured packet center.
+feedback mode V is the loop's own assembler evaluated, unclamped, at the
+trajectory point (the values of assemble_potential, without repeating its
+coverage check); in static mode it is the at-rest model potential
+V_model - E0 and the point is anchored at the measured packet center.
 """
 
 import itertools
@@ -56,7 +57,7 @@ from .grids import (
     normalized,
     quadrature_weights,
 )
-from .hydrodynamics import PotentialSnapshot, _assembler, assemble_potential
+from .hydrodynamics import _assembler
 from .models import (
     PotentialModel,
     ground_energy,
@@ -276,14 +277,21 @@ def evolve_feedback(
 
     state0 = gcs_from_model(model, grid, point0, tol)
     prepare, advance = _STEPPERS[config.scheme](grid.n, grid.dx, dt, m, hbar)
-    fill = _assembler(model, grid, _potential_cap(grid, m, hbar))
-    operands = (prepare(fill(*c)) for c in zip(q_mid, p_half, f_mid))
+    fill = _assembler(model, grid)
+    cap = _potential_cap(grid, m, hbar)
+
+    def operand(q_s, p_s, f_s):
+        v = fill(q_s, p_s, f_s)
+        return prepare(np.minimum(v, cap, out=v))
+
+    operands = itertools.starmap(operand, zip(q_mid, p_half, f_mid))
 
     def frame_at(s, vals):
         pt = traj.point(s)
-        snap = assemble_potential(model, pt, float(f[s]), grid, tol=tol)
+        f_s = float(f[s])
+        V = RealField(grid, fill(pt.Q, pt.P, f_s))  # a copy of fill's array
         psi = ComplexField(grid, vals)
-        return Frame(s, psi, snap.V, pt, record(psi, model, pt, snap, tol))
+        return Frame(s, psi, V, pt, record(psi, model, pt, V, f_s, tol))
 
     return _run(state0, operands, advance, frame_at, traj, model, config, tol)
 
@@ -336,8 +344,7 @@ def evolve_static(
         p_meas = expectation(normalized(psi), "p", hbar=hbar, tol=tol)
         pt = ClassicalPoint(Q=q_meas, P=p_meas, t=s * dt)
         f_ref = float(classical_force(model, q_meas))
-        snap = PotentialSnapshot(V=v_diag, point=pt, dPdt=f_ref, dQdt=p_meas / m)
-        return Frame(s, psi, v_diag, pt, record(psi, model, pt, snap, tol))
+        return Frame(s, psi, v_diag, pt, record(psi, model, pt, v_diag, f_ref, tol))
 
     operands = itertools.repeat(operand, nsteps)
     return _run(state0, operands, advance, frame_at, traj, model, config, tol)

@@ -69,11 +69,12 @@ def run_verification(cfg: RunConfig) -> list[CheckResult]:
     results = []
 
     # coverage of the configured classical trajectory, before anything runs
-    e_cl = cfg.p0_init**2 / (2.0 * m) + float(v_class(model, cfg.q0_init))
+    q0, p0 = cfg.initial_point.Q, cfg.initial_point.P
+    e_cl = p0**2 / (2.0 * m) + float(v_class(model, q0))
     try:
         q_lo, q_hi = turning_points(model, e_cl)
     except GcsdynError:
-        q_lo = q_hi = cfg.q0_init
+        q_lo = q_hi = q0
     bm = 0.0
     for q in (q_lo, q_hi, 0.0):
         bm = max(bm, boundary_mass(reference_density(model, grid, q), grid))
@@ -159,7 +160,7 @@ def run_verification(cfg: RunConfig) -> list[CheckResult]:
     # Ehrenfest closure along a short integrated trajectory
     period = classical_period(model, max(e_cl, 0.0))
     dt_cl = period / 2000.0
-    traj = integrate_trajectory(model, cfg.q0_init, cfg.p0_init, dt_cl, 2000)
+    traj = integrate_trajectory(model, q0, p0, dt_cl, 2000)
     eh_worst = 0.0
     force_scale = max(float(np.max(np.abs(traj.forces))), scale * _inv_len(model))
     for i in range(0, len(traj), 100):

@@ -177,9 +177,10 @@ def test_mirror_trajectory_property(morse):
 def test_escape_errors(morse):
     with pytest.raises(EscapeError):
         integrate_trajectory(morse, 0.0, 10.0, 1e-3, 10)  # E >> U0
+    # dt * omega = 3 is past Verlet's stability limit of 2: the orbit
+    # overflows, and the error names the first step that is not finite
     with pytest.raises(EscapeError) as err:
-        integrate_trajectory(morse, 0.0, momentum_for_energy(morse, 0.45), 1e-2,
-                             5000, q_bounds=(-0.2, 0.2))
+        integrate_trajectory(PotentialModel.harmonic(omega=1.0), 1.0, 0.0, 3.0, 1000)
     assert err.value.step is not None
     with pytest.raises(EscapeError):
         classical_period(morse, 2.0 * morse.well_depth)

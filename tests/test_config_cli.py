@@ -20,7 +20,7 @@ from gcsdyn import (
 )
 from gcsdyn import cli
 from gcsdyn.cli import main
-from gcsdyn.config import OUTPUT_DIR_ENV, config_from_dict
+from gcsdyn.config import OUTPUT_DIR_ENV, config_from_dict, echo_config
 from gcsdyn.output import write_plot_data
 
 
@@ -61,13 +61,14 @@ def test_defaults_applied(tmp_path):
 
 
 def test_unknown_keys_rejected(tmp_path):
-    for section, key in (
-        (None, "experiment"),
-        ("model", "depth"),
-        ("propagation", "steps"),
-        ("output", "format"),
+    for kind, section, key in (
+        ("morse", None, "experiment"),
+        ("morse", "model", "depth"),
+        ("morse", "propagation", "steps"),
+        ("morse", "output", "format"),
+        ("harmonic", "model", "a"),  # a parameter of the other kind
     ):
-        raw = {"model": {"kind": "morse"}}
+        raw = {"model": {"kind": kind}}
         if section is None:
             raw["experiment"] = {}
         else:
@@ -76,6 +77,21 @@ def test_unknown_keys_rejected(tmp_path):
         path.write_text(json.dumps(raw))
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+@pytest.mark.parametrize("name", [
+    "morse_feedback", "harmonic_feedback", "morse_static_twin", None,
+])
+def test_echo_loads_back_to_the_same_config(name, tmp_path, monkeypatch):
+    # load -> echo -> load is the identity; None is a defaulted harmonic config
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    if name is None:
+        path = tmp_path / "minimal.json"
+        path.write_text(json.dumps({"model": {"kind": "harmonic"}}))
+    else:
+        path = Path(__file__).parents[1] / "configs" / f"{name}.json"
+    cfg = load_config(path)
+    assert load_config(echo_config(cfg, tmp_path / "echo")) == cfg
 
 
 def test_preconditions_checked_at_load(tmp_path):

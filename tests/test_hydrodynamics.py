@@ -239,16 +239,14 @@ def test_constant_offset_leaves_density_invariant(morse, morse_grid):
 
 @pytest.mark.parametrize("kind", ["morse", "harmonic"])
 def test_loop_assembler_matches_assemble_potential_bitwise(kind, request):
-    # the evolve loops fill V in place; it must be the public assembled
-    # potential clamped at the kinetic ceiling, bit for bit
+    # the evolve loops fill V in place (and clamp it themselves); unclamped,
+    # it must be the public assembled potential, bit for bit
     from gcsdyn.hydrodynamics import _assembler
-    from gcsdyn.propagation import _potential_cap
 
     model = request.getfixturevalue(kind)
     grid = request.getfixturevalue(f"{kind}_grid")
-    cap = _potential_cap(grid, model.mass, model.hbar)
-    fill = _assembler(model, grid, cap)
+    fill = _assembler(model, grid)
     for q, p in [(0.0, 0.0), (0.37, -0.21), (-0.8, 0.45)]:
         f = classical_force(model, q)
         snap = assemble_potential(model, ClassicalPoint(q, p), f, grid)
-        assert np.array_equal(fill(q, p, f), np.minimum(snap.V.values, cap))
+        assert np.array_equal(fill(q, p, f), snap.V.values)
