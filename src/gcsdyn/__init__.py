@@ -11,6 +11,7 @@ potential, and propagates both modes with matched diagnostics.
 
 from .classical import (
     Trajectory,
+    classical_energy,
     classical_force,
     classical_period,
     integrate_trajectory,
@@ -51,9 +52,9 @@ from .grids import (
     Grid,
     RealField,
     boundary_mass,
-    expectation,
     first_derivative,
     integrate,
+    moments,
     normalized,
     quadrature_weights,
     second_derivative,

@@ -56,7 +56,7 @@ class Trajectory:
         return ClassicalPoint(float(self.q[i]), float(self.p[i]), float(self.t[i]))
 
     def energy(self, model: PotentialModel) -> np.ndarray:
-        return self.p**2 / (2.0 * model.mass) + v_class(model, self.q)
+        return classical_energy(model, self.q, self.p)
 
 
 def classical_force(model: PotentialModel, q):
@@ -67,6 +67,22 @@ def classical_force(model: PotentialModel, q):
 def v_class(model: PotentialModel, q):
     """Center potential V_class(q) = V(-q)."""
     return potential_value(model, -np.asarray(q, dtype=np.float64))
+
+
+def classical_energy(model: PotentialModel, q, p):
+    """Center-orbit energy P^2/2m + V_class(Q), for scalars or arrays."""
+    e = np.asarray(p, dtype=np.float64) ** 2 / (2.0 * model.mass) + v_class(model, q)
+    return e if np.ndim(e) else float(e)
+
+
+def _require_bounded(model: PotentialModel, e_cl: float):
+    """Raise EscapeError unless the center orbit at energy e_cl is bounded:
+    always for harmonic wells, 0 <= E < U0 for Morse."""
+    if model.kind == "morse" and not 0.0 <= e_cl < model.well_depth:
+        raise EscapeError(
+            f"no bounded Morse orbit at E = {e_cl:g} (well depth "
+            f"{model.well_depth:g})"
+        )
 
 
 def linear_coefficient(
@@ -121,13 +137,10 @@ def classical_period(model: PotentialModel, e_cl: float = 0.0) -> float:
     Harmonic motion is isochronous; the Morse period stretches as
     1 / sqrt(1 - E/U0) and diverges at the dissociation energy.
     """
+    _require_bounded(model, e_cl)
     if model.kind == "harmonic":
         return 2.0 * math.pi / model.omega
     u0 = model.well_depth
-    if not 0.0 <= e_cl < u0:
-        raise EscapeError(
-            f"no bounded Morse orbit at E = {e_cl:g} (well depth {u0:g})"
-        )
     omega0 = model.a * math.sqrt(2.0 * u0 / model.mass)
     return 2.0 * math.pi / (omega0 * math.sqrt(1.0 - e_cl / u0))
 
@@ -144,13 +157,11 @@ def momentum_for_energy(model: PotentialModel, e_cl: float, q0: float = 0.0) -> 
 
 def turning_points(model: PotentialModel, e_cl: float) -> tuple[float, float]:
     """Center-orbit turning points (Q_min, Q_max) at energy e_cl."""
+    _require_bounded(model, e_cl)
     if model.kind == "harmonic":
         amp = math.sqrt(2.0 * e_cl / (model.mass * model.omega**2))
         return -amp, amp
-    u0 = model.well_depth
-    if not 0.0 <= e_cl < u0:
-        raise EscapeError(f"no bounded Morse orbit at E = {e_cl:g}")
-    r = math.sqrt(e_cl / u0)
+    r = math.sqrt(e_cl / model.well_depth)
     # mirror well: bounded branch has exp(aQ) in (1 - r, 1 + r)
     return math.log(1.0 - r) / model.a, math.log(1.0 + r) / model.a
 
@@ -205,9 +216,5 @@ def integrate_trajectory(
         raise ValueError("dt must be positive")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    e_cl = p0 * p0 / (2.0 * model.mass) + float(v_class(model, q0))
-    if model.kind == "morse" and e_cl >= model.well_depth:
-        raise EscapeError(
-            f"unbounded Morse orbit: E = {e_cl:g} >= U0 = {model.well_depth:g}"
-        )
+    _require_bounded(model, classical_energy(model, q0, p0))
     return Trajectory(*_verlet(model, q0, p0, dt, steps), dt)

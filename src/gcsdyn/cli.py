@@ -103,6 +103,8 @@ def cmd_run(cfg: RunConfig) -> int:
 
 
 def cmd_extract_vclass(cfg: RunConfig) -> int:
+    outdir = cfg.output_dir
+    echo_config(cfg, outdir)
     model = cfg.model
     reach = 3.0 * model.dq
     # widen the grid so every sampled displacement keeps full coverage
@@ -134,8 +136,6 @@ def cmd_extract_vclass(cfg: RunConfig) -> int:
         worst = max(worst, rel)
         rows.append((q, ana, num, rel))
 
-    outdir = cfg.output_dir
-    echo_config(cfg, outdir)
     write_vclass_csv(outdir / "vclass.csv", rows)
     print(f"vclass reconstruction over |Q| <= {reach:.6g}: "
           f"max relative deviation {worst:.3e}")

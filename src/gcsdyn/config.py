@@ -17,9 +17,9 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .classical import classical_period, v_class
+from .classical import classical_energy, classical_period
 from .displacement import ClassicalPoint
-from .errors import ConfigError, GcsdynError, PropagationError
+from .errors import ConfigError, EscapeError, GcsdynError, PropagationError
 from .grids import Grid
 from .models import PotentialModel, suggest_grid
 from .propagation import PropagatorConfig
@@ -113,12 +113,10 @@ def config_from_dict(raw: dict) -> RunConfig:
     q0 = _number(isec, "Q0", 0.0, "initial")
     p0 = _number(isec, "P0", 0.0, "initial")
 
-    e_cl = p0 * p0 / (2.0 * model.mass) + float(v_class(model, q0))
-    if model.kind == "morse" and e_cl >= model.well_depth:
-        raise ConfigError(
-            f"initial point is unbounded: E_cl = {e_cl:g} >= U0 = "
-            f"{model.well_depth:g}"
-        )
+    try:
+        period = classical_period(model, classical_energy(model, q0, p0))
+    except EscapeError as exc:
+        raise ConfigError(f"invalid initial point: {exc}") from exc
 
     gsec = _section(raw, "grid", _field_names(Grid))
     try:
@@ -141,7 +139,6 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
     psec = _section(raw, "propagation", (*_field_names(PropagatorConfig), "T"))
-    period = classical_period(model, max(e_cl, 0.0))
     T = _number(psec, "T", period, "propagation")
     dt = _number(psec, "dt", T / 5000.0, "propagation")
     scheme = psec.get("scheme", "crank-nicolson")
@@ -202,8 +199,15 @@ def effective_dict(cfg: RunConfig) -> dict:
 
 
 def echo_config(cfg: RunConfig, outdir: Path) -> Path:
-    """Write the effective configuration next to the run outputs."""
-    outdir.mkdir(parents=True, exist_ok=True)
+    """Write the effective configuration next to the run outputs.
+
+    Raises ConfigError when the output directory cannot be made or written.
+    """
     target = outdir / "effective_config.json"
-    target.write_text(json.dumps(effective_dict(cfg), indent=2, sort_keys=True) + "\n")
+    text = json.dumps(effective_dict(cfg), indent=2, sort_keys=True) + "\n"
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        target.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to output directory {outdir}: {exc}") from exc
     return target

@@ -18,7 +18,7 @@ from .grids import (
     RealField,
     _derivative_arrays,
     boundary_mass,
-    expectation,
+    moments,
     quadrature_weights,
 )
 from .hydrodynamics import hjm_residual
@@ -137,9 +137,7 @@ def record(
     nrm = float(np.dot(w, rho_raw))
     psi_n = ComplexField(grid, psi.values / math.sqrt(nrm))
 
-    q_mean = expectation(psi_n, "x", hbar=hbar, tol=tol)
-    p_mean = expectation(psi_n, "p", hbar=hbar, tol=tol)
-    x2 = expectation(psi_n, "x2", hbar=hbar, tol=tol)
+    q_mean, x2, p_mean = moments(psi_n, hbar, tol)
     dq2 = x2 - q_mean * q_mean
 
     rho = RealField(grid, rho_raw / nrm)

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import (
     CoverageError,
     DisplacementError,
-    NormalizationError,
     PhaseUnwrapError,
 )
 from .grids import (
@@ -28,13 +27,13 @@ from .grids import (
     RealField,
     _peak_segment,
     boundary_mass,
-    expectation,
+    moments,
     quadrature_weights,
 )
 from .models import (
     PotentialModel,
     _normalized_ground_state,
-    ground_state,
+    ground_moments,
     require_coverage,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -114,17 +113,16 @@ def displace(
     shift_method. The phase factors exp(-i P Q / 2 hbar) exp(i P x / hbar)
     are exact.
 
-    Raises CoverageError when the shifted packet touches the grid boundary
-    and DisplacementError when the constructed state fails its defining
-    expectations <x> - q0 = Q, <p> = P.
+    Raises NormalizationError when psi0 is not normalized, CoverageError
+    when the shifted packet touches the grid boundary, and
+    DisplacementError when the constructed state fails its defining
+    moments <x> - q0 = Q, <p> = P.
     """
     grid = psi0.grid
+    base_mean = moments(psi0, hbar, tol)[0]
     w = quadrature_weights(grid)
     rho0 = psi0.values**2
     nrm0 = float(np.dot(w, rho0))
-    if abs(nrm0 - 1.0) > tol.norm:
-        raise NormalizationError(nrm0, tol.norm, "base state")
-    base_mean = float(np.dot(w, grid.points * rho0))
 
     if translator == "auto":
         clean = boundary_mass(rho0, grid) <= tol.spectral_shift_mass
@@ -168,16 +166,13 @@ def gcs_from_model(
     Preferred constructor when the closed-form ground state is available:
     re-evaluating psi0 at x - Q avoids any interpolation or aliasing error.
     """
-    base = ground_state(model, grid, tol)  # also validates coverage at Q = 0
-    w = quadrature_weights(grid)
-    base_mean = float(np.dot(w, grid.points * base.values**2))
-
     shifted = _normalized_ground_state(
         model, grid, point.Q, tol, f"displaced packet (Q = {point.Q:g})"
     )
     return _boosted_state(
         grid, shifted, point, model.hbar, tol,
-        model=model, shift_method="analytic", base_mean=base_mean,
+        model=model, shift_method="analytic",
+        base_mean=ground_moments(model, grid).q0,
     )
 
 
@@ -186,8 +181,7 @@ def _boosted_state(grid, shifted, point, hbar, tol, **fields) -> GCSState:
     GCSState with the given fields, checked against its label point."""
     phase = np.exp(1j * (point.P * grid.points - 0.5 * point.P * point.Q) / hbar)
     state = GCSState(psi=ComplexField(grid, shifted * phase), point=point, **fields)
-    x_mean = expectation(state.psi, "x", hbar=hbar, tol=tol)
-    p_mean = expectation(state.psi, "p", hbar=hbar, tol=tol)
+    x_mean, _, p_mean = moments(state.psi, hbar, tol)
     dx_err = abs(x_mean - state.base_mean - state.point.Q)
     dp_err = abs(p_mean - state.point.P)
     if dx_err > INVARIANT_TOL or dp_err > INVARIANT_TOL:

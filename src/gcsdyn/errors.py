@@ -44,7 +44,7 @@ class PhaseUnwrapError(GcsdynError):
 
 
 class DisplacementError(GcsdynError):
-    """A constructed displaced state violates its defining expectations."""
+    """A constructed displaced state is off its label point (Q, P)."""
 
 
 class ExtractionError(GcsdynError):

@@ -2,7 +2,8 @@
 
 Everything downstream (ground states, displaced packets, potentials,
 propagation) lives on the uniform grid defined here. Fields are immutable
-value objects; the operations are pure functions.
+value objects; the operations are pure functions. moments() is the one
+source of <x>, <x^2> and <p> for every other module.
 
 Boundary handling: fields are assumed negligible at the grid edges. The
 spectral second derivative embeds the field periodically (period n*dx), so
@@ -188,7 +189,7 @@ def first_derivative(fld, method: str = "central-5pt"):
 
 
 # ---------------------------------------------------------------------------
-# quadrature and expectation values
+# quadrature and moments
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
@@ -226,37 +227,32 @@ def normalized(psi):
     return RealField(psi.grid, psi.values / s)
 
 
-def _check_normalized(psi: ComplexField, tol: float):
-    nrm = float(np.dot(quadrature_weights(psi.grid), np.abs(psi.values) ** 2))
-    if abs(nrm - 1.0) > tol:
-        raise NormalizationError(nrm, tol, "wavefunction")
-
-
-def expectation(
-    psi: ComplexField,
-    weight: str,
+def moments(
+    psi: ComplexField | RealField,
     hbar: float = 1.0,
     tol: Tolerances = DEFAULT_TOLERANCES,
-) -> float:
-    """Expectation value in a normalized state.
+) -> tuple[float, float, float]:
+    """<x>, <x^2> and <p> of a normalized state (<p> = 0 for real samples).
 
-    weight: "x", "x2" (position moments via quadrature of x^k |psi|^2) or
-    "p" (hbar * Im integral psi* dpsi/dx). The wavefunction derivative uses
-    a sixth-order local stencil so the momentum mean stays accurate for
-    strongly boosted packets.
+    The position moments are quadratures of x^k |psi|^2; <p> is
+    hbar * Im integral psi* dpsi/dx, with a sixth-order local stencil so the
+    momentum mean stays accurate for strongly boosted packets. |psi|^2 and
+    dpsi/dx are each computed once. Raises NormalizationError when the norm
+    is off 1 by more than tol.norm.
     """
-    _check_normalized(psi, tol.norm)
     w = quadrature_weights(psi.grid)
     x = psi.grid.points
     vals = psi.values
-    if weight == "x":
-        return float(np.dot(w, x * np.abs(vals) ** 2))
-    if weight == "x2":
-        return float(np.dot(w, x * x * np.abs(vals) ** 2))
-    if weight == "p":
-        dpsi = _derivative_arrays(vals, psi.grid.dx, 1, "7pt")
-        return float(hbar * np.dot(w, np.imag(np.conj(vals) * dpsi)))
-    raise ValueError(f"unknown expectation weight {weight!r}")
+    rho = np.abs(vals) ** 2
+    nrm = float(np.dot(w, rho))
+    if abs(nrm - 1.0) > tol.norm:
+        raise NormalizationError(nrm, tol.norm, "wavefunction")
+    dpsi = _derivative_arrays(vals, psi.grid.dx, 1, "7pt")
+    return (
+        float(np.dot(w, x * rho)),
+        float(np.dot(w, x * x * rho)),
+        float(hbar * np.dot(w, np.imag(np.conj(vals) * dpsi))),
+    )
 
 
 def boundary_mass(rho_values: np.ndarray, grid: Grid) -> float:

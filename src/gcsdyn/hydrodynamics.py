@@ -63,8 +63,6 @@ class PotentialSnapshot:
     """The reconstructed potential at one instant of the classical motion."""
 
     V: RealField
-    dPdt: float
-    dQdt: float
 
 
 def quantum_curvature(
@@ -141,8 +139,7 @@ def assemble_potential(
     else:
         raise ValueError(f"unknown curvature evaluation {curvature!r}")
 
-    dQdt = point.P / model.mass
-    return PotentialSnapshot(V=RealField(grid, v), dPdt=float(dPdt), dQdt=dQdt)
+    return PotentialSnapshot(V=RealField(grid, v))
 
 
 def _add_center_terms(v, x, q, p, dPdt, m, scratch):

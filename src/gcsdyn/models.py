@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CoverageError, InvalidFieldError
-from .grids import Grid, RealField, boundary_mass, quadrature_weights
+from .grids import Grid, RealField, boundary_mass, moments, quadrature_weights
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 # decay constant of the Morse ground state in units of its spread
@@ -31,16 +31,11 @@ _EXP_CAP = 350.0  # keeps (1 - e^z)^2 finite in double precision
 
 @dataclass(frozen=True)
 class GroundStateInfo:
-    """Ground-state mean, spread, and energy.
-
-    q0 is the ground-state position mean (zero for symmetric wells, a
-    positive constant for Morse); dq2 the position variance; E0 the ground
-    energy.
-    """
+    """Ground-state position mean q0 (zero for symmetric wells, a positive
+    constant for Morse) and position variance dq2."""
 
     q0: float
     dq2: float
-    E0: float
 
 
 @dataclass(frozen=True)
@@ -219,14 +214,9 @@ def ground_energy(model: PotentialModel) -> float:
 
 @lru_cache(maxsize=64)
 def ground_moments(model: PotentialModel, grid: Grid) -> GroundStateInfo:
-    """q0 and dq2 by quadrature of the analytic ground density."""
-    psi = ground_state(model, grid)
-    w = quadrature_weights(grid)
-    x = grid.points
-    rho = psi.values**2
-    q0 = float(np.dot(w, x * rho))
-    q2 = float(np.dot(w, x * x * rho))
-    return GroundStateInfo(q0=q0, dq2=q2 - q0 * q0, E0=ground_energy(model))
+    """q0 and dq2 from the moments of the ground state on the grid."""
+    q0, q2, _ = moments(ground_state(model, grid), model.hbar)
+    return GroundStateInfo(q0=q0, dq2=q2 - q0 * q0)
 
 
 def suggest_grid(

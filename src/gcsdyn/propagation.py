@@ -32,7 +32,9 @@ read, the classical point they refer to, and the DiagnosticsRecord. In
 feedback mode V is the loop's own assembler evaluated, unclamped, at the
 trajectory point (the values of assemble_potential, without repeating its
 coverage check); in static mode it is the at-rest model potential
-V_model - E0 and the point is anchored at the measured packet center.
+V_model - E0 and the point is anchored at the measured packet center:
+Q = <x> - q0 and P = <p>, from one grids.moments pass over the normalized
+state. record measures the same state again, as it needs that anchor first.
 """
 
 import itertools
@@ -44,7 +46,13 @@ import numpy as np
 import scipy.fft
 from scipy.linalg.lapack import zgtsv
 
-from .classical import Trajectory, _verlet, classical_force, turning_points, v_class
+from .classical import (
+    Trajectory,
+    _verlet,
+    classical_energy,
+    classical_force,
+    turning_points,
+)
 from .diagnostics import DiagnosticsRecord, record
 from .displacement import ClassicalPoint, GCSState, gcs_from_model
 from .errors import CoverageError, PropagationError, UnitarityError
@@ -53,7 +61,7 @@ from .grids import (
     ComplexField,
     Grid,
     RealField,
-    expectation,
+    moments,
     normalized,
     quadrature_weights,
 )
@@ -68,7 +76,6 @@ from .models import (
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
-SCHEMES = ("crank-nicolson", "split-step")
 MODES = ("feedback", "static")
 
 
@@ -178,7 +185,8 @@ def _crank_nicolson(n, dx, dt, m, hbar):
 # scheme -> kernel factory (n, dx, dt, m, hbar) -> (prepare, advance):
 # prepare(V values) builds the per-potential operand, advance(vals, operand)
 # returns the stepped values and may overwrite vals
-_STEPPERS = {"split-step": _split_step, "crank-nicolson": _crank_nicolson}
+_STEPPERS = {"crank-nicolson": _crank_nicolson, "split-step": _split_step}
+SCHEMES = tuple(_STEPPERS)
 
 
 def step(
@@ -260,8 +268,7 @@ def evolve_feedback(
     dt = config.dt
     m, hbar = model.mass, model.hbar
 
-    e_cl = point0.P**2 / (2.0 * m) + float(v_class(model, point0.Q))
-    q_lo, q_hi = turning_points(model, e_cl)
+    q_lo, q_hi = turning_points(model, classical_energy(model, point0.Q, point0.P))
     traj = Trajectory(*_verlet(model, point0.Q, point0.P, dt, nsteps), dt)
     q, p, f = traj.q, traj.p, traj.forces
     # the exact turning points, then the Verlet orbit's extremes; every
@@ -329,19 +336,15 @@ def evolve_static(
 
     v_model = potential_value(model, grid.points)
     v_diag = RealField(grid, v_model - ground_energy(model))
-    w = quadrature_weights(grid)
     prepare, advance = _STEPPERS[config.scheme](grid.n, grid.dx, dt, m, hbar)
     operand = prepare(np.minimum(v_model, _potential_cap(grid, m, hbar)))
-    info = ground_moments(model, grid)
-    x = grid.points
+    q0 = ground_moments(model, grid).q0
 
     def frame_at(s, vals):
         # reference point anchored at the measured center
         psi = ComplexField(grid, vals)
-        rho = np.abs(vals) ** 2
-        nrm = float(np.dot(w, rho))
-        q_meas = float(np.dot(w, x * rho)) / nrm - info.q0
-        p_meas = expectation(normalized(psi), "p", hbar=hbar, tol=tol)
+        x_mean, _, p_meas = moments(normalized(psi), hbar, tol)
+        q_meas = x_mean - q0
         pt = ClassicalPoint(Q=q_meas, P=p_meas, t=s * dt)
         f_ref = float(classical_force(model, q_meas))
         return Frame(s, psi, v_diag, pt, record(psi, model, pt, v_diag, f_ref, tol))

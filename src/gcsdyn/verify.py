@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import (
+    classical_energy,
     classical_force,
     classical_period,
     integrate_trajectory,
@@ -70,11 +71,8 @@ def run_verification(cfg: RunConfig) -> list[CheckResult]:
 
     # coverage of the configured classical trajectory, before anything runs
     q0, p0 = cfg.initial_point.Q, cfg.initial_point.P
-    e_cl = p0**2 / (2.0 * m) + float(v_class(model, q0))
-    try:
-        q_lo, q_hi = turning_points(model, e_cl)
-    except GcsdynError:
-        q_lo = q_hi = q0
+    e_cl = classical_energy(model, q0, p0)
+    q_lo, q_hi = turning_points(model, e_cl)
     bm = 0.0
     for q in (q_lo, q_hi, 0.0):
         bm = max(bm, boundary_mass(reference_density(model, grid, q), grid))
@@ -128,9 +126,13 @@ def run_verification(cfg: RunConfig) -> list[CheckResult]:
                     hjm_worst, hjm_residual(s_t, s, rho, snap.V, m, hbar, tol)
                 )
                 qdot = p / m
-                rp = reference_density(model, grid, q + qdot * delta)
-                rm = reference_density(model, grid, q - qdot * delta)
-                rho_t = RealField(grid, (rp - rm) / (2.0 * delta))
+                # fourth-order central difference in time
+                rp1, rm1, rp2, rm2 = (
+                    reference_density(model, grid, q + k * qdot * delta)
+                    for k in (1, -1, 2, -2)
+                )
+                d_rho = 8.0 * (rp1 - rm1) - (rp2 - rm2)
+                rho_t = RealField(grid, d_rho / (12.0 * delta))
                 cont_worst = max(
                     cont_worst, continuity_residual(rho_t, rho, s, m)
                 )
@@ -158,7 +160,7 @@ def run_verification(cfg: RunConfig) -> list[CheckResult]:
     results.append(_check("vclass_mirror", mirror_dev / max(scale, 1e-300), 1e-12))
 
     # Ehrenfest closure along a short integrated trajectory
-    period = classical_period(model, max(e_cl, 0.0))
+    period = classical_period(model, e_cl)
     dt_cl = period / 2000.0
     traj = integrate_trajectory(model, q0, p0, dt_cl, 2000)
     eh_worst = 0.0

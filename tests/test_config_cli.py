@@ -23,6 +23,8 @@ from gcsdyn.cli import main
 from gcsdyn.config import OUTPUT_DIR_ENV, config_from_dict, echo_config
 from gcsdyn.output import write_plot_data
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 def _write_config(tmp_path, name="cfg.json", **overrides):
     cfg = {
@@ -89,7 +91,7 @@ def test_echo_loads_back_to_the_same_config(name, tmp_path, monkeypatch):
         path = tmp_path / "minimal.json"
         path.write_text(json.dumps({"model": {"kind": "harmonic"}}))
     else:
-        path = Path(__file__).parents[1] / "configs" / f"{name}.json"
+        path = CONFIGS / f"{name}.json"
     cfg = load_config(path)
     assert load_config(echo_config(cfg, tmp_path / "echo")) == cfg
 
@@ -172,7 +174,7 @@ def test_run_loads_no_spline_module(tmp_path):
     # output on; a fresh interpreter, as other tests import scipy.interpolate
     paths = []
     for name in ("morse_feedback", "morse_static_twin"):
-        raw = json.loads((Path(__file__).parents[1] / "configs" / f"{name}.json").read_text())
+        raw = json.loads((CONFIGS / f"{name}.json").read_text())
         raw["propagation"]["T"] = 40 * raw["propagation"]["dt"]
         raw["propagation"]["snapshot_stride"] = 20
         raw["output"] = {"directory": str(tmp_path / name), "emit_fields": True,
@@ -339,6 +341,28 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
     assert (override / "diagnostics.csv").exists()
 
 
+def _not_called(*args, **kwargs):
+    pytest.fail("computation started before the output directory was checked")
+
+
+@pytest.mark.parametrize("command", ["run", "extract-vclass"])
+def test_unusable_output_directory_is_a_config_error(
+    command, tmp_path, monkeypatch, capsys
+):
+    # a directory below a regular file cannot be made: both subcommands say
+    # so before computing anything, with exit 2 and one stderr line
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    outdir = blocker / "out"
+    path = _write_config(tmp_path, output={"directory": str(outdir)})
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    monkeypatch.setattr(cli, "evolve_feedback", _not_called)
+    monkeypatch.setattr(cli, "linear_coefficient", _not_called)
+    assert main([command, "--config", str(path)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith("config error: ") and str(outdir) in err
+
+
 def test_run_coverage_exit_code(tmp_path):
     path = _write_config(
         tmp_path, grid={"x_min": -3.0, "x_max": 8.0, "n": 256},
@@ -401,3 +425,17 @@ def test_verify_detects_bad_coverage_before_running(tmp_path, capsys):
     first = out.splitlines()[0].split(",")
     assert first[0] == "grid_coverage" and first[3] == "FAIL"
     assert "unitarity" not in out  # propagation checks skipped
+
+
+@pytest.mark.parametrize("name", ["morse_feedback", "morse_static_twin"])
+def test_verify_passes_shipped_morse_configs(name):
+    assert main(["verify", "--config", str(CONFIGS / f"{name}.json")]) == 0
+
+
+def test_verify_harmonic_continuity_identity(capsys):
+    # this config fails dq2_drift and ehrenfest_run on the spatial error of
+    # the 3-point Laplacian; the continuity identity itself must hold
+    main(["verify", "--config", str(CONFIGS / "harmonic_feedback.json")])
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    (row,) = [r for r in rows if r[0] == "continuity_identity"]
+    assert row[3] == "PASS"

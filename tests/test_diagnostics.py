@@ -121,7 +121,7 @@ def test_record_static_ground_state(morse):
     for t in (0.0, 1.7):
         pt = ClassicalPoint(0.0, 0.0, t)
         snap = assemble_potential(morse, pt, 0.0, grid)
-        rec = record(psi, morse, pt, snap.V, snap.dPdt)
+        rec = record(psi, morse, pt, snap.V, 0.0)
         assert rec.overlap == pytest.approx(1.0, abs=1e-12)
         assert rec.dq2 == pytest.approx(info.dq2, rel=1e-10)
         assert rec.ehrenfest_residual < 1e-8
@@ -133,10 +133,9 @@ def test_record_static_ground_state(morse):
 def test_record_gcs_at_label_point(morse, morse_grid):
     q, p = 0.8, 0.5
     st = gcs_from_model(morse, morse_grid, ClassicalPoint(q, p))
-    snap = assemble_potential(
-        morse, st.point, float(classical_force(morse, q)), morse_grid
-    )
-    rec = record(st.psi, morse, st.point, snap.V, snap.dPdt)
+    dpdt = float(classical_force(morse, q))
+    snap = assemble_potential(morse, st.point, dpdt, morse_grid)
+    rec = record(st.psi, morse, st.point, snap.V, dpdt)
     info = ground_moments(morse, morse_grid)
     assert rec.overlap == pytest.approx(1.0, abs=1e-10)
     assert rec.q_mean == pytest.approx(info.q0 + q, abs=1e-8)

@@ -10,11 +10,11 @@ from gcsdyn import (
     NormalizationError,
     RealField,
     boundary_mass,
-    expectation,
     first_derivative,
     gcs_from_model,
     integrate,
     load_config,
+    moments,
     normalized,
     second_derivative,
 )
@@ -122,7 +122,7 @@ def _gaussian_state(g, x0=0.0, k=0.0, sigma=1.0):
 def test_expectation_position_symmetry():
     g = Grid(-10.0, 10.0, 512)
     psi = _gaussian_state(g)
-    assert abs(expectation(psi, "x")) < 1e-10
+    assert abs(moments(psi)[0]) < 1e-10
 
 
 def test_expectation_momentum_plane_wave():
@@ -130,16 +130,16 @@ def test_expectation_momentum_plane_wave():
     g = Grid(-12.0, 12.0, 768)
     k = 1.7
     psi = _gaussian_state(g, k=k)
-    assert expectation(psi, "p", hbar=1.0) == pytest.approx(k, abs=1e-8)
+    assert moments(psi, hbar=1.0)[2] == pytest.approx(k, abs=1e-8)
     # result must be real by construction; hbar scaling linear
-    assert expectation(psi, "p", hbar=2.0) == pytest.approx(2.0 * k, abs=2e-8)
+    assert moments(psi, hbar=2.0)[2] == pytest.approx(2.0 * k, abs=2e-8)
 
 
 def test_expectation_requires_normalization():
     g = Grid(-10.0, 10.0, 256)
     psi = ComplexField(g, np.exp(-0.5 * g.points**2))
     with pytest.raises(NormalizationError) as err:
-        expectation(psi, "x")
+        moments(psi)
     assert "norm" in str(err.value)
 
 

@@ -17,10 +17,10 @@ from gcsdyn import (
     classical_period,
     evolve_feedback,
     evolve_static,
-    expectation,
     gcs_from_model,
     ground_moments,
     ground_state,
+    moments,
     momentum_for_energy,
     normalized,
     potential_value,
@@ -87,7 +87,8 @@ def test_free_particle_width_law():
     for _ in range(nsteps):
         psi = step(psi, v, dt, scheme="split-step")
     t = nsteps * dt
-    got = expectation(psi, "x2") - expectation(psi, "x") ** 2
+    x_mean, x2, _ = moments(psi)
+    got = x2 - x_mean**2
     want = sigma0**2 * (1.0 + (0.5 * t / sigma0**2) ** 2)
     assert got == pytest.approx(want, rel=1e-6)
 
