@@ -145,7 +145,7 @@ def record(
     overlap = _bhattacharyya(rho, ref)
     l2 = _l2_distance(rho, ref)
 
-    info = ground_moments(model, grid)
+    info = ground_moments(model, grid, tol)
     x_c = q_mean - info.q0
     ehrenfest = abs(dPdt + potential_slope_at(V, x_c, model.dq))
 

@@ -172,7 +172,7 @@ def gcs_from_model(
     return _boosted_state(
         grid, shifted, point, model.hbar, tol,
         model=model, shift_method="analytic",
-        base_mean=ground_moments(model, grid).q0,
+        base_mean=ground_moments(model, grid, tol).q0,
     )
 
 

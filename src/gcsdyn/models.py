@@ -213,9 +213,11 @@ def ground_energy(model: PotentialModel) -> float:
 
 
 @lru_cache(maxsize=64)
-def ground_moments(model: PotentialModel, grid: Grid) -> GroundStateInfo:
+def ground_moments(
+    model: PotentialModel, grid: Grid, tol: Tolerances = DEFAULT_TOLERANCES
+) -> GroundStateInfo:
     """q0 and dq2 from the moments of the ground state on the grid."""
-    q0, q2, _ = moments(ground_state(model, grid), model.hbar)
+    q0, q2, _ = moments(ground_state(model, grid, tol), model.hbar, tol)
     return GroundStateInfo(q0=q0, dq2=q2 - q0 * q0)
 
 
@@ -241,11 +243,12 @@ def suggest_grid(
     return Grid(lo, hi, n)
 
 
-def stationary_residual(model: PotentialModel, grid: Grid, method: str = "spectral") -> float:
+def stationary_residual(model: PotentialModel, grid: Grid, method: str = "spectral",
+                        tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """max |H psi0 - E0 psi0| / max |psi0| on the interior of the grid."""
     from .grids import BOUNDARY_POINTS, second_derivative
 
-    psi = ground_state(model, grid)
+    psi = ground_state(model, grid, tol)
     d2 = second_derivative(psi, method=method).values
     h = (
         -(model.hbar**2) / (2.0 * model.mass) * d2

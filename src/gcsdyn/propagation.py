@@ -21,8 +21,9 @@ Per step the loop does only this:
 * feedback: write V(x, t) into one reused array (hydrodynamics._assembler)
   and clamp it there at the grid's kinetic ceiling;
 * the quantum step: split-step makes the half-step phase exp(-i V dt/2hbar)
-  (once per run in static mode), one FFT pair and pointwise products;
-  Crank-Nicolson makes one tridiagonal LAPACK solve (zgtsv);
+  (once per run in static mode), one in-place numpy.fft pair and pointwise
+  products, so it loads no scipy; Crank-Nicolson makes one tridiagonal
+  LAPACK solve (scipy's zgtsv, imported when its config is validated);
 * the monitors: norm drift and edge mass from one pass over the float
   view of psi.
 
@@ -43,8 +44,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
-from scipy.linalg.lapack import zgtsv
 
 from .classical import (
     Trajectory,
@@ -97,6 +96,8 @@ class PropagatorConfig:
             raise PropagationError(f"mode must be one of {MODES}")
         if int(self.snapshot_stride) < 1:
             raise PropagationError("snapshot_stride must be >= 1")
+        if self.scheme == "crank-nicolson":
+            _zgtsv()  # the LAPACK import belongs to set-up, not the first step
 
 
 class Frame(NamedTuple):
@@ -148,18 +149,31 @@ def _split_step(n, dx, dt, m, hbar):
         # factor order as in half * ifft(kin * fft(half * vals)): complex
         # products are not bitwise commutative
         np.multiply(half, vals, out=vals)
-        vals = scipy.fft.fft(vals, overwrite_x=True)
+        np.fft.fft(vals, out=vals)
         np.multiply(kin, vals, out=vals)
-        vals = scipy.fft.ifft(vals, overwrite_x=True)
+        np.fft.ifft(vals, out=vals)
         return np.multiply(half, vals, out=vals)
 
     return prepare, advance
+
+
+@lru_cache(maxsize=1)
+def _zgtsv():
+    """LAPACK's tridiagonal solver, imported on first use: scipy.linalg
+    loads about 320 modules that a split-step run never needs."""
+    try:
+        from scipy.linalg.lapack import zgtsv
+    except ImportError as exc:
+        raise PropagationError("scheme 'crank-nicolson' needs scipy; install "
+                               "it or use scheme 'split-step'") from exc
+    return zgtsv
 
 
 def _crank_nicolson(n, dx, dt, m, hbar):
     theta = dt / (2.0 * hbar)
     off = -(hbar * hbar) / (2.0 * m * dx * dx)
     band = np.full(n - 1, 1j * theta * off)
+    zgtsv = _zgtsv()
 
     def prepare(v_vals):
         diag = (hbar * hbar) / (m * dx * dx) + v_vals
@@ -338,7 +352,7 @@ def evolve_static(
     v_diag = RealField(grid, v_model - ground_energy(model))
     prepare, advance = _STEPPERS[config.scheme](grid.n, grid.dx, dt, m, hbar)
     operand = prepare(np.minimum(v_model, _potential_cap(grid, m, hbar)))
-    q0 = ground_moments(model, grid).q0
+    q0 = ground_moments(model, grid, tol).q0
 
     def frame_at(s, vals):
         # reference point anchored at the measured center

@@ -88,7 +88,7 @@ def run_verification(cfg: RunConfig) -> list[CheckResult]:
         )
         results.append(
             _check("stationary_residual",
-                   stationary_residual(model, grid, method="central-5pt"), 1e-6)
+                   stationary_residual(model, grid, "central-5pt", tol), 1e-6)
         )
         curv = quantum_curvature(rho0, tol)
         target = potential_value(model, x) - ground_energy(model)
@@ -97,7 +97,7 @@ def run_verification(cfg: RunConfig) -> list[CheckResult]:
         curv_tol = 1e-5 if model.kind == "morse" else 1e-6
         results.append(_check("curvature_identity", dev / scale, curv_tol))
 
-        info = ground_moments(model, grid)
+        info = ground_moments(model, grid, tol)
         results.append(
             _check("ground_spread", abs(info.dq2 / model.dq2 - 1.0), 1e-6)
         )

@@ -160,20 +160,32 @@ def test_run_writes_outputs_and_is_deterministic(tmp_path):
     assert (tmp_path / "out2" / "trajectory.csv").read_bytes() == traj
 
 
-_RUN_WITHOUT_SPLINES = """
+_RUN_LISTING_SCIPY = """
+import json
 import sys
+if sys.argv[1] == "no-scipy":
+    sys.modules["scipy"] = None  # any scipy import now raises ImportError
 from gcsdyn.cli import main
-for path in sys.argv[1:]:
+from gcsdyn.config import load_config
+for path in sys.argv[2:]:
+    if json.load(open(path))["propagation"]["scheme"] == "crank-nicolson":
+        assert "scipy.linalg.lapack" not in sys.modules
+        if sys.argv[1] == "no-scipy":
+            assert main(["run", "--config", path]) == 2
+            continue
+        load_config(path)
+        assert "scipy.linalg.lapack" in sys.modules
     assert main(["run", "--config", path]) == 0
-print(" ".join(m for m in ("scipy.interpolate", "scipy.optimize") if m in sys.modules))
+print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy."))))
 """
 
 
-def test_run_loads_no_spline_module(tmp_path):
-    # shortened copies of a shipped feedback and static config, every
-    # output on; a fresh interpreter, as other tests import scipy.interpolate
+def _run_shortened(tmp_path, scipy, names):
+    """Run shortened copies of shipped configs, every output on, in a fresh
+    interpreter (other tests import scipy); return the scipy submodules it
+    loaded."""
     paths = []
-    for name in ("morse_feedback", "morse_static_twin"):
+    for name in names:
         raw = json.loads((CONFIGS / f"{name}.json").read_text())
         raw["propagation"]["T"] = 40 * raw["propagation"]["dt"]
         raw["propagation"]["snapshot_stride"] = 20
@@ -184,12 +196,33 @@ def test_run_loads_no_spline_module(tmp_path):
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _RUN_WITHOUT_SPLINES, *paths],
+    done = subprocess.run([sys.executable, "-c", _RUN_LISTING_SCIPY, scipy, *paths],
                           env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == ""
-    for name in ("morse_feedback", "morse_static_twin"):
+    return done.stdout.splitlines()[-1].split()
+
+
+def test_run_loads_no_spline_module(tmp_path):
+    # split-step loads no scipy at all; Crank-Nicolson loads LAPACK when its
+    # config is validated, and neither scheme loads scipy.fft
+    names = ("morse_feedback", "morse_static_twin")
+    assert _run_shortened(tmp_path, "scipy", names) == []
+    for name in names:
         assert (tmp_path / name / "diagnostics.csv").exists()
         assert (tmp_path / name / "fields" / "0000.csv").exists()
+    loaded = _run_shortened(tmp_path, "scipy", ["harmonic_feedback"])
+    assert "scipy.linalg.lapack" in loaded
+    for module in ("scipy.fft", "scipy.interpolate", "scipy.optimize"):
+        assert module not in loaded
+
+
+def test_split_step_runs_without_scipy(tmp_path):
+    # and a Crank-Nicolson config is then a config error (exit 2)
+    names = ("morse_feedback", "morse_static_twin", "harmonic_feedback")
+    assert _run_shortened(tmp_path, "no-scipy", names) == []
+    for name in names[:2]:
+        assert (tmp_path / name / "diagnostics.csv").exists()
+        assert (tmp_path / name / "plots" / "overlap_t.csv").exists()
+    assert not (tmp_path / "harmonic_feedback").exists()
 
 
 def test_run_overlap_column_quality(tmp_path):
@@ -425,6 +458,27 @@ def test_verify_detects_bad_coverage_before_running(tmp_path, capsys):
     first = out.splitlines()[0].split(",")
     assert first[0] == "grid_coverage" and first[3] == "FAIL"
     assert "unitarity" not in out  # propagation checks skipped
+
+
+@pytest.mark.parametrize("scheme", ["split-step", "crank-nicolson"])
+def test_config_tolerances_reach_ground_state_checks(tmp_path, capsys, scheme):
+    # the ground state's edge mass on this grid (4.5e-7) passes only the
+    # config's looser boundary_mass, not the default 1e-8
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "model": {"kind": "harmonic"},
+        "grid": {"x_min": -3.5, "x_max": 3.5, "n": 512},
+        "initial": {"Q0": 0.0, "P0": 0.0},
+        "propagation": {"T": 0.5, "dt": 0.005, "scheme": scheme, "snapshot_stride": 20},
+        "tolerances": {"boundary_mass": 1e-4, "unitarity_drift": 1e-6},
+        "output": {"directory": str(tmp_path / "out")},
+    }))
+    assert main(["run", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--config", str(path)]) == 1
+    rows = [r.split(",") for r in capsys.readouterr().out.splitlines() if "," in r]
+    assert len(rows) == 14
+    assert {r[0]: r[3] for r in rows}["grid_coverage"] == "PASS"
 
 
 @pytest.mark.parametrize("name", ["morse_feedback", "morse_static_twin"])
