@@ -82,20 +82,26 @@ def potential_slope_at(v: RealField, x_c: float, width: float) -> float:
     The stencil derivative samples are interpolated at x_c by the degree-5
     Lagrange polynomial through the 6 nodes bracketing it (3 on each side,
     shifted inward at the grid edges). x_c must have at least 6 samples
-    within max(4 width, 8 dx) of it.
+    within max(4 width, 8 dx) of it. Only the slice [j0 - 2, j0 + 8) is
+    differentiated and window-tested: it gives the whole grid's stencil
+    values at the 6 nodes and holds the samples nearest x_c.
     """
     grid = v.grid
-    x = grid.points
-    dv = _derivative_arrays(v.values, grid.dx, 1, "5pt")
+    outside = DiagnosticsError(f"evaluation point {x_c:g} outside the grid window")
+    if not math.isfinite(x_c):
+        raise outside
+    j0 = min(max(math.floor((x_c - grid.x_min) / grid.dx) - 2, 0), grid.n - 6)
+    lo, hi = max(j0 - 2, 0), min(j0 + 8, grid.n)
+    x = grid.points[lo:hi]
     win = np.abs(x - x_c) <= max(4.0 * width, 8.0 * grid.dx)
     if int(np.count_nonzero(win)) < 6:
-        raise DiagnosticsError(f"evaluation point {x_c:g} outside the grid window")
-    j0 = min(max(math.floor((x_c - grid.x_min) / grid.dx) - 2, 0), grid.n - 6)
-    t = (x_c - x[j0]) / grid.dx  # x_c in node units: nodes at t = 0 .. 5
+        raise outside
+    dv = _derivative_arrays(v.values[lo:hi], grid.dx, 1, "5pt")
+    t = (x_c - x[j0 - lo]) / grid.dx  # x_c in node units: nodes at t = 0 .. 5
     weights = [
         math.prod((t - m) / (k - m) for m in range(6) if m != k) for k in range(6)
     ]
-    return float(np.dot(weights, dv[j0:j0 + 6]))
+    return float(np.dot(weights, dv[j0 - lo:j0 - lo + 6]))
 
 
 def _l2_distance(rho: RealField, ref: np.ndarray) -> float:

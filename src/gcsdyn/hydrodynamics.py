@@ -37,6 +37,7 @@ from .grids import (
     quadrature_weights,
 )
 from .models import (
+    _EXP_CAP,
     PotentialModel,
     _potential_into,
     ground_energy,
@@ -157,9 +158,10 @@ def _assembler(model: PotentialModel, grid: Grid):
     """The analytic assembly of V(x, t), without the coverage check.
 
     Returns fill(Q, P, dPdt), which writes V(x, t) into one array it reuses
-    on every call and returns that array. assemble_potential calls it once
-    per snapshot; the evolve loops keep one and call it every step, having
-    checked coverage once for the whole orbit.
+    on every call and returns that array. This closed form is the snapshot
+    potential: assemble_potential and the feedback loop's frames (the V the
+    diagnostics read and potential_snapshots.csv shows) call it. The
+    quantum step uses _stepping_assembler instead.
     """
     x = grid.points
     e0 = ground_energy(model)
@@ -171,6 +173,43 @@ def _assembler(model: PotentialModel, grid: Grid):
         _potential_into(model, xi, out)
         np.subtract(out, e0, out=out)
         return _add_center_terms(out, x, q, p, dPdt, model.mass, xi)
+
+    return fill
+
+
+def _stepping_assembler(model: PotentialModel, grid: Grid):
+    """V(x, t) for the quantum step, as coefficients of (Q, P, dP/dt) times
+    fixed rows of x: x^2, x, 1 (harmonic), or u^2, u, 1, x with
+    u = exp(-a x) (Morse, as U0 (1 - e^{aQ} u)^2 = U0 (e^{2aQ} u^2 -
+    2 e^{aQ} u + 1); u's exponent is capped at _EXP_CAP / 2 so that u^2
+    stays finite).
+
+    Returns fill(Q, P, dPdt): one product into one reused array. The Morse
+    expansion cancels large terms, so it matches _assembler only relative
+    to |V| (1e-4 absolute in the inner wall, where V ~ 1e10); below the
+    kinetic ceiling, where the loop clamps V, the two agree to round-off.
+    """
+    x = grid.points
+    m, e0 = model.mass, ground_energy(model)
+    if model.kind == "harmonic":
+        k = m * model.omega**2
+        rows = np.stack([x * x, x, np.ones_like(x)])
+
+        def coefs(q, dPdt, c):
+            return 0.5 * k, -k * q - dPdt, 0.5 * k * q * q + c
+    else:
+        a, u0 = model.a, model.well_depth
+        u = np.exp(np.minimum(-a * x, 0.5 * _EXP_CAP))
+        rows = np.stack([u * u, u, np.ones_like(x), x])
+
+        def coefs(q, dPdt, c):
+            g = math.exp(a * q)
+            return u0 * g * g, -2.0 * u0 * g, u0 + c, -dPdt
+    out = np.empty(grid.n)
+
+    def fill(q, p, dPdt):
+        c = 0.5 * (p / m * p + dPdt * q) - p * p / (2.0 * m) - e0  # x-free terms
+        return np.dot(np.array(coefs(q, dPdt, c)), rows, out=out)
 
     return fill
 

@@ -131,7 +131,7 @@ def _potential_into(model: PotentialModel, x: np.ndarray, out: np.ndarray):
 
 def potential_gradient(model: PotentialModel, x):
     """dV/dx for scalars or arrays."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)[()]  # a scalar: np.float64, not 0-d
     if model.kind == "harmonic":
         g = model.mass * model.omega**2 * x
     else:

@@ -18,8 +18,9 @@ smallest and largest Q the loop uses, before any quantum step runs.
 
 Per step the loop does only this:
 
-* feedback: write V(x, t) into one reused array (hydrodynamics._assembler)
-  and clamp it there at the grid's kinetic ceiling;
+* feedback: write V(x, t) into one reused array, as one small product of
+  fixed basis rows (hydrodynamics._stepping_assembler), and clamp it there
+  at the grid's kinetic ceiling;
 * the quantum step: split-step makes the half-step phase exp(-i V dt/2hbar)
   (once per run in static mode), one in-place numpy.fft pair and pointwise
   products, so it loads no scipy; Crank-Nicolson makes one tridiagonal
@@ -30,12 +31,14 @@ Per step the loop does only this:
 Both modes emit the same Frame every snapshot_stride steps (and at the
 first and last step): the step index, psi, the potential V the diagnostics
 read, the classical point they refer to, and the DiagnosticsRecord. In
-feedback mode V is the loop's own assembler evaluated, unclamped, at the
-trajectory point (the values of assemble_potential, without repeating its
-coverage check); in static mode it is the at-rest model potential
-V_model - E0 and the point is anchored at the measured packet center:
-Q = <x> - q0 and P = <p>, from one grids.moments pass over the normalized
-state. record measures the same state again, as it needs that anchor first.
+feedback mode V is the closed-form hydrodynamics._assembler evaluated,
+unclamped, at the trajectory point (the values of assemble_potential,
+without repeating its coverage check), not the step's basis form, which
+departs from it in the inner Morse wall. In static mode it is the at-rest
+model potential V_model - E0 and the point is anchored at the measured
+packet center: Q = <x> - q0 and P = <p>, from one grids.moments pass over
+the normalized state. record measures the same state again, as it needs
+that anchor first.
 """
 
 import itertools
@@ -64,7 +67,7 @@ from .grids import (
     normalized,
     quadrature_weights,
 )
-from .hydrodynamics import _assembler
+from .hydrodynamics import _assembler, _stepping_assembler
 from .models import (
     PotentialModel,
     ground_energy,
@@ -299,10 +302,11 @@ def evolve_feedback(
     state0 = gcs_from_model(model, grid, point0, tol)
     prepare, advance = _STEPPERS[config.scheme](grid.n, grid.dx, dt, m, hbar)
     fill = _assembler(model, grid)
+    fill_step = _stepping_assembler(model, grid)
     cap = _potential_cap(grid, m, hbar)
 
     def operand(q_s, p_s, f_s):
-        v = fill(q_s, p_s, f_s)
+        v = fill_step(q_s, p_s, f_s)
         return prepare(np.minimum(v, cap, out=v))
 
     operands = itertools.starmap(operand, zip(q_mid, p_half, f_mid))

@@ -160,6 +160,8 @@ def test_run_writes_outputs_and_is_deterministic(tmp_path):
     assert (tmp_path / "out2" / "trajectory.csv").read_bytes() == traj
 
 
+_MAIN = "import sys; from gcsdyn.cli import main; sys.exit(main(sys.argv[1:]))"
+
 _RUN_LISTING_SCIPY = """
 import json
 import sys
@@ -193,12 +195,37 @@ def _run_shortened(tmp_path, scipy, names):
                          "emit_plots": True}
         paths.append(str(tmp_path / f"{name}.json"))
         Path(paths[-1]).write_text(json.dumps(raw))
-    src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", _RUN_LISTING_SCIPY, scipy, *paths],
-                          env=env, capture_output=True, text=True, check=True)
+                          env=_subprocess_env(), capture_output=True, text=True,
+                          check=True)
     return done.stdout.splitlines()[-1].split()
+
+
+def _subprocess_env(**extra):
+    """The environment with this checkout's gcsdyn first on PYTHONPATH."""
+    src = str(Path(cli.__file__).parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_feedback_csvs_independent_of_blas_threads(tmp_path):
+    # the feedback step's potential is one BLAS product per step; a shortened
+    # morse_feedback run writes the same bytes with one BLAS thread or two
+    raw = json.loads((CONFIGS / "morse_feedback.json").read_text())
+    raw["propagation"]["T"] = 200 * raw["propagation"]["dt"]
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        raw["output"]["directory"] = str(out)
+        path = tmp_path / f"threads{threads}.json"
+        path.write_text(json.dumps(raw))
+        subprocess.run([sys.executable, "-c", _MAIN, "run", "--config", str(path)],
+                       env=_subprocess_env(OPENBLAS_NUM_THREADS=threads),
+                       capture_output=True, check=True)
+        written.append({p.relative_to(out): p.read_bytes()
+                        for p in sorted(out.rglob("*.csv"))})
+    assert len(written[0]) == 6  # diagnostics, trajectory and 4 plot CSVs
+    assert written[0] == written[1]
 
 
 def test_run_loads_no_spline_module(tmp_path):

@@ -238,8 +238,9 @@ def test_constant_offset_leaves_density_invariant(morse, morse_grid):
 
 @pytest.mark.parametrize("kind", ["morse", "harmonic"])
 def test_loop_assembler_matches_assemble_potential_bitwise(kind, request):
-    # the evolve loops fill V in place (and clamp it themselves); unclamped,
-    # it must be the public assembled potential, bit for bit
+    # _assembler is the snapshot potential: feedback frames hand its V to
+    # the diagnostics and to potential_snapshots.csv, so it must be the
+    # public assembled potential, bit for bit
     from gcsdyn.hydrodynamics import _assembler
 
     model = request.getfixturevalue(kind)
@@ -249,3 +250,26 @@ def test_loop_assembler_matches_assemble_potential_bitwise(kind, request):
         f = classical_force(model, q)
         snap = assemble_potential(model, ClassicalPoint(q, p), f, grid)
         assert np.array_equal(fill(q, p, f), snap.V.values)
+
+
+@pytest.mark.parametrize("kind", ["morse", "harmonic"])
+def test_stepping_assembler_matches_below_kinetic_ceiling(kind, request):
+    # the step loop's basis-form potential, clamped at the kinetic ceiling
+    # as the loop clamps it, is the assembled potential to round-off
+    from gcsdyn.hydrodynamics import _stepping_assembler
+    from gcsdyn.propagation import _potential_cap
+
+    model = request.getfixturevalue(kind)
+    grid = request.getfixturevalue(f"{kind}_grid")
+    fill = _stepping_assembler(model, grid)
+    cap = _potential_cap(grid, model.mass, model.hbar)
+    rng = np.random.default_rng(20)
+    reach = 2.0 * model.dq
+    draws = zip(rng.uniform(-reach, reach, 50), rng.uniform(-2.0, 2.0, 50),
+                rng.uniform(-2.0, 2.0, 50))
+    for q, p, f in draws:
+        exact = np.minimum(
+            assemble_potential(model, ClassicalPoint(q, p), f, grid).V.values, cap
+        )
+        dev = np.abs(np.minimum(fill(q, p, f), cap) - exact)
+        assert np.all(dev <= 1e-13 * np.maximum(1.0, np.abs(exact)))
