@@ -98,16 +98,19 @@ def potential_slope_at(v: RealField, x_c: float, width: float) -> float:
         raise outside
     dv = _derivative_arrays(v.values[lo:hi], grid.dx, 1, "5pt")
     t = (x_c - x[j0 - lo]) / grid.dx  # x_c in node units: nodes at t = 0 .. 5
-    weights = [
-        math.prod((t - m) / (k - m) for m in range(6) if m != k) for k in range(6)
-    ]
-    return float(np.dot(weights, dv[j0 - lo:j0 - lo + 6]))
+    return float(np.dot(_quintic_weights(t), dv[j0 - lo:j0 - lo + 6]))
 
 
-def _l2_distance(rho: RealField, ref: np.ndarray) -> float:
-    w = quadrature_weights(rho.grid)
-    d = rho.values - ref
-    return math.sqrt(float(np.dot(w, d * d)))
+_NODE_PRODUCTS = np.array([-120.0, 24.0, -12.0, 12.0, -24.0, 120.0])
+
+
+def _quintic_weights(t: float) -> np.ndarray:
+    """Lagrange weights of the nodes k = 0 .. 5 at t, in closed form:
+    prod_m (t - m) / ((t - k) c_k), c_k = prod_{m != k} (k - m) from the
+    table above; on a node they are exactly its indicator."""
+    d = t - np.arange(6.0)
+    p = np.prod(d)
+    return (d == 0.0) * 1.0 if p == 0.0 else p / (d * _NODE_PRODUCTS)
 
 
 def record(
@@ -149,10 +152,10 @@ def record(
     rho = RealField(grid, rho_raw / nrm)
     ref = _checked_reference(model, grid, point.Q, tol)
     overlap = _bhattacharyya(rho, ref)
-    l2 = _l2_distance(rho, ref)
+    d = rho.values - ref
+    l2 = math.sqrt(float(np.dot(w, d * d)))
 
-    info = ground_moments(model, grid, tol)
-    x_c = q_mean - info.q0
+    x_c = q_mean - ground_moments(model, grid, tol).q0
     ehrenfest = abs(dPdt + potential_slope_at(V, x_c, model.dq))
 
     dQdt = point.P / model.mass

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from gcsdyn import (
     ClassicalPoint,
     ComplexField,
     DiagnosticsError,
+    Grid,
     RealField,
     assemble_potential,
     classical_force,
@@ -23,7 +26,7 @@ from gcsdyn import (
     suggest_grid,
 )
 from gcsdyn import PropagatorConfig
-from gcsdyn.diagnostics import potential_slope_at
+from gcsdyn.diagnostics import _quintic_weights, potential_slope_at
 from gcsdyn.grids import _derivative_arrays
 
 
@@ -109,6 +112,27 @@ def test_slope_rejects_point_off_the_grid(morse, morse_grid):
     # near an edge the nodes shift inward; a parabola's slope stays exact
     x_c = morse_grid.x_min + 0.3 * morse_grid.dx
     assert potential_slope_at(v, x_c, 0.01) == pytest.approx(2.0 * x_c, abs=1e-9)
+
+
+def test_quintic_weights_closed_form():
+    # against the product-of-ratios Lagrange form, also next to the nodes
+    # where some weights nearly vanish, and the exact indicator on a node
+    rng = np.random.default_rng(11)
+    near = np.arange(6.0)[:, None] + np.array([-1e-12, 1e-12, -1e-7, 1e-7])
+    for t in np.concatenate([rng.uniform(-0.5, 5.5, 2000), near.ravel()]):
+        want = np.array([math.prod((t - m) / (k - m) for m in range(6) if m != k)
+                         for k in range(6)])
+        assert np.all(np.abs(_quintic_weights(t) - want) <= 1e-13 * np.abs(want))
+    for k in range(6):
+        assert np.array_equal(_quintic_weights(float(k)), np.eye(6)[k])
+
+
+def test_slope_on_a_node_is_its_stencil_sample():
+    g = Grid(-4.0, 4.0, 257)  # dx = 1/32: every node offset is exact
+    v = RealField(g, g.points**2 * np.sin(g.points))
+    dv = _derivative_arrays(v.values, g.dx, 1, "5pt")
+    for j in (0, 1, 3, 128, 254, 256):
+        assert potential_slope_at(v, g.points[j], 0.1) == dv[j]
 
 
 def test_record_static_ground_state(morse):

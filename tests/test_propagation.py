@@ -1,5 +1,8 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcsdyn import (
     ClassicalPoint,
@@ -412,3 +415,53 @@ def test_static_reference_momentum_uses_sixth_order_stencil(morse):
     conf = PropagatorConfig(dt=1e-3, scheme="split-step", mode="static")
     run = evolve_static(state0, morse, conf, 1e-3)
     assert run.records[0].hjm_residual < 1e-6
+
+
+# The two kernels' Cayley forms, checked against their definitions over
+# random potentials up to the kinetic ceiling (the loops clamp V there).
+_KERNEL_GRID = Grid(-4.0, 4.0, 256)
+_CAP = _potential_cap(_KERNEL_GRID, 1.0, 1.0)
+# the step at which |a| = V dt / 2 hbar reaches 4 pi at the cap, as on the
+# shipped morse_feedback grid
+_DT_4PI = 8.0 * np.pi / _CAP
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(hnp.arrays(np.float64, 224, elements=st.floats(0.0, _CAP)),
+       hnp.arrays(np.float64, 32, elements=st.floats(-1e-12, 1e-12)))
+def test_split_step_phase_is_exp_of_its_angle(v_random, offsets):
+    # the last 32 angles lie within 1e-12 of -pi or -3 pi, where tan(a/2) is
+    # huge
+    g, dt = _KERNEL_GRID, _DT_4PI
+    odd_pi = np.pi * np.resize([1.0, 3.0], offsets.size) + offsets
+    v = np.concatenate([v_random, odd_pi * 2.0 / dt])
+    prepare, _ = propagation._split_step(g.n, g.dx, dt, 1.0, 1.0)
+    half = prepare(v)
+    a = v * (-0.5 * dt) / 1.0  # hbar = 1
+    assert np.max(np.abs(half - np.exp(1j * a))) <= 1e-15
+    assert np.max(np.abs(np.abs(half) - 1.0)) <= 1e-15
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(hnp.arrays(np.float64, _KERNEL_GRID.n,
+                  elements=st.one_of(st.just(_CAP), st.floats(-_CAP, _CAP))),
+       st.floats(1e-4, 1.0), st.integers(0, 2**32 - 1))
+def test_crank_nicolson_step_solves_its_cayley_system(v, dt_scale, seed):
+    # (1 + i theta H) psi' = (1 - i theta H) psi with H the 3-point Dirichlet
+    # Hamiltonian, to round-off, and |psi'| = |psi|
+    g, dt = _KERNEL_GRID, dt_scale * _DT_4PI
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
+    vals /= np.linalg.norm(vals)
+    out = step(ComplexField(g, vals), RealField(g, v), dt, "crank-nicolson").values
+
+    def h(f):
+        lap = -2.0 * f
+        lap[1:] += f[:-1]
+        lap[:-1] += f[1:]
+        return -0.5 * lap / g.dx**2 + v * f
+
+    theta = 0.5 * dt
+    residual = (out + 1j * theta * h(out)) - (vals - 1j * theta * h(vals))
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(vals)
+    assert abs(np.linalg.norm(out) ** 2 - 1.0) <= 1e-13
