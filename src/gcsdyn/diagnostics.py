@@ -113,6 +113,12 @@ def _quintic_weights(t: float) -> np.ndarray:
     return (d == 0.0) * 1.0 if p == 0.0 else p / (d * _NODE_PRODUCTS)
 
 
+def _l2_distance(rho: RealField, ref: np.ndarray) -> float:
+    w = quadrature_weights(rho.grid)
+    d = rho.values - ref
+    return math.sqrt(float(np.dot(w, d * d)))
+
+
 def record(
     psi: ComplexField,
     model: PotentialModel,
@@ -152,10 +158,10 @@ def record(
     rho = RealField(grid, rho_raw / nrm)
     ref = _checked_reference(model, grid, point.Q, tol)
     overlap = _bhattacharyya(rho, ref)
-    d = rho.values - ref
-    l2 = math.sqrt(float(np.dot(w, d * d)))
+    l2 = _l2_distance(rho, ref)
 
-    x_c = q_mean - ground_moments(model, grid, tol).q0
+    info = ground_moments(model, grid, tol)
+    x_c = q_mean - info.q0
     ehrenfest = abs(dPdt + potential_slope_at(V, x_c, model.dq))
 
     dQdt = point.P / model.mass

@@ -178,7 +178,8 @@ def _zgtsv():
 
 def _crank_nicolson(n, dx, dt, m, hbar):
     theta = dt / (2.0 * hbar)
-    band = np.full(n - 1, 1j * theta * (-(hbar * hbar) / (2.0 * m * dx * dx)))
+    off = -(hbar * hbar) / (2.0 * m * dx * dx)
+    band = np.full(n - 1, 1j * theta * off)
     zgtsv = _zgtsv()
 
     def prepare(v_vals):
@@ -305,8 +306,11 @@ def evolve_feedback(
     fill_step = _stepping_assembler(model, grid)
     cap = _potential_cap(grid, m, hbar)
 
-    operands = (prepare(np.minimum(v, cap, out=v))
-                for v in itertools.starmap(fill_step, zip(q_mid, p_half, f_mid)))
+    def operand(q_s, p_s, f_s):
+        v = fill_step(q_s, p_s, f_s)
+        return prepare(np.minimum(v, cap, out=v))
+
+    operands = itertools.starmap(operand, zip(q_mid, p_half, f_mid))
 
     def frame_at(s, vals):
         pt = traj.point(s)
