@@ -28,6 +28,8 @@ from .grids import Grid
 from .models import PotentialModel, potential_gradient, potential_value
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
+LINEAR_FIT_WINDOW = 3.0  # half-width of the fit window, in ground-state spreads
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -98,8 +100,9 @@ def linear_coefficient(
     method="analytic" evaluates the closed form a(t) = F_cl(Q) - dP/dt.
     method="fit" extracts it from the assembled potential samples: the
     linear Taylor coefficient at the expansion point x = 0 is the slope
-    there, read off a quintic spline through the samples in a window around
-    the origin. Both evaluators agree to ~1e-10 relative on adequate grids.
+    there, read off a quintic spline through the samples within
+    LINEAR_FIT_WINDOW ground-state spreads of the origin. Both evaluators
+    agree to ~1e-10 relative on adequate grids.
     """
     if method == "analytic":
         return float(classical_force(model, point.Q)) - dPdt
@@ -112,7 +115,7 @@ def linear_coefficient(
 
     snap = assemble_potential(model, point, dPdt, grid, tol=tol)
     x = grid.points
-    half = tol.linear_fit_window * model.dq
+    half = LINEAR_FIT_WINDOW * model.dq
     window = np.abs(x) <= half
     if int(np.count_nonzero(window)) < 12:
         raise ExtractionError(

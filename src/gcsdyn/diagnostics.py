@@ -17,6 +17,7 @@ from .grids import (
     ComplexField,
     RealField,
     _derivative_arrays,
+    _quintic_weights,
     boundary_mass,
     moments,
     quadrature_weights,
@@ -101,18 +102,6 @@ def potential_slope_at(v: RealField, x_c: float, width: float) -> float:
     return float(np.dot(_quintic_weights(t), dv[j0 - lo:j0 - lo + 6]))
 
 
-_NODE_PRODUCTS = np.array([-120.0, 24.0, -12.0, 12.0, -24.0, 120.0])
-
-
-def _quintic_weights(t: float) -> np.ndarray:
-    """Lagrange weights of the nodes k = 0 .. 5 at t, in closed form:
-    prod_m (t - m) / ((t - k) c_k), c_k = prod_{m != k} (k - m) from the
-    table above; on a node they are exactly its indicator."""
-    d = t - np.arange(6.0)
-    p = np.prod(d)
-    return (d == 0.0) * 1.0 if p == 0.0 else p / (d * _NODE_PRODUCTS)
-
-
 def _l2_distance(rho: RealField, ref: np.ndarray) -> float:
     w = quadrature_weights(rho.grid)
     d = rho.values - ref
@@ -152,7 +141,7 @@ def record(
     nrm = float(np.dot(w, rho_raw))
     psi_n = ComplexField(grid, psi.values / math.sqrt(nrm))
 
-    q_mean, x2, p_mean = moments(psi_n, hbar, tol)
+    q_mean, x2, p_mean = moments(psi_n, hbar)
     dq2 = x2 - q_mean * q_mean
 
     rho = RealField(grid, rho_raw / nrm)
@@ -167,8 +156,8 @@ def record(
     dQdt = point.P / model.mass
     s_t = RealField(grid, dPdt * x - 0.5 * (dPdt * point.Q + point.P * dQdt))
     try:
-        polar = density_phase(psi_n, hbar=hbar, tol=tol, on_ambiguity="mask")
-        hjm = hjm_residual(s_t, polar.S, rho, V, model.mass, hbar, tol)
+        polar = density_phase(psi_n, hbar=hbar, on_ambiguity="mask")
+        hjm = hjm_residual(s_t, polar.S, rho, V, model.mass, hbar)
     except InvalidFieldError:
         hjm = float("inf")  # support collapsed: coherence entirely lost
 

@@ -26,6 +26,7 @@ from .grids import (
     Grid,
     RealField,
     _peak_segment,
+    _quintic_weights,
     boundary_mass,
     moments,
     quadrature_weights,
@@ -40,6 +41,10 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 INVARIANT_TOL = 1e-6  # |<x> - q0 - Q| and |<p> - P| allowed on construction
 NORM_SHIFT_TOL = 1e-8  # norm loss allowed in the translation itself
+SPECTRAL_SHIFT_MASS = 1e-12  # edge mass up to which spectral translation is alias-free
+# fractions of the peak density
+PHASE_FLOOR = 1e-12  # below it the phase is undefined and extrapolated
+PHASE_JUMP_FLOOR = 1e-6  # from it up, a phase jump near pi is ambiguous
 
 
 @dataclass(frozen=True)
@@ -60,9 +65,8 @@ class GCSState:
     """A displaced ground state with its label point.
 
     shift_method records how the translation was evaluated: "spectral",
-    "quintic", "analytic", "none" (Q = 0), or "propagated" for states coming
-    out of the time stepper. base_mean is the position mean of the
-    undisplaced state (q0), so <x> = base_mean + Q.
+    "quintic", "analytic" or "none" (Q = 0). base_mean is the position mean
+    of the undisplaced state (q0), so <x> = base_mean + Q.
     """
 
     psi: ComplexField
@@ -85,15 +89,18 @@ def _translate_spectral(values: np.ndarray, grid: Grid, shift: float) -> np.ndar
 
 
 def _translate_quintic(values: np.ndarray, grid: Grid, shift: float) -> np.ndarray:
-    # imported here: loading scipy.interpolate costs ~0.1 s, and no run needs it
-    from scipy.interpolate import make_interp_spline
-
+    # target x_i - shift lies at fractional index i + pos; its local quintic
+    # runs through nodes i + j .. i + j + 5 with the same weights for every
+    # i, so the translation is one 6-tap filter. Samples beyond the grid
+    # read as 0; full[i + j + 5] is target i.
+    pos = -shift / grid.dx
+    j = math.floor(pos) - 2
+    full = np.convolve(values, _quintic_weights(pos - j)[::-1])
     x = grid.points
-    spline = make_interp_spline(x, values, k=5)
     xs = x - shift
-    inside = (xs >= x[0]) & (xs <= x[-1])
+    inside = np.flatnonzero((xs >= x[0]) & (xs <= x[-1]))
     out = np.zeros_like(values)
-    out[inside] = spline(xs[inside])
+    out[inside] = full[inside + j + 5]
     return out
 
 
@@ -102,16 +109,16 @@ def displace(
     point: ClassicalPoint,
     hbar: float = 1.0,
     model: PotentialModel | None = None,
-    translator: str = "auto",
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> GCSState:
     """Apply the displacement (Q, P) to a normalized real ground state.
 
-    The translation psi0(x - Q) is evaluated spectrally when the field is
-    decayed enough at the edges for the periodic embedding to be alias-free,
-    and by quintic interpolation otherwise; the choice lands in the state's
-    shift_method. The phase factors exp(-i P Q / 2 hbar) exp(i P x / hbar)
-    are exact.
+    The translation psi0(x - Q) is evaluated spectrally when the edge mass
+    of psi0 is at most SPECTRAL_SHIFT_MASS, so that the periodic embedding
+    is alias-free, and otherwise by the local quintic through the 6 samples
+    bracketing each target (samples beyond the grid read as 0, targets off
+    the grid are 0); the choice lands in the state's shift_method. The
+    phase factors exp(-i P Q / 2 hbar) exp(i P x / hbar) are exact.
 
     Raises NormalizationError when psi0 is not normalized, CoverageError
     when the shifted packet touches the grid boundary, and
@@ -119,25 +126,20 @@ def displace(
     moments <x> - q0 = Q, <p> = P.
     """
     grid = psi0.grid
-    base_mean = moments(psi0, hbar, tol)[0]
+    base_mean = moments(psi0, hbar)[0]
     w = quadrature_weights(grid)
     rho0 = psi0.values**2
     nrm0 = float(np.dot(w, rho0))
 
-    if translator == "auto":
-        clean = boundary_mass(rho0, grid) <= tol.spectral_shift_mass
-        translator = "spectral" if clean else "quintic"
     if point.Q == 0.0:
         shifted = psi0.values.copy()
         method = "none"
-    elif translator == "spectral":
+    elif boundary_mass(rho0, grid) <= SPECTRAL_SHIFT_MASS:
         shifted = _translate_spectral(psi0.values, grid, point.Q)
         method = "spectral"
-    elif translator == "quintic":
+    else:
         shifted = _translate_quintic(psi0.values, grid, point.Q)
         method = "quintic"
-    else:
-        raise ValueError(f"unknown translator {translator!r}")
 
     shifted_norm = float(np.dot(w, shifted * shifted))
     require_coverage(
@@ -150,7 +152,7 @@ def displace(
         )
 
     return _boosted_state(
-        grid, shifted, point, hbar, tol,
+        grid, shifted, point, hbar,
         model=model, shift_method=method, base_mean=base_mean,
     )
 
@@ -170,18 +172,18 @@ def gcs_from_model(
         model, grid, point.Q, tol, f"displaced packet (Q = {point.Q:g})"
     )
     return _boosted_state(
-        grid, shifted, point, model.hbar, tol,
+        grid, shifted, point, model.hbar,
         model=model, shift_method="analytic",
         base_mean=ground_moments(model, grid, tol).q0,
     )
 
 
-def _boosted_state(grid, shifted, point, hbar, tol, **fields) -> GCSState:
+def _boosted_state(grid, shifted, point, hbar, **fields) -> GCSState:
     """The translated samples times exp(i (P x - P Q / 2) / hbar), as a
     GCSState with the given fields, checked against its label point."""
     phase = np.exp(1j * (point.P * grid.points - 0.5 * point.P * point.Q) / hbar)
     state = GCSState(psi=ComplexField(grid, shifted * phase), point=point, **fields)
-    x_mean, _, p_mean = moments(state.psi, hbar, tol)
+    x_mean, _, p_mean = moments(state.psi, hbar)
     dx_err = abs(x_mean - state.base_mean - state.point.Q)
     dp_err = abs(p_mean - state.point.P)
     if dx_err > INVARIANT_TOL or dp_err > INVARIANT_TOL:
@@ -196,8 +198,9 @@ def _boosted_state(grid, shifted, point, hbar, tol, **fields) -> GCSState:
 class PolarFields:
     """Density and unwrapped phase of a wavefunction.
 
-    valid marks samples whose density exceeds the phase floor; outside it
-    the phase is a linear extrapolation and carries no information.
+    valid marks samples whose density exceeds PHASE_FLOOR times its peak;
+    outside it the phase is a linear extrapolation and carries no
+    information.
     """
 
     rho: RealField
@@ -208,19 +211,19 @@ class PolarFields:
 def density_phase(
     state: GCSState | ComplexField,
     hbar: float = 1.0,
-    tol: Tolerances = DEFAULT_TOLERANCES,
     on_ambiguity: str = "raise",
 ) -> PolarFields:
     """Polar decomposition psi = sqrt(rho) exp(i S / hbar).
 
     The phase is unwrapped from the density peak outward over the region
-    where rho exceeds the phase floor (a fraction of its peak); below the
-    floor it is extended linearly and flagged invalid. S is defined up to a
-    global multiple of 2 pi hbar, anchored to the principal value at the
-    peak. Jumps close to pi between adjacent valid samples are ambiguous:
-    on_ambiguity="raise" aborts with PhaseUnwrapError, "mask" truncates the
-    valid region at the offending jump instead (useful when decomposing
-    heavily spread states for inspection).
+    where rho exceeds PHASE_FLOOR times its peak; below that it is extended
+    linearly and flagged invalid. S is defined up to a global multiple of
+    2 pi hbar, anchored to the principal value at the peak. Jumps close to
+    pi between adjacent valid samples where rho is at least
+    PHASE_JUMP_FLOOR times its peak are ambiguous: on_ambiguity="raise"
+    aborts with PhaseUnwrapError, "mask" truncates the valid region at the
+    offending jump instead (useful when decomposing heavily spread states
+    for inspection). Jumps in thinner tails are unwrapped best effort.
     """
     if on_ambiguity not in ("raise", "mask"):
         raise ValueError(f"unknown ambiguity policy {on_ambiguity!r}")
@@ -233,7 +236,7 @@ def density_phase(
     grid = psi.grid
     rho = np.abs(psi.values) ** 2
     peak = int(np.argmax(rho))
-    left, right = _peak_segment(rho, tol.phase_floor * rho[peak])
+    left, right = _peak_segment(rho, PHASE_FLOOR * rho[peak])
 
     raw = np.angle(psi.values)
     d = np.diff(raw[left : right + 1])
@@ -241,7 +244,7 @@ def density_phase(
     # jumps near pi are ambiguous, but only where the state carries
     # amplitude; tail samples hold numerical dust with random phases
     seg_rho = rho[left : right + 1]
-    core = np.minimum(seg_rho[:-1], seg_rho[1:]) >= tol.phase_jump_floor * rho[peak]
+    core = np.minimum(seg_rho[:-1], seg_rho[1:]) >= PHASE_JUMP_FLOOR * rho[peak]
     too_big = (np.abs(d) > 0.9 * np.pi) & core
     if np.any(too_big):
         if on_ambiguity == "raise":

@@ -18,9 +18,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import InvalidFieldError, NormalizationError
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 BOUNDARY_POINTS = 5  # edge strip monitored by boundary_mass
+NORM_TOL = 1e-6  # |norm - 1| allowed where a normalized state or density is required
 
 
 @dataclass(frozen=True)
@@ -151,6 +151,18 @@ def _derivative_arrays(vals: np.ndarray, dx: float, order: int, stencil: str):
     raise ValueError(f"unsupported stencil/order: {stencil!r}/{order}")
 
 
+_NODE_PRODUCTS = np.array([-120.0, 24.0, -12.0, 12.0, -24.0, 120.0])
+
+
+def _quintic_weights(t: float) -> np.ndarray:
+    """Lagrange weights of the nodes k = 0 .. 5 at t, in closed form:
+    prod_m (t - m) / ((t - k) c_k), c_k = prod_{m != k} (k - m) from the
+    table above; on a node they are exactly its indicator."""
+    d = t - np.arange(6.0)
+    p = np.prod(d)
+    return (d == 0.0) * 1.0 if p == 0.0 else p / (d * _NODE_PRODUCTS)
+
+
 def _spectral_derivative(vals: np.ndarray, dx: float, order: int) -> np.ndarray:
     n = len(vals)
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
@@ -228,9 +240,7 @@ def normalized(psi):
 
 
 def moments(
-    psi: ComplexField | RealField,
-    hbar: float = 1.0,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    psi: ComplexField | RealField, hbar: float = 1.0
 ) -> tuple[float, float, float]:
     """<x>, <x^2> and <p> of a normalized state (<p> = 0 for real samples).
 
@@ -238,15 +248,15 @@ def moments(
     hbar * Im integral psi* dpsi/dx, with a sixth-order local stencil so the
     momentum mean stays accurate for strongly boosted packets. |psi|^2 and
     dpsi/dx are each computed once. Raises NormalizationError when the norm
-    is off 1 by more than tol.norm.
+    is off 1 by more than NORM_TOL.
     """
     w = quadrature_weights(psi.grid)
     x = psi.grid.points
     vals = psi.values
     rho = np.abs(vals) ** 2
     nrm = float(np.dot(w, rho))
-    if abs(nrm - 1.0) > tol.norm:
-        raise NormalizationError(nrm, tol.norm, "wavefunction")
+    if abs(nrm - 1.0) > NORM_TOL:
+        raise NormalizationError(nrm, NORM_TOL, "wavefunction")
     dpsi = _derivative_arrays(vals, psi.grid.dx, 1, "7pt")
     return (
         float(np.dot(w, x * rho)),

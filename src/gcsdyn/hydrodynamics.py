@@ -29,6 +29,7 @@ import numpy as np
 from .displacement import ClassicalPoint
 from .errors import InvalidFieldError, NodeError, NormalizationError
 from .grids import (
+    NORM_TOL,
     Grid,
     RealField,
     _derivative_arrays,
@@ -46,13 +47,18 @@ from .models import (
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
+# fractions of the peak density
+CURVATURE_FLOOR = 1e-10  # below it the quantum curvature is clamped
+RESIDUAL_FLOOR = 1e-7  # bounds the support of the phase-equation residual
+
 
 @dataclass(frozen=True)
 class CurvatureResult:
     """Quantum curvature F with its evaluation mask.
 
-    Outside `valid` (density below the curvature floor) F is clamped to its
-    last evaluated value; those samples carry no information.
+    Outside `valid` (density at or below CURVATURE_FLOOR times its peak) F
+    is clamped to its last evaluated value; those samples carry no
+    information.
     """
 
     F: RealField
@@ -66,9 +72,7 @@ class PotentialSnapshot:
     V: RealField
 
 
-def quantum_curvature(
-    rho: RealField, tol: Tolerances = DEFAULT_TOLERANCES
-) -> CurvatureResult:
+def quantum_curvature(rho: RealField) -> CurvatureResult:
     """F = (sqrt(rho))'' / sqrt(rho), clamped where the density underflows.
 
     Evaluated in log space, F = g'' + (g')^2 with g = ln(rho) / 2, which is
@@ -83,11 +87,11 @@ def quantum_curvature(
             raise InvalidFieldError(f"density has negative samples (min {worst:.3e})")
         vals = np.maximum(vals, 0.0)
     mass = integrate(RealField(rho.grid, vals))
-    if abs(mass - 1.0) > tol.norm:
-        raise NormalizationError(mass, tol.norm, "density")
+    if abs(mass - 1.0) > NORM_TOL:
+        raise NormalizationError(mass, NORM_TOL, "density")
 
     peak = float(vals.max())
-    mask = vals > tol.curvature_floor * peak
+    mask = vals > CURVATURE_FLOOR * peak
     idx = np.flatnonzero(mask)
     if idx.size < 6:
         raise InvalidFieldError("density above the curvature floor on < 6 samples")
@@ -133,7 +137,7 @@ def assemble_potential(
     if curvature == "analytic":
         v = _assembler(model, grid)(point.Q, point.P, dPdt)
     elif curvature == "numeric":
-        res = quantum_curvature(RealField(grid, rho_shift), tol)
+        res = quantum_curvature(RealField(grid, rho_shift))
         v = (model.hbar**2 / (2.0 * model.mass)) * res.F.values
         scratch = np.empty(grid.n)
         _add_center_terms(v, grid.points, point.Q, point.P, dPdt, model.mass, scratch)
@@ -220,13 +224,14 @@ def continuity_residual(
     """L2 norm of d_t rho + (1/m) d_x (rho d_x S), relative to ||d_t rho||.
 
     Falls back to the absolute norm when d_t rho vanishes identically.
-    Derivatives use the 5-point stencils; the flux rho * d_x S decays with
-    the density, so no periodic embedding is needed.
+    Both first derivatives use the sixth-order 7-point stencil, so the
+    check's own spatial error stays far below its bound; the flux
+    rho * d_x S decays with the density, so no periodic embedding is needed.
     """
     grid = rho.grid
     dx = grid.dx
-    flux = rho.values * _derivative_arrays(S.values, dx, 1, "5pt")
-    r = rho_t.values + _derivative_arrays(flux, dx, 1, "5pt") / m
+    flux = rho.values * _derivative_arrays(S.values, dx, 1, "7pt")
+    r = rho_t.values + _derivative_arrays(flux, dx, 1, "7pt") / m
     return _relative_norm(quadrature_weights(grid), r, rho_t.values)
 
 
@@ -237,20 +242,19 @@ def hjm_residual(
     V: RealField,
     m: float,
     hbar: float,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> float:
     """Density-weighted residual of the phase equation.
 
     Residual r = d_t S + (d_x S)^2 / 2m - (hbar^2/2m) F + V, reported as
     sqrt(int rho r^2) / sqrt(int rho V^2). The support is the contiguous
-    region around the density peak where rho exceeds the residual floor;
-    deeper tails of measured states hold numerical dust whose
+    region around the density peak where rho exceeds RESIDUAL_FLOOR times
+    its peak; deeper tails of measured states hold numerical dust whose
     differentiated phase would dominate the norm.
     """
     grid = rho.grid
     vals = np.maximum(rho.values, 0.0)
     peak = float(vals.max())
-    i0, i1 = _peak_segment(vals, tol.residual_floor * peak)
+    i0, i1 = _peak_segment(vals, RESIDUAL_FLOOR * peak)
     if i1 - i0 < 6:
         raise InvalidFieldError("density above the residual floor on < 6 samples")
     sl = slice(i0, i1 + 1)

@@ -217,7 +217,7 @@ def ground_moments(
     model: PotentialModel, grid: Grid, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> GroundStateInfo:
     """q0 and dq2 from the moments of the ground state on the grid."""
-    q0, q2, _ = moments(ground_state(model, grid, tol), model.hbar, tol)
+    q0, q2, _ = moments(ground_state(model, grid, tol), model.hbar)
     return GroundStateInfo(q0=q0, dq2=q2 - q0 * q0)
 
 

@@ -362,7 +362,7 @@ def evolve_static(
     def frame_at(s, vals):
         # reference point anchored at the measured center
         psi = ComplexField(grid, vals)
-        x_mean, _, p_meas = moments(normalized(psi), hbar, tol)
+        x_mean, _, p_meas = moments(normalized(psi), hbar)
         q_meas = x_mean - q0
         pt = ClassicalPoint(Q=q_meas, P=p_meas, t=s * dt)
         f_ref = float(classical_force(model, q_meas))

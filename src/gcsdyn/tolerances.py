@@ -1,7 +1,10 @@
-"""Centralized numerical tolerances.
+"""The two run alarms, overridable per run.
 
-One record holds every default threshold used across the package; runs may
-override individual entries through the configuration file.
+A carried packet is trusted only while it stays on the grid and the step
+stays unitary. These two thresholds decide both, and a configuration's
+`tolerances` section may set either. The purely numerical floors (norm
+precondition, density cut-offs, fit window) are constants next to their
+only reader.
 """
 
 import dataclasses
@@ -10,51 +13,20 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Default tolerance constants, overridable per run.
+    """Thresholds of the two run alarms.
 
     Attributes
     ----------
-    norm : float
-        Allowed deviation of a wavefunction/density norm from 1 in
-        precondition checks.
     boundary_mass : float
         Probability mass within 5 points of either grid edge above which a
         packet is considered to touch the boundary (coverage alarm).
-    phase_floor : float
-        Fraction of the peak density below which the phase is treated as
-        undefined and extrapolated.
-    curvature_floor : float
-        Fraction of the peak density below which the quantum curvature is
-        clamped instead of evaluated.
-    residual_floor : float
-        Fraction of the peak density bounding the support of the
-        density-weighted phase-equation residual. Deeper tails of measured
-        states are numerical dust whose differentiated phase would swamp
-        the residual.
-    phase_jump_floor : float
-        Fraction of the peak density above which phase jumps near pi abort
-        the unwrap as ambiguous; below it the phase carries no signal and is
-        unwrapped best effort.
     unitarity_drift : float
         Allowed |norm - 1| drift during propagation before the unitarity
         alarm raises.
-    spectral_shift_mass : float
-        Boundary mass under which spectral translation is considered
-        alias-free; above it the quintic interpolation fallback is used.
-    linear_fit_window : float
-        Half-width, in units of the ground-state spread, of the window used
-        by the numeric linear-coefficient extraction.
     """
 
-    norm: float = 1e-6
     boundary_mass: float = 1e-8
-    phase_floor: float = 1e-12
-    curvature_floor: float = 1e-10
-    residual_floor: float = 1e-7
-    phase_jump_floor: float = 1e-6
     unitarity_drift: float = 1e-8
-    spectral_shift_mass: float = 1e-12
-    linear_fit_window: float = 3.0
 
     def replacing(self, **overrides) -> "Tolerances":
         """Return a copy with the given entries replaced."""

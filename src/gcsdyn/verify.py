@@ -90,7 +90,7 @@ def run_verification(cfg: RunConfig) -> list[CheckResult]:
             _check("stationary_residual",
                    stationary_residual(model, grid, "central-5pt", tol), 1e-6)
         )
-        curv = quantum_curvature(rho0, tol)
+        curv = quantum_curvature(rho0)
         target = potential_value(model, x) - ground_energy(model)
         good = rho0.values > 1e-8 * float(rho0.values.max())
         dev = np.abs((hbar**2 / (2.0 * m)) * curv.F.values - target)[good].max()
@@ -123,7 +123,7 @@ def run_verification(cfg: RunConfig) -> list[CheckResult]:
                 s = RealField(grid, p * x - 0.5 * p * q)
                 s_t = RealField(grid, dpdt * x - 0.5 * (dpdt * q + p * p / m))
                 hjm_worst = max(
-                    hjm_worst, hjm_residual(s_t, s, rho, snap.V, m, hbar, tol)
+                    hjm_worst, hjm_residual(s_t, s, rho, snap.V, m, hbar)
                 )
                 qdot = p / m
                 # fourth-order central difference in time

@@ -68,6 +68,9 @@ def test_unknown_keys_rejected(tmp_path):
         ("morse", "model", "depth"),
         ("morse", "propagation", "steps"),
         ("morse", "output", "format"),
+        ("morse", "grid", "dx"),
+        ("morse", "initial", "Q"),
+        ("morse", "tolerances", "phase_floor"),  # a numerical floor, not a knob
         ("harmonic", "model", "a"),  # a parameter of the other kind
     ):
         raw = {"model": {"kind": kind}}
@@ -77,7 +80,7 @@ def test_unknown_keys_rejected(tmp_path):
             raw.setdefault(section, {})[key] = 1
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(raw))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=key):
             load_config(path)
 
 
@@ -210,7 +213,11 @@ def _subprocess_env(**extra):
 
 def test_feedback_csvs_independent_of_blas_threads(tmp_path):
     # the feedback step's potential is one BLAS product per step; a shortened
-    # morse_feedback run writes the same bytes with one BLAS thread or two
+    # morse_feedback run writes the same bytes with one BLAS thread or two.
+    # With OpenBLAS on x86-64 a second thread does not speed up the shipped
+    # 4 x 2048 product, and 4 x n products that it does split gave the same
+    # bits under 1 and 2 threads up to n = 1048576. So this guards only
+    # against a future BLAS build that splits the product differently.
     raw = json.loads((CONFIGS / "morse_feedback.json").read_text())
     raw["propagation"]["T"] = 200 * raw["propagation"]["dt"]
     written = []

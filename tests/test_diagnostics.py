@@ -26,8 +26,8 @@ from gcsdyn import (
     suggest_grid,
 )
 from gcsdyn import PropagatorConfig
-from gcsdyn.diagnostics import _quintic_weights, potential_slope_at
-from gcsdyn.grids import _derivative_arrays
+from gcsdyn.diagnostics import potential_slope_at
+from gcsdyn.grids import _derivative_arrays, _quintic_weights
 
 
 def _unit_density(model, grid, q=0.0):

@@ -124,13 +124,17 @@ def test_displacement_preserves_spread_sampled_field(morse):
 
 def test_quintic_fallback_on_tail_mass(morse, morse_grid):
     # on the tighter default grid the Morse tail carries boundary mass above
-    # the spectral-shift threshold, so the auto policy must not wrap it
+    # the spectral-shift threshold, so displace must not wrap it; the local
+    # quintic then matches the analytic translation
     psi0 = ground_state(morse, morse_grid)
-    st = displace(psi0, ClassicalPoint(0.9, 0.4), hbar=1.0, model=morse)
-    assert st.shift_method == "quintic"
-    assert integrate(RealField(morse_grid, np.abs(st.psi.values) ** 2)) == pytest.approx(
-        1.0, abs=1e-8
-    )
+    for q, p in ((0.9, 0.4), (1.5, 0.0)):
+        point = ClassicalPoint(q, p)
+        st = displace(psi0, point, hbar=1.0, model=morse)
+        assert st.shift_method == "quintic"
+        rho = np.abs(st.psi.values) ** 2
+        assert integrate(RealField(morse_grid, rho)) == pytest.approx(1.0, abs=1e-8)
+        exact = gcs_from_model(morse, morse_grid, point).psi.values
+        assert np.max(np.abs(st.psi.values - exact)) <= 1e-10
 
 
 def test_spectral_shift_used_for_decayed_fields(harmonic, harmonic_grid):

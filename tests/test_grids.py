@@ -18,7 +18,9 @@ from gcsdyn import (
     normalized,
     second_derivative,
 )
+from gcsdyn.displacement import PHASE_FLOOR
 from gcsdyn.grids import _peak_segment
+from gcsdyn.hydrodynamics import RESIDUAL_FLOOR
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -202,6 +204,6 @@ def test_peak_segment_matches_loop_on_shipped_densities(name):
     cfg = load_config(CONFIGS / f"{name}.json")
     psi = gcs_from_model(cfg.model, cfg.grid, cfg.initial_point, cfg.tolerances).psi
     rho = np.abs(psi.values) ** 2
-    for frac in (cfg.tolerances.phase_floor, cfg.tolerances.residual_floor):
+    for frac in (PHASE_FLOOR, RESIDUAL_FLOOR):
         floor = frac * rho.max()
         assert _peak_segment(rho, floor) == _peak_segment_loop(rho, floor)
