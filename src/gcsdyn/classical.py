@@ -25,7 +25,7 @@ import numpy as np
 from .displacement import ClassicalPoint
 from .errors import EscapeError, ExtractionError
 from .grids import Grid
-from .models import PotentialModel, potential_gradient, potential_value
+from .models import _EXP_CAP, PotentialModel, potential_gradient, potential_value
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 LINEAR_FIT_WINDOW = 3.0  # half-width of the fit window, in ground-state spreads
@@ -169,6 +169,26 @@ def turning_points(model: PotentialModel, e_cl: float) -> tuple[float, float]:
     return math.log(1.0 - r) / model.a, math.log(1.0 + r) / model.a
 
 
+def _scalar_force(model: PotentialModel):
+    """classical_force(model, q) for a float q, bit for bit: the same
+    operations in the same order (V'(-q), with -a (-q) = a q exactly), as
+    float arithmetic instead of numpy scalars."""
+    if model.kind == "harmonic":
+        k = model.mass * model.omega**2
+        return lambda q: k * -q
+    a, c = model.a, 2.0 * model.a * model.well_depth
+
+    def force(q):
+        # np.exp, not math.exp: on [-8, 8] they differed in 92,418 of
+        # 2,000,000 draws where numpy runs exp as its AVX-512 loop (in none
+        # with AVX-512 switched off)
+        e1 = float(np.exp(min(a * q, _EXP_CAP)))
+        e2 = float(np.exp(min(2.0 * a * q, _EXP_CAP)))
+        return c * (e1 - e2)
+
+    return force
+
+
 def _verlet(
     model: PotentialModel,
     q0: float,
@@ -183,16 +203,18 @@ def _verlet(
     finite; unbounded but finite orbits pass.
     """
     m = model.mass
-    q, p = float(q0), float(p0)
-    f = float(classical_force(model, q))
+    force = _scalar_force(model)
     orbit = np.empty((3, steps + 1))
-    orbit[:, 0] = q, p, f
+    qs, ps, fs = map(memoryview, orbit)  # stores floats without numpy scalars
+    q, p = float(q0), float(p0)
+    f = force(q)
+    qs[0], ps[0], fs[0] = q, p, f
     for s in range(1, steps + 1):
         p_half = p + 0.5 * dt * f
         q = q + dt * p_half / m
-        f = float(classical_force(model, q))
+        f = force(q)
         p = p_half + 0.5 * dt * f
-        orbit[:, s] = q, p, f
+        qs[s], ps[s], fs[s] = q, p, f
     finite = np.isfinite(orbit).all(axis=0)
     if not finite.all():
         raise EscapeError(

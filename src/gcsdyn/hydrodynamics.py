@@ -188,7 +188,8 @@ def _stepping_assembler(model: PotentialModel, grid: Grid):
     2 e^{aQ} u + 1); u's exponent is capped at _EXP_CAP / 2 so that u^2
     stays finite).
 
-    Returns fill(Q, P, dPdt): one product into one reused array. The Morse
+    Returns fill(Q, P, dPdt, out=None): one product, written into out when
+    given (the step loop hands in one row of its block). The Morse
     expansion cancels large terms, so it matches _assembler only relative
     to |V| (1e-4 absolute in the inner wall, where V ~ 1e10); below the
     kinetic ceiling, where the loop clamps V, the two agree to round-off.
@@ -209,9 +210,8 @@ def _stepping_assembler(model: PotentialModel, grid: Grid):
         def coefs(q, dPdt, c):
             g = math.exp(a * q)
             return u0 * g * g, -2.0 * u0 * g, u0 + c, -dPdt
-    out = np.empty(grid.n)
 
-    def fill(q, p, dPdt):
+    def fill(q, p, dPdt, out=None):
         c = 0.5 * (p / m * p + dPdt * q) - p * p / (2.0 * m) - e0  # x-free terms
         return np.dot(np.array(coefs(q, dPdt, c)), rows, out=out)
 

@@ -7,7 +7,8 @@ the spreading baseline. The classical trajectory is autonomous: the quantum
 mean is never fed back into it, diagnostics only compare the two.
 
 So the center orbit is integrated once, before the first quantum step, by
-the velocity-Verlet helper behind integrate_trajectory, and the quantum loop
+the velocity-Verlet helper behind integrate_trajectory (plain float
+arithmetic, with the force law as a scalar closure), and the quantum loop
 only reads it. Quantum step s uses the potential assembled at the
 time-centered classical state of Verlet step s: midpoint position
 (Q[s-1] + Q[s]) / 2, half-kicked momentum P[s-1] + F[s-1] dt/2, and the
@@ -18,16 +19,19 @@ smallest and largest Q the loop uses, before any quantum step runs.
 
 Per step the loop does only this:
 
-* feedback: write V(x, t) into one reused array, as one small product of
-  fixed basis rows (hydrodynamics._stepping_assembler), and clamp it there
-  at the grid's kinetic ceiling;
+* feedback: write V(x, t) into one row of a reused block of OPERAND_BLOCK
+  rows, as one small product of fixed basis rows
+  (hydrodynamics._stepping_assembler); once a block is full, clamp it at
+  the grid's kinetic ceiling and prepare the operands of all its steps in
+  one pass, into buffers allocated once per run (static mode prepares its
+  one operand once);
 * the quantum step: split-step makes the half-step phase exp(-i V dt/2hbar)
-  from one tan (once per run in static mode), one in-place numpy.fft pair
-  and pointwise products, so it loads no scipy; Crank-Nicolson returns
-  2 (1 + i theta H)^-1 psi - psi from one tridiagonal LAPACK solve
-  (scipy's zgtsv, imported when its config is validated);
-* the monitors: norm drift and edge mass from one pass over the float
-  view of psi.
+  from one tan, then one in-place numpy.fft pair and pointwise products, so
+  it loads no scipy; Crank-Nicolson returns 2 (1 + i theta H)^-1 psi - psi
+  from one tridiagonal LAPACK solve (scipy's zgtsv, imported when its
+  config is validated);
+* the monitors: the norm from one dot product of psi's float view with
+  itself (three for odd n) and the edge mass from two short ones.
 
 Both modes emit the same Frame every snapshot_stride steps (and at the
 first and last step): the step index, psi, the potential V the diagnostics
@@ -42,7 +46,6 @@ the normalized state. record measures the same state again, as it needs
 that anchor first.
 """
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -66,7 +69,6 @@ from .grids import (
     RealField,
     moments,
     normalized,
-    quadrature_weights,
 )
 from .hydrodynamics import _assembler, _stepping_assembler
 from .models import (
@@ -80,6 +82,7 @@ from .models import (
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 MODES = ("feedback", "static")
+OPERAND_BLOCK = 8  # feedback steps whose operands are built in one pass
 
 
 @dataclass(frozen=True)
@@ -138,16 +141,23 @@ def _kinetic_phase(n: int, dx: float, dt: float, m: float, hbar: float) -> np.nd
     return ph
 
 
-def _split_step(n, dx, dt, m, hbar):
+def _split_step(n, dx, dt, m, hbar, rows=None):
     kin = _kinetic_phase(n, dx, dt, m, hbar)
+    # s and half share one allocation: as two, glibc's malloc kept part of
+    # them resident after the run (morse_feedback peak RSS +0.14 MiB)
+    work = np.empty((3 * n,) if rows is None else (rows, 3 * n))
+    s, half = work[..., :n], work[..., n:].view(np.complex128)
 
     def prepare(v_vals):
         # exp(ia), a = -V dt/2hbar, from t = tan(a/2) (a/2 is a * 0.5 bit for
         # bit): cos a = 2/(1+t^2) - 1, sin a = t 2/(1+t^2). One tan costs a
         # third of libm's cos + sin where numpy has an AVX-512 tan loop.
-        t = np.tan(v_vals * (-0.25 * dt) / hbar)
-        s = 2.0 / (1.0 + t * t)
-        half = np.empty(n, dtype=np.complex128)
+        t = np.multiply(v_vals, -0.25 * dt, out=v_vals)
+        np.divide(t, hbar, out=t)
+        np.tan(t, out=t)
+        np.multiply(t, t, out=s)
+        np.add(1.0, s, out=s)
+        np.divide(2.0, s, out=s)
         np.subtract(s, 1.0, out=half.real)
         np.multiply(s, t, out=half.imag)
         return half
@@ -176,14 +186,18 @@ def _zgtsv():
     return zgtsv
 
 
-def _crank_nicolson(n, dx, dt, m, hbar):
+def _crank_nicolson(n, dx, dt, m, hbar, rows=None):
     theta = dt / (2.0 * hbar)
     off = -(hbar * hbar) / (2.0 * m * dx * dx)
     band = np.full(n - 1, 1j * theta * off)
     zgtsv = _zgtsv()
+    lhs = np.empty(n if rows is None else (rows, n), dtype=np.complex128)
 
     def prepare(v_vals):
-        return 1.0 + 1j * theta * ((hbar * hbar) / (m * dx * dx) + v_vals)
+        # 1 + i theta (hbar^2/(m dx^2) + V)
+        diag = np.add((hbar * hbar) / (m * dx * dx), v_vals, out=v_vals)
+        np.multiply(1j * theta, diag, out=lhs)
+        return np.add(1.0, lhs, out=lhs)
 
     def advance(vals, lhs):
         # the Cayley step (1 + i theta H)^-1 (1 - i theta H) psi is 2 (1 +
@@ -199,9 +213,12 @@ def _crank_nicolson(n, dx, dt, m, hbar):
     return prepare, advance
 
 
-# scheme -> kernel factory (n, dx, dt, m, hbar) -> (prepare, advance):
-# prepare(V values) builds the per-potential operand, advance(vals, operand)
-# returns the stepped values and may overwrite vals
+# scheme -> kernel factory (n, dx, dt, m, hbar, rows=None) -> (prepare,
+# advance): prepare(V values) builds the per-potential operand, for one
+# potential of n samples or, given rows, for a (rows, n) block of them, into
+# buffers the factory allocates and every call reuses, and may overwrite the
+# V values; advance(vals, operand) returns the stepped values and may
+# overwrite vals
 _STEPPERS = {"crank-nicolson": _crank_nicolson, "split-step": _split_step}
 SCHEMES = tuple(_STEPPERS)
 
@@ -227,7 +244,7 @@ def step(
     if scheme not in _STEPPERS:
         raise PropagationError(f"scheme must be one of {SCHEMES}")
     prepare, advance = _STEPPERS[scheme](psi.grid.n, psi.grid.dx, dt, m, hbar)
-    out = advance(psi.values.copy(), prepare(V.values))
+    out = advance(psi.values.copy(), prepare(V.values.copy()))
     return ComplexField(psi.grid, out)
 
 
@@ -244,18 +261,32 @@ def _potential_cap(grid: Grid, m: float, hbar: float) -> float:
     return hbar**2 * k_max**2 / (2.0 * m)
 
 
-def _check_monitors(vals, grid, w2, step_index, tol):
-    """Norm drift and edge mass of the complex values vals, read as
-    interleaved (re, im) floats; w2 repeats each quadrature weight twice."""
+def _monitor_values(vals, grid):
+    """Norm and edge mass of the complex values vals, as dots of their
+    (re, im) float view: trapezoid weights (n even) make the norm one dot
+    less half the two end samples, Simpson's (n odd) add two strided dots
+    over the odd samples. (np.vdot's zdotc would page in 0.12 MiB of code.)
+    """
     v = vals.view(np.float64)
+    ends = abs(vals[0]) ** 2 + abs(vals[-1]) ** 2
+    total = np.dot(v, v)
+    if grid.n % 2:
+        odd = np.dot(v[2::4], v[2::4]) + np.dot(v[3::4], v[3::4])
+        nrm = (2.0 * (total + odd) - ends) * grid.dx / 3.0
+    else:
+        nrm = (total - 0.5 * ends) * grid.dx
+    head, tail = v[:2 * BOUNDARY_POINTS], v[-2 * BOUNDARY_POINTS:]
+    return nrm, (np.dot(head, head) + np.dot(tail, tail)) * grid.dx
+
+
+def _check_monitors(vals, grid, step_index, tol):
+    """Raise on norm drift or edge mass of vals beyond tol."""
+    nrm, bm = _monitor_values(vals, grid)
     # written as "not <=" so that a NaN raises at the step it appears
-    nrm = float(np.dot(v * v, w2))
     if not abs(nrm - 1.0) <= tol.unitarity_drift:
         raise UnitarityError(
             f"norm drifted to {nrm:.12g} at step {step_index}"
         )
-    head, tail = v[:2 * BOUNDARY_POINTS], v[-2 * BOUNDARY_POINTS:]
-    bm = float(np.dot(head, head) + np.dot(tail, tail)) * grid.dx
     if not bm <= tol.boundary_mass:
         raise CoverageError(
             f"packet reached the grid boundary at step {step_index} "
@@ -301,16 +332,24 @@ def evolve_feedback(
     f_mid = classical_force(model, q_mid)
 
     state0 = gcs_from_model(model, grid, point0, tol)
-    prepare, advance = _STEPPERS[config.scheme](grid.n, grid.dx, dt, m, hbar)
+    block = np.zeros((OPERAND_BLOCK, grid.n))
+    prepare, advance = _STEPPERS[config.scheme](grid.n, grid.dx, dt, m, hbar,
+                                                len(block))
     fill = _assembler(model, grid)
     fill_step = _stepping_assembler(model, grid)
     cap = _potential_cap(grid, m, hbar)
 
-    def operand(q_s, p_s, f_s):
-        v = fill_step(q_s, p_s, f_s)
-        return prepare(np.minimum(v, cap, out=v))
-
-    operands = itertools.starmap(operand, zip(q_mid, p_half, f_mid))
+    def operands():
+        # the potentials of up to len(block) steps, one product per step as
+        # one row each, then one clamp and one prepare over the whole block;
+        # in the last block the rows past the final step are not used
+        for s0 in range(0, nsteps, len(block)):
+            k = min(len(block), nsteps - s0)
+            mids = zip(q_mid[s0:s0 + k].tolist(), p_half[s0:s0 + k].tolist(),
+                       f_mid[s0:s0 + k].tolist())
+            for row, (q_s, p_s, f_s) in zip(block, mids):
+                fill_step(q_s, p_s, f_s, out=row)
+            yield from prepare(np.minimum(block, cap, out=block))[:k]
 
     def frame_at(s, vals):
         pt = traj.point(s)
@@ -319,7 +358,7 @@ def evolve_feedback(
         psi = ComplexField(grid, vals)
         return Frame(s, psi, V, pt, record(psi, model, pt, V, f_s, tol))
 
-    return _run(state0, operands, advance, frame_at, traj, model, config, tol)
+    return _run(state0, operands(), advance, frame_at, traj, model, config, tol)
 
 
 def evolve_static(
@@ -368,7 +407,7 @@ def evolve_static(
         f_ref = float(classical_force(model, q_meas))
         return Frame(s, psi, v_diag, pt, record(psi, model, pt, v_diag, f_ref, tol))
 
-    operands = itertools.repeat(operand, nsteps)
+    operands = (operand for _ in range(nsteps))
     return _run(state0, operands, advance, frame_at, traj, model, config, tol)
 
 
@@ -377,13 +416,12 @@ def _run(state0, operands, advance, frame_at, traj, model, config, tol) -> RunRe
     the monitors, and collect frame_at(step, values) at the snapshot steps
     (the first and last step included)."""
     grid = state0.psi.grid
-    w2 = np.repeat(quadrature_weights(grid), 2)
     nsteps = len(traj) - 1
     vals = state0.psi.values.copy()
     frames = [frame_at(0, vals)]
     for s, operand in enumerate(operands, start=1):
         vals = advance(vals, operand)
-        _check_monitors(vals, grid, w2, s, tol)
+        _check_monitors(vals, grid, s, tol)
         if s % config.snapshot_stride == 0 or s == nsteps:
             frames.append(frame_at(s, vals))
     return RunResult(

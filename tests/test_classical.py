@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gcsdyn import (
     ClassicalPoint,
@@ -17,6 +19,7 @@ from gcsdyn import (
     turning_points,
     v_class,
 )
+from gcsdyn.classical import _scalar_force
 from gcsdyn.diagnostics import potential_slope_at
 
 
@@ -196,3 +199,22 @@ def test_period_scaling_with_units():
     assert classical_period(scaled, 2.0 * e) == pytest.approx(
         classical_period(base, e), rel=1e-15
     )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.floats(-3.0, 200.0))
+@example(0.0).via("the fixed point")
+@example(180.0).via("2 a q above the exponent cap")
+def test_scalar_force_is_classical_force_bit_for_bit(q):
+    # the Verlet orbit's float force law; above q = 175 (a = 1) the cap
+    # binds for the second exponent
+    for model in (PotentialModel.morse(a=1.0), PotentialModel.harmonic(omega=1.3)):
+        got = _scalar_force(model)(q)
+        want = classical_force(model, q)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_trajectory_forces_are_classical_force_of_its_positions(morse):
+    traj = integrate_trajectory(morse, 0.0, 0.45, 1e-2, 500)
+    assert np.array_equal(traj.forces, classical_force(morse, traj.q))

@@ -32,7 +32,8 @@ from gcsdyn import (
     suggest_grid,
 )
 from gcsdyn import propagation
-from gcsdyn.propagation import _check_monitors, _potential_cap
+from gcsdyn.grids import boundary_mass
+from gcsdyn.propagation import _check_monitors, _monitor_values, _potential_cap
 from gcsdyn.tolerances import DEFAULT_TOLERANCES
 
 
@@ -312,8 +313,43 @@ def test_monitor_raises_on_nan_at_its_step():
     g = Grid(-5.0, 5.0, 64)
     vals = np.full(g.n, np.nan + 0j)
     with pytest.raises(UnitarityError, match="at step 7$"):
-        _check_monitors(vals, g, np.repeat(quadrature_weights(g), 2), 7,
-                        DEFAULT_TOLERANCES)
+        _check_monitors(vals, g, 7, DEFAULT_TOLERANCES)
+
+
+def _random_state(n, seed):
+    g = Grid(-5.0, 5.0, n)
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return g, normalized(ComplexField(g, vals)).values.copy()
+
+
+@pytest.mark.parametrize("n", [64, 65, 2048, 2049])
+def test_monitor_norm_and_edge_mass_match_quadrature(n):
+    # trapezoid (even n) and Simpson (odd n) weights, from dots alone
+    g, vals = _random_state(n, n)
+    rho = np.abs(vals) ** 2
+    nrm, bm = _monitor_values(vals, g)
+    assert abs(nrm - np.dot(quadrature_weights(g), rho)) <= 1e-14
+    assert bm == pytest.approx(boundary_mass(rho, g), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("where, bad", [(32, np.nan), (2, np.inf)])
+def test_monitor_raises_on_a_bad_sample_at_its_step(where, bad):
+    # one NaN inside, or one +inf in the edge strip, of a normalized state
+    # whose edge mass is within bounds; the norm check comes first, and
+    # either sample makes the norm NaN or inf
+    g, vals = _random_state(64, 3)
+    tol = DEFAULT_TOLERANCES.replacing(boundary_mass=1.0)
+    _check_monitors(vals, g, 4, tol)
+    vals[where] = bad
+    with pytest.raises(UnitarityError, match=f"at step {where + 5}$"):
+        _check_monitors(vals, g, where + 5, tol)
+
+
+def test_monitor_raises_on_edge_mass_at_its_step():
+    g, vals = _random_state(64, 4)  # about a sixth of the mass in the strips
+    with pytest.raises(CoverageError, match="at step 9 "):
+        _check_monitors(vals, g, 9, DEFAULT_TOLERANCES)
 
 
 def _clamped(model, grid, v_vals):
@@ -436,7 +472,7 @@ def test_split_step_phase_is_exp_of_its_angle(v_random, offsets):
     odd_pi = np.pi * np.resize([1.0, 3.0], offsets.size) + offsets
     v = np.concatenate([v_random, odd_pi * 2.0 / dt])
     prepare, _ = propagation._split_step(g.n, g.dx, dt, 1.0, 1.0)
-    half = prepare(v)
+    half = prepare(v.copy())  # prepare may overwrite its argument
     a = v * (-0.5 * dt) / 1.0  # hbar = 1
     assert np.max(np.abs(half - np.exp(1j * a))) <= 1e-15
     assert np.max(np.abs(np.abs(half) - 1.0)) <= 1e-15
@@ -465,3 +501,44 @@ def test_crank_nicolson_step_solves_its_cayley_system(v, dt_scale, seed):
     residual = (out + 1j * theta * h(out)) - (vals - 1j * theta * h(vals))
     assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(vals)
     assert abs(np.linalg.norm(out) ** 2 - 1.0) <= 1e-13
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(hnp.arrays(np.float64, (propagation.OPERAND_BLOCK, _KERNEL_GRID.n),
+                  elements=st.floats(-_CAP, _CAP)))
+@pytest.mark.parametrize("scheme", propagation.SCHEMES)
+def test_block_prepare_matches_row_by_row(scheme, v):
+    # the feedback loop prepares OPERAND_BLOCK potentials in one pass; each
+    # row must be the operand of that potential alone, bit for bit
+    g, dt = _KERNEL_GRID, _DT_4PI
+    kernels = propagation._STEPPERS[scheme]
+    block_prepare, _ = kernels(g.n, g.dx, dt, 1.0, 1.0, len(v))
+    row_prepare, _ = kernels(g.n, g.dx, dt, 1.0, 1.0)
+    block = block_prepare(v.copy())  # prepare may overwrite its argument
+    rows = np.array([row_prepare(row.copy()).copy() for row in v])
+    assert block.shape == rows.shape
+    assert np.array_equal(block.view(np.uint64), rows.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind, scheme", [("morse", "split-step"),
+                                          ("harmonic", "crank-nicolson")])
+def test_feedback_frames_do_not_depend_on_the_block_size(kind, scheme,
+                                                         request, monkeypatch):
+    # two full blocks and a partial one, against one step per block; the
+    # harmonic feedback potential is the same at every step, so only the
+    # Morse run would see operands taken out of order
+    model = request.getfixturevalue(kind)
+    grid = suggest_grid(model, q_reach_min=-1.5, q_reach_max=1.5, n=512)
+    nsteps = 2 * propagation.OPERAND_BLOCK + 3
+    dt = 2e-3
+    conf = PropagatorConfig(dt=dt, scheme=scheme, mode="feedback")
+    point0 = ClassicalPoint(0.3, 0.4)
+    blocked = evolve_feedback(model, point0, conf, nsteps * dt, grid)
+    monkeypatch.setattr(propagation, "OPERAND_BLOCK", 1)
+    single = evolve_feedback(model, point0, conf, nsteps * dt, grid)
+    assert len(blocked.frames) == len(single.frames) == nsteps + 1
+    for a, b in zip(blocked.frames, single.frames):
+        assert np.array_equal(a.psi.values, b.psi.values)
+        assert np.array_equal(a.V.values, b.V.values)
+        assert a.point == b.point
+        assert a.diagnostics == b.diagnostics
