@@ -8,18 +8,19 @@ and the phase-equation residual against the frozen-packet ansatz.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .displacement import ClassicalPoint, density_phase
+from .displacement import ClassicalPoint, _unwrapped_phase
 from .errors import DiagnosticsError, InvalidFieldError
 from .grids import (
     ComplexField,
     RealField,
     _derivative_arrays,
+    _moments,
     _quintic_weights,
     boundary_mass,
-    moments,
     quadrature_weights,
 )
 from .hydrodynamics import hjm_residual
@@ -130,21 +131,46 @@ def record(
     the curvature term), so treat it as a comparative indicator there; the
     exact identities are checked on analytic fields.
     """
+    return _record(psi, _measure(psi, model.hbar), model, point, V, dPdt, tol)
+
+
+class _Measured(NamedTuple):
+    """The measurements of one snapshot that record and the static anchor
+    share: the quadrature norm nrm of psi, |psi|^2 (rho_raw), the
+    normalized samples and their |.|^2, and their moments."""
+
+    nrm: float
+    rho_raw: np.ndarray
+    vals_n: np.ndarray
+    rho_n: np.ndarray
+    q_mean: float
+    x2: float
+    p_mean: float
+
+
+def _measure(psi: ComplexField, hbar: float) -> _Measured:
+    # as moments(normalized(psi)), bit for bit
+    grid = psi.grid
+    rho_raw = np.abs(psi.values) ** 2
+    nrm = float(np.dot(quadrature_weights(grid), rho_raw))
+    vals_n = ComplexField(grid, psi.values / math.sqrt(nrm)).values
+    rho_n = np.abs(vals_n) ** 2
+    return _Measured(nrm, rho_raw, vals_n, rho_n,
+                     *_moments(grid, vals_n, rho_n, hbar))
+
+
+def _record(psi, measured, model, point, V, dPdt, tol) -> DiagnosticsRecord:
+    """record, from the snapshot's measurements."""
     grid = psi.grid
     if V.grid != grid:
         raise DiagnosticsError("potential and state live on different grids")
 
-    w = quadrature_weights(grid)
     x = grid.points
     hbar = model.hbar
-    rho_raw = np.abs(psi.values) ** 2
-    nrm = float(np.dot(w, rho_raw))
-    psi_n = ComplexField(grid, psi.values / math.sqrt(nrm))
+    nrm, q_mean = measured.nrm, measured.q_mean
+    dq2 = measured.x2 - q_mean * q_mean
 
-    q_mean, x2, p_mean = moments(psi_n, hbar)
-    dq2 = x2 - q_mean * q_mean
-
-    rho = RealField(grid, rho_raw / nrm)
+    rho = RealField(grid, measured.rho_raw / nrm)
     ref = _checked_reference(model, grid, point.Q, tol)
     overlap = _bhattacharyya(rho, ref)
     l2 = _l2_distance(rho, ref)
@@ -156,8 +182,8 @@ def record(
     dQdt = point.P / model.mass
     s_t = RealField(grid, dPdt * x - 0.5 * (dPdt * point.Q + point.P * dQdt))
     try:
-        polar = density_phase(psi_n, hbar=hbar, on_ambiguity="mask")
-        hjm = hjm_residual(s_t, polar.S, rho, V, model.mass, hbar)
+        s, _ = _unwrapped_phase(measured.vals_n, measured.rho_n, "mask")
+        hjm = hjm_residual(s_t, RealField(grid, hbar * s), rho, V, model.mass, hbar)
     except InvalidFieldError:
         hjm = float("inf")  # support collapsed: coherence entirely lost
 
@@ -165,7 +191,7 @@ def record(
         t=point.t,
         norm=nrm,
         q_mean=q_mean,
-        p_mean=p_mean,
+        p_mean=measured.p_mean,
         dq2=dq2,
         overlap=overlap,
         ehrenfest_residual=ehrenfest,

@@ -233,12 +233,22 @@ def density_phase(
             hbar = state.model.hbar
     else:
         psi = state
-    grid = psi.grid
     rho = np.abs(psi.values) ** 2
+    s, valid = _unwrapped_phase(psi.values, rho, on_ambiguity)
+    return PolarFields(
+        rho=RealField(psi.grid, rho), S=RealField(psi.grid, hbar * s), valid=valid
+    )
+
+
+def _unwrapped_phase(vals, rho, on_ambiguity):
+    """density_phase on arrays: the unwrapped phase S / hbar of the complex
+    samples vals, whose |vals|^2 the caller hands in as rho, and its valid
+    mask."""
+    n = len(vals)
     peak = int(np.argmax(rho))
     left, right = _peak_segment(rho, PHASE_FLOOR * rho[peak])
 
-    raw = np.angle(psi.values)
+    raw = np.angle(vals)
     d = np.diff(raw[left : right + 1])
     d -= 2.0 * np.pi * np.round(d / (2.0 * np.pi))
     # jumps near pi are ambiguous, but only where the state carries
@@ -259,9 +269,9 @@ def density_phase(
         hi = int(above[0]) if above.size else d.size
         d = d[lo:hi]
         left, right = left + lo, left + hi
-    valid = np.zeros(grid.n, dtype=bool)
+    valid = np.zeros(n, dtype=bool)
     valid[left : right + 1] = True
-    s = np.zeros(grid.n)
+    s = np.zeros(n)
     s_seg = np.concatenate(([raw[left]], raw[left] + np.cumsum(d)))
     # anchor the global branch to the principal value at the peak
     s_seg -= 2.0 * np.pi * np.round((s_seg[peak - left] - raw[peak]) / (2.0 * np.pi))
@@ -271,10 +281,8 @@ def density_phase(
     if left > 0:
         slope = s[left + 1] - s[left] if right > left else 0.0
         s[:left] = s[left] - slope * np.arange(left, 0, -1)
-    if right < grid.n - 1:
+    if right < n - 1:
         slope = s[right] - s[right - 1] if right > left else 0.0
-        s[right + 1 :] = s[right] + slope * np.arange(1, grid.n - right)
+        s[right + 1 :] = s[right] + slope * np.arange(1, n - right)
 
-    return PolarFields(
-        rho=RealField(grid, rho), S=RealField(grid, hbar * s), valid=valid
-    )
+    return s, valid

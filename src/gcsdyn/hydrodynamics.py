@@ -165,7 +165,7 @@ def _assembler(model: PotentialModel, grid: Grid):
     on every call and returns that array. This closed form is the snapshot
     potential: assemble_potential and the feedback loop's frames (the V the
     diagnostics read and potential_snapshots.csv shows) call it. The
-    quantum step uses _stepping_assembler instead.
+    quantum step uses _stepping_basis instead.
     """
     x = grid.points
     e0 = ground_energy(model)
@@ -181,41 +181,63 @@ def _assembler(model: PotentialModel, grid: Grid):
     return fill
 
 
-def _stepping_assembler(model: PotentialModel, grid: Grid):
+def _stepping_basis(model: PotentialModel, grid: Grid):
     """V(x, t) for the quantum step, as coefficients of (Q, P, dP/dt) times
-    fixed rows of x: x^2, x, 1 (harmonic), or u^2, u, 1, x with
+    fixed rows of x: x^2, x, 1 (harmonic), or u^2, u, x, 1 with
     u = exp(-a x) (Morse, as U0 (1 - e^{aQ} u)^2 = U0 (e^{2aQ} u^2 -
     2 e^{aQ} u + 1); u's exponent is capped at _EXP_CAP / 2 so that u^2
     stays finite).
 
-    Returns fill(Q, P, dPdt, out=None): one product, written into out when
-    given (the step loop hands in one row of its block). The Morse
-    expansion cancels large terms, so it matches _assembler only relative
-    to |V| (1e-4 absolute in the inner wall, where V ~ 1e10); below the
-    kinetic ceiling, where the loop clamps V, the two agree to round-off.
+    Returns (rows, coefficients), the constant row last.
+    coefficients(Q, P, dPdt, shift, scale) takes arrays of classical states
+    and returns their coefficients for the affine map (V + shift) * scale,
+    one row per state, with no scratch array beyond that table: state s
+    has (V + shift) * scale = table[s] @ rows. The Morse expansion cancels
+    large terms, so it matches _assembler only relative to |V| (1e-4
+    absolute in the inner wall, where V ~ 1e10); below the kinetic ceiling,
+    where the loop clamps V, the two agree to round-off.
     """
     x = grid.points
     m, e0 = model.mass, ground_energy(model)
     if model.kind == "harmonic":
         k = m * model.omega**2
         rows = np.stack([x * x, x, np.ones_like(x)])
-
-        def coefs(q, dPdt, c):
-            return 0.5 * k, -k * q - dPdt, 0.5 * k * q * q + c
     else:
         a, u0 = model.a, model.well_depth
         u = np.exp(np.minimum(-a * x, 0.5 * _EXP_CAP))
-        rows = np.stack([u * u, u, np.ones_like(x), x])
+        rows = np.stack([u * u, u, x, np.ones_like(x)])
 
-        def coefs(q, dPdt, c):
-            g = math.exp(a * q)
-            return u0 * g * g, -2.0 * u0 * g, u0 + c, -dPdt
+    def coefficients(q, p, dPdt, shift, scale):
+        table = np.empty((len(q), len(rows)))
+        lead, lin, *_, c = table.T
+        # the x-free terms 0.5 (P/m P + dPdt Q) - P^2/2m - E0, lead as scratch
+        np.divide(p, m, out=c)
+        np.multiply(c, p, out=c)
+        np.multiply(dPdt, q, out=lead)
+        np.add(c, lead, out=c)
+        np.multiply(c, 0.5, out=c)
+        np.multiply(p, p, out=lead)
+        np.divide(lead, 2.0 * m, out=lead)
+        np.subtract(c, lead, out=c)
+        np.subtract(c, e0, out=c)
+        if model.kind == "harmonic":  # 0.5 k, -k Q - dPdt, 0.5 k Q^2 + c
+            np.multiply(q, 0.5 * k, out=lead)
+            np.multiply(lead, q, out=lead)
+            np.add(lead, c, out=c)
+            np.multiply(q, -k, out=lin)
+            np.subtract(lin, dPdt, out=lin)
+            lead[...] = 0.5 * k
+        else:  # U0 g^2, -2 U0 g, -dPdt, U0 + c, with g = e^{aQ}
+            np.add(u0, c, out=c)
+            np.negative(dPdt, out=table[:, 2])
+            g = np.exp(np.multiply(q, a, out=lin), out=lin)
+            np.multiply(g, u0, out=lead)
+            np.multiply(lead, g, out=lead)
+            np.multiply(g, -2.0 * u0, out=lin)
+        np.add(c, shift, out=c)
+        return np.multiply(table, scale, out=table)
 
-    def fill(q, p, dPdt, out=None):
-        c = 0.5 * (p / m * p + dPdt * q) - p * p / (2.0 * m) - e0  # x-free terms
-        return np.dot(np.array(coefs(q, dPdt, c)), rows, out=out)
-
-    return fill
+    return rows, coefficients
 
 
 def continuity_residual(

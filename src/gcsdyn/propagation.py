@@ -17,14 +17,20 @@ accurate in dt. In feedback mode, grid coverage of the translated ground
 density is checked at the orbit's turning points and then once more at the
 smallest and largest Q the loop uses, before any quantum step runs.
 
-Per step the loop does only this:
+Each scheme's kernel takes potentials in its own operand units, an affine
+map of V: the half angle -V dt/4hbar of the split-step phase, and
+hbar^2/(m dx^2) + V, the diagonal of the Crank-Nicolson H. Once
+per run, feedback mode computes every step's coefficients of fixed basis
+rows (hydrodynamics._stepping_basis) in those units, from the midpoint
+states; static mode and step() map their V once. Per step the loop then
+does only this:
 
-* feedback: write V(x, t) into one row of a reused block of OPERAND_BLOCK
-  rows, as one small product of fixed basis rows
-  (hydrodynamics._stepping_assembler); once a block is full, clamp it at
-  the grid's kinetic ceiling and prepare the operands of all its steps in
-  one pass, into buffers allocated once per run (static mode prepares its
-  one operand once);
+* feedback: write the step's potential into one row of a reused block of
+  OPERAND_BLOCK rows, as one product of its coefficient row with the basis
+  rows; once a block is full, clamp it at the grid's kinetic ceiling in
+  the same units and prepare the operands of all its steps in one pass,
+  into buffers allocated once per run (static mode prepares its one
+  operand once);
 * the quantum step: split-step makes the half-step phase exp(-i V dt/2hbar)
   from one tan, then one in-place numpy.fft pair and pointwise products, so
   it loads no scipy; Crank-Nicolson returns 2 (1 + i theta H)^-1 psi - psi
@@ -41,9 +47,9 @@ unclamped, at the trajectory point (the values of assemble_potential,
 without repeating its coverage check), not the step's basis form, which
 departs from it in the inner Morse wall. In static mode it is the at-rest
 model potential V_model - E0 and the point is anchored at the measured
-packet center: Q = <x> - q0 and P = <p>, from one grids.moments pass over
-the normalized state. record measures the same state again, as it needs
-that anchor first.
+packet center: Q = <x> - q0 and P = <p>, from the moments of the
+normalized state that record then reuses, so each snapshot is measured
+once.
 """
 
 from dataclasses import dataclass
@@ -59,7 +65,7 @@ from .classical import (
     classical_force,
     turning_points,
 )
-from .diagnostics import DiagnosticsRecord, record
+from .diagnostics import DiagnosticsRecord, _measure, _record, record
 from .displacement import ClassicalPoint, GCSState, gcs_from_model
 from .errors import CoverageError, PropagationError, UnitarityError
 from .grids import (
@@ -67,10 +73,8 @@ from .grids import (
     ComplexField,
     Grid,
     RealField,
-    moments,
-    normalized,
 )
-from .hydrodynamics import _assembler, _stepping_assembler
+from .hydrodynamics import _assembler, _stepping_basis
 from .models import (
     PotentialModel,
     ground_energy,
@@ -141,19 +145,38 @@ def _kinetic_phase(n: int, dx: float, dt: float, m: float, hbar: float) -> np.nd
     return ph
 
 
-def _split_step(n, dx, dt, m, hbar, rows=None):
-    kin = _kinetic_phase(n, dx, dt, m, hbar)
-    # s and half share one allocation: as two, glibc's malloc kept part of
-    # them resident after the run (morse_feedback peak RSS +0.14 MiB)
-    work = np.empty((3 * n,) if rows is None else (rows, 3 * n))
-    s, half = work[..., :n], work[..., n:].view(np.complex128)
+class _Kernel(NamedTuple):
+    """One scheme's step at a grid and dt. Potentials enter it in its own
+    operand units, the affine map (V + shift) * scale of V; block is the
+    buffer for them, (n,) or (rows, n), allocated with the kernel's own
+    buffers. prepare(block) turns them into step operands (and may overwrite
+    them); advance(vals, operand) returns the stepped values and may
+    overwrite vals. Every call reuses the buffers of one factory call."""
 
-    def prepare(v_vals):
-        # exp(ia), a = -V dt/2hbar, from t = tan(a/2) (a/2 is a * 0.5 bit for
-        # bit): cos a = 2/(1+t^2) - 1, sin a = t 2/(1+t^2). One tan costs a
-        # third of libm's cos + sin where numpy has an AVX-512 tan loop.
-        t = np.multiply(v_vals, -0.25 * dt, out=v_vals)
-        np.divide(t, hbar, out=t)
+    shift: float
+    scale: float
+    block: np.ndarray
+    prepare: object
+    advance: object
+
+
+def _split_step(n, dx, dt, m, hbar, rows=None):
+    # operand units: the half angle a/2 = -V dt/4hbar of the half-step phase
+    # exp(ia). block, s and half are contiguous slabs of one allocation: as
+    # separate buffers, glibc's malloc kept part of them resident after the
+    # run (morse_feedback peak RSS +0.14 MiB); as column ranges of shared
+    # rows, block-wide ufuncs ran up to 3x slower
+    kin = _kinetic_phase(n, dx, dt, m, hbar)
+    shape = (n,) if rows is None else (rows, n)
+    work = np.empty((4, *shape))
+    block, s = work[0], work[1]
+    block[...] = 0.0  # rows a short run leaves unwritten are prepared too
+    half = work[2:].reshape(-1).view(np.complex128).reshape(shape)
+
+    def prepare(t):
+        # exp(ia) from t = tan(a/2): cos a = 2/(1+t^2) - 1, sin a = t 2/(1+t^2).
+        # One tan costs a third of libm's cos + sin where numpy has an
+        # AVX-512 tan loop.
         np.tan(t, out=t)
         np.multiply(t, t, out=s)
         np.add(1.0, s, out=s)
@@ -171,7 +194,7 @@ def _split_step(n, dx, dt, m, hbar, rows=None):
         np.fft.ifft(vals, out=vals)
         return np.multiply(half, vals, out=vals)
 
-    return prepare, advance
+    return _Kernel(0.0, -0.25 * dt / hbar, block, prepare, advance)
 
 
 @lru_cache(maxsize=1)
@@ -187,17 +210,26 @@ def _zgtsv():
 
 
 def _crank_nicolson(n, dx, dt, m, hbar, rows=None):
+    # operand units: hbar^2/(m dx^2) + V, the diagonal of H; prepare writes
+    # theta times it into the imaginary part of 1 + i theta H, whose real
+    # part 1 is set once. block and lhs are slabs of one allocation, as in
+    # _split_step. (Folding theta into the coefficients as well saves that
+    # multiply, about 0.6 us per step over a bare copy into lhs at n = 1024,
+    # but moved harmonic_feedback's diagnostics by round-off.)
     theta = dt / (2.0 * hbar)
     off = -(hbar * hbar) / (2.0 * m * dx * dx)
     band = np.full(n - 1, 1j * theta * off)
     zgtsv = _zgtsv()
-    lhs = np.empty(n if rows is None else (rows, n), dtype=np.complex128)
+    shape = (n,) if rows is None else (rows, n)
+    work = np.empty((3, *shape))
+    block = work[0]
+    block[...] = 0.0
+    lhs = work[1:].reshape(-1).view(np.complex128).reshape(shape)
+    lhs.real = 1.0
 
-    def prepare(v_vals):
-        # 1 + i theta (hbar^2/(m dx^2) + V)
-        diag = np.add((hbar * hbar) / (m * dx * dx), v_vals, out=v_vals)
-        np.multiply(1j * theta, diag, out=lhs)
-        return np.add(1.0, lhs, out=lhs)
+    def prepare(d):
+        np.multiply(d, theta, out=lhs.imag)
+        return lhs
 
     def advance(vals, lhs):
         # the Cayley step (1 + i theta H)^-1 (1 - i theta H) psi is 2 (1 +
@@ -210,17 +242,26 @@ def _crank_nicolson(n, dx, dt, m, hbar, rows=None):
         out -= vals
         return out
 
-    return prepare, advance
+    return _Kernel((hbar * hbar) / (m * dx * dx), 1.0, block, prepare, advance)
 
 
-# scheme -> kernel factory (n, dx, dt, m, hbar, rows=None) -> (prepare,
-# advance): prepare(V values) builds the per-potential operand, for one
-# potential of n samples or, given rows, for a (rows, n) block of them, into
-# buffers the factory allocates and every call reuses, and may overwrite the
-# V values; advance(vals, operand) returns the stepped values and may
-# overwrite vals
+# scheme -> kernel factory (n, dx, dt, m, hbar, rows=None) -> _Kernel, for
+# one potential of n samples or, given rows, for a (rows, n) block of them
 _STEPPERS = {"crank-nicolson": _crank_nicolson, "split-step": _split_step}
 SCHEMES = tuple(_STEPPERS)
+
+
+def _in_units(kernel, v_vals):
+    """v_vals mapped into kernel.block in the kernel's operand units."""
+    u = np.add(v_vals, kernel.shift, out=kernel.block)
+    return np.multiply(u, kernel.scale, out=u)
+
+
+def _clamp(kernel, u, cap):
+    """Operand-unit values u clamped in place at the potential cap (the
+    map reverses the order of V where its scale is negative)."""
+    clip = np.minimum if kernel.scale > 0.0 else np.maximum
+    return clip(u, (cap + kernel.shift) * kernel.scale, out=u)
 
 
 def step(
@@ -243,9 +284,9 @@ def step(
         raise PropagationError("psi and V live on different grids")
     if scheme not in _STEPPERS:
         raise PropagationError(f"scheme must be one of {SCHEMES}")
-    prepare, advance = _STEPPERS[scheme](psi.grid.n, psi.grid.dx, dt, m, hbar)
-    out = advance(psi.values.copy(), prepare(V.values.copy()))
-    return ComplexField(psi.grid, out)
+    kernel = _STEPPERS[scheme](psi.grid.n, psi.grid.dx, dt, m, hbar)
+    operand = kernel.prepare(_in_units(kernel, V.values))
+    return ComplexField(psi.grid, kernel.advance(psi.values.copy(), operand))
 
 
 def _potential_cap(grid: Grid, m: float, hbar: float) -> float:
@@ -327,17 +368,19 @@ def evolve_feedback(
             reference_density(model, grid, qc), grid, tol,
             f"packet on the classical trajectory (Q = {qc:g})",
         )
-    q_mid = 0.5 * (q[:-1] + q[1:])
-    p_half = p[:-1] + 0.5 * dt * f[:-1]
-    f_mid = classical_force(model, q_mid)
 
     state0 = gcs_from_model(model, grid, point0, tol)
-    block = np.zeros((OPERAND_BLOCK, grid.n))
-    prepare, advance = _STEPPERS[config.scheme](grid.n, grid.dx, dt, m, hbar,
-                                                len(block))
-    fill = _assembler(model, grid)
-    fill_step = _stepping_assembler(model, grid)
+    kernel = _STEPPERS[config.scheme](grid.n, grid.dx, dt, m, hbar, OPERAND_BLOCK)
+    block = kernel.block
+    # every step's basis coefficients, once per run, in the kernel's units
+    rows, coefficients = _stepping_basis(model, grid)
+    q_mid = 0.5 * (q[:-1] + q[1:])
+    p_half = p[:-1] + 0.5 * dt * f[:-1]
+    table = coefficients(q_mid, p_half, classical_force(model, q_mid),
+                         kernel.shift, kernel.scale)
+    del q_mid, p_half  # kept for the run, they cost harmonic_feedback 0.1 MiB RSS
     cap = _potential_cap(grid, m, hbar)
+    fill = _assembler(model, grid)
 
     def operands():
         # the potentials of up to len(block) steps, one product per step as
@@ -345,11 +388,9 @@ def evolve_feedback(
         # in the last block the rows past the final step are not used
         for s0 in range(0, nsteps, len(block)):
             k = min(len(block), nsteps - s0)
-            mids = zip(q_mid[s0:s0 + k].tolist(), p_half[s0:s0 + k].tolist(),
-                       f_mid[s0:s0 + k].tolist())
-            for row, (q_s, p_s, f_s) in zip(block, mids):
-                fill_step(q_s, p_s, f_s, out=row)
-            yield from prepare(np.minimum(block, cap, out=block))[:k]
+            for row, coefs in zip(block, table[s0:s0 + k]):
+                np.dot(coefs, rows, out=row)
+            yield from kernel.prepare(_clamp(kernel, block, cap))[:k]
 
     def frame_at(s, vals):
         pt = traj.point(s)
@@ -358,7 +399,8 @@ def evolve_feedback(
         psi = ComplexField(grid, vals)
         return Frame(s, psi, V, pt, record(psi, model, pt, V, f_s, tol))
 
-    return _run(state0, operands(), advance, frame_at, traj, model, config, tol)
+    return _run(state0, operands(), kernel.advance, frame_at, traj, model, config,
+                tol)
 
 
 def evolve_static(
@@ -394,21 +436,24 @@ def evolve_static(
 
     v_model = potential_value(model, grid.points)
     v_diag = RealField(grid, v_model - ground_energy(model))
-    prepare, advance = _STEPPERS[config.scheme](grid.n, grid.dx, dt, m, hbar)
-    operand = prepare(np.minimum(v_model, _potential_cap(grid, m, hbar)))
+    kernel = _STEPPERS[config.scheme](grid.n, grid.dx, dt, m, hbar)
+    u = _clamp(kernel, _in_units(kernel, v_model), _potential_cap(grid, m, hbar))
+    operand = kernel.prepare(u)
     q0 = ground_moments(model, grid, tol).q0
 
     def frame_at(s, vals):
-        # reference point anchored at the measured center
+        # reference point anchored at the measured center, from the one
+        # measurement record reads too
         psi = ComplexField(grid, vals)
-        x_mean, _, p_meas = moments(normalized(psi), hbar)
-        q_meas = x_mean - q0
-        pt = ClassicalPoint(Q=q_meas, P=p_meas, t=s * dt)
+        measured = _measure(psi, hbar)
+        q_meas = measured.q_mean - q0
+        pt = ClassicalPoint(Q=q_meas, P=measured.p_mean, t=s * dt)
         f_ref = float(classical_force(model, q_meas))
-        return Frame(s, psi, v_diag, pt, record(psi, model, pt, v_diag, f_ref, tol))
+        rec = _record(psi, measured, model, pt, v_diag, f_ref, tol)
+        return Frame(s, psi, v_diag, pt, rec)
 
     operands = (operand for _ in range(nsteps))
-    return _run(state0, operands, advance, frame_at, traj, model, config, tol)
+    return _run(state0, operands, kernel.advance, frame_at, traj, model, config, tol)
 
 
 def _run(state0, operands, advance, frame_at, traj, model, config, tol) -> RunResult:

@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcsdyn import (
     ComplexField,
@@ -19,7 +21,7 @@ from gcsdyn import (
     second_derivative,
 )
 from gcsdyn.displacement import PHASE_FLOOR
-from gcsdyn.grids import _peak_segment
+from gcsdyn.grids import _derivative_arrays, _peak_segment
 from gcsdyn.hydrodynamics import RESIDUAL_FLOOR
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -207,3 +209,24 @@ def test_peak_segment_matches_loop_on_shipped_densities(name):
     for frac in (PHASE_FLOOR, RESIDUAL_FLOOR):
         floor = frac * rho.max()
         assert _peak_segment(rho, floor) == _peak_segment_loop(rho, floor)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([16, 17, 2048, 2049]), st.integers(0, 2**32 - 1),
+       st.floats(-300.0, 0.0),
+       st.sampled_from([(1, "5pt"), (2, "5pt"), (1, "7pt")]))
+def test_complex_stencil_is_the_split_stencil_bit_for_bit(n, seed, low, kind):
+    # the complex path runs the stencil once over the interleaved (re, im)
+    # float view; each part must come out as its own real stencil, bit for
+    # bit, with magnitudes spread over 10^low .. 10^3
+    order, stencil = kind
+    rng = np.random.default_rng(seed)
+    vals = np.empty(n, dtype=np.complex128)
+    vals.real = rng.normal(size=n) * 10.0 ** rng.uniform(low, 3.0, size=n)
+    vals.imag = rng.normal(size=n) * 10.0 ** rng.uniform(low, 3.0, size=n)
+    dx = 34.0 / (n - 1)
+    split = np.empty(n, dtype=np.complex128)
+    split.real = _derivative_arrays(vals.real, dx, order, stencil)
+    split.imag = _derivative_arrays(vals.imag, dx, order, stencil)
+    got = _derivative_arrays(vals, dx, order, stencil)
+    assert np.array_equal(got.view(np.uint64), split.view(np.uint64))

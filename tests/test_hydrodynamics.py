@@ -254,22 +254,29 @@ def test_loop_assembler_matches_assemble_potential_bitwise(kind, request):
 
 @pytest.mark.parametrize("kind", ["morse", "harmonic"])
 def test_stepping_assembler_matches_below_kinetic_ceiling(kind, request):
-    # the step loop's basis-form potential, clamped at the kinetic ceiling
-    # as the loop clamps it, is the assembled potential to round-off
-    from gcsdyn.hydrodynamics import _stepping_assembler
-    from gcsdyn.propagation import _potential_cap
+    # the step loop's basis-form potential, in each kernel's operand units
+    # and clamped there at the kinetic ceiling as the loop clamps it, is the
+    # assembled potential to round-off once the units are undone; the
+    # Crank-Nicolson units carry hbar^2/(m dx^2) + V, so there the bound is
+    # relative to that
+    from gcsdyn.hydrodynamics import _stepping_basis
+    from gcsdyn.propagation import _STEPPERS, _clamp, _potential_cap
 
     model = request.getfixturevalue(kind)
     grid = request.getfixturevalue(f"{kind}_grid")
-    fill = _stepping_assembler(model, grid)
     cap = _potential_cap(grid, model.mass, model.hbar)
     rng = np.random.default_rng(20)
     reach = 2.0 * model.dq
-    draws = zip(rng.uniform(-reach, reach, 50), rng.uniform(-2.0, 2.0, 50),
-                rng.uniform(-2.0, 2.0, 50))
-    for q, p, f in draws:
-        exact = np.minimum(
-            assemble_potential(model, ClassicalPoint(q, p), f, grid).V.values, cap
-        )
-        dev = np.abs(np.minimum(fill(q, p, f), cap) - exact)
-        assert np.all(dev <= 1e-13 * np.maximum(1.0, np.abs(exact)))
+    q, p, f = (rng.uniform(-reach, reach, 50), rng.uniform(-2.0, 2.0, 50),
+               rng.uniform(-2.0, 2.0, 50))
+    exact = [np.minimum(assemble_potential(model, ClassicalPoint(q_s, p_s), f_s,
+                                           grid).V.values, cap)
+             for q_s, p_s, f_s in zip(q, p, f)]
+    rows, coefficients = _stepping_basis(model, grid)
+    for kernel_of in _STEPPERS.values():
+        kernel = kernel_of(grid.n, grid.dx, 1e-3, model.mass, model.hbar)
+        table = coefficients(q, p, f, kernel.shift, kernel.scale)
+        for coefs, v in zip(table, exact):
+            u = _clamp(kernel, np.dot(coefs, rows), cap)
+            dev = np.abs(u / kernel.scale - kernel.shift - v)
+            assert np.all(dev <= 1e-13 * np.maximum(1.0, np.abs(v + kernel.shift)))

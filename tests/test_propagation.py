@@ -33,7 +33,12 @@ from gcsdyn import (
 )
 from gcsdyn import propagation
 from gcsdyn.grids import boundary_mass
-from gcsdyn.propagation import _check_monitors, _monitor_values, _potential_cap
+from gcsdyn.propagation import (
+    _check_monitors,
+    _in_units,
+    _monitor_values,
+    _potential_cap,
+)
 from gcsdyn.tolerances import DEFAULT_TOLERANCES
 
 
@@ -423,13 +428,13 @@ def test_orbit_coverage_fails_before_any_step(harmonic, monkeypatch):
     kernels = propagation._STEPPERS["crank-nicolson"]
 
     def counting(*args):
-        prepare, advance = kernels(*args)
+        kernel = kernels(*args)
 
         def counted(vals, operand):
             calls.append(1)
-            return advance(vals, operand)
+            return kernel.advance(vals, operand)
 
-        return prepare, counted
+        return kernel._replace(advance=counted)
 
     monkeypatch.setitem(propagation._STEPPERS, "crank-nicolson", counting)
     conf = PropagatorConfig(dt=dt, scheme="crank-nicolson", mode="feedback",
@@ -439,6 +444,22 @@ def test_orbit_coverage_fails_before_any_step(harmonic, monkeypatch):
     assert calls == []
     evolve_feedback(harmonic, point0, conf, nsteps * dt, wide)
     assert len(calls) == nsteps
+
+
+def test_static_frame_anchor_is_the_moments_of_the_normalized_state(morse):
+    # the static frame measures its state once for the anchor and for
+    # record; the anchor must still be moments(normalized(psi)), bit for bit
+    grid = suggest_grid(morse, q_reach_min=-1.5, q_reach_max=1.5, n=1024)
+    state0 = gcs_from_model(morse, grid, ClassicalPoint(morse.dq, 0.3))
+    q0 = ground_moments(morse, grid).q0
+    conf = PropagatorConfig(dt=2e-3, scheme="split-step", mode="static",
+                            snapshot_stride=5)
+    run = evolve_static(state0, morse, conf, 20 * 2e-3)
+    for frame in run.frames:
+        x_mean, _, p_mean = moments(normalized(frame.psi), morse.hbar)
+        assert (frame.point.Q, frame.point.P) == (x_mean - q0, p_mean)
+        assert frame.diagnostics.q_mean == x_mean
+        assert frame.diagnostics.p_mean == p_mean
 
 
 def test_static_reference_momentum_uses_sixth_order_stencil(morse):
@@ -454,7 +475,8 @@ def test_static_reference_momentum_uses_sixth_order_stencil(morse):
 
 
 # The two kernels' Cayley forms, checked against their definitions over
-# random potentials up to the kinetic ceiling (the loops clamp V there).
+# random potentials up to the kinetic ceiling (the loops clamp V there),
+# each mapped into its kernel's operand units by _in_units, as step() does.
 _KERNEL_GRID = Grid(-4.0, 4.0, 256)
 _CAP = _potential_cap(_KERNEL_GRID, 1.0, 1.0)
 # the step at which |a| = V dt / 2 hbar reaches 4 pi at the cap, as on the
@@ -471,8 +493,8 @@ def test_split_step_phase_is_exp_of_its_angle(v_random, offsets):
     g, dt = _KERNEL_GRID, _DT_4PI
     odd_pi = np.pi * np.resize([1.0, 3.0], offsets.size) + offsets
     v = np.concatenate([v_random, odd_pi * 2.0 / dt])
-    prepare, _ = propagation._split_step(g.n, g.dx, dt, 1.0, 1.0)
-    half = prepare(v.copy())  # prepare may overwrite its argument
+    kernel = propagation._split_step(g.n, g.dx, dt, 1.0, 1.0)
+    half = kernel.prepare(_in_units(kernel, v))
     a = v * (-0.5 * dt) / 1.0  # hbar = 1
     assert np.max(np.abs(half - np.exp(1j * a))) <= 1e-15
     assert np.max(np.abs(np.abs(half) - 1.0)) <= 1e-15
@@ -512,10 +534,11 @@ def test_block_prepare_matches_row_by_row(scheme, v):
     # row must be the operand of that potential alone, bit for bit
     g, dt = _KERNEL_GRID, _DT_4PI
     kernels = propagation._STEPPERS[scheme]
-    block_prepare, _ = kernels(g.n, g.dx, dt, 1.0, 1.0, len(v))
-    row_prepare, _ = kernels(g.n, g.dx, dt, 1.0, 1.0)
-    block = block_prepare(v.copy())  # prepare may overwrite its argument
-    rows = np.array([row_prepare(row.copy()).copy() for row in v])
+    block_kernel = kernels(g.n, g.dx, dt, 1.0, 1.0, len(v))
+    row_kernel = kernels(g.n, g.dx, dt, 1.0, 1.0)
+    block = block_kernel.prepare(_in_units(block_kernel, v))
+    rows = np.array([row_kernel.prepare(_in_units(row_kernel, row)).copy()
+                     for row in v])
     assert block.shape == rows.shape
     assert np.array_equal(block.view(np.uint64), rows.view(np.uint64))
 
