@@ -22,20 +22,21 @@ map of V: the half angle -V dt/4hbar of the split-step phase, and
 hbar^2/(m dx^2) + V, the diagonal of the Crank-Nicolson H. Once
 per run, feedback mode computes every step's coefficients of fixed basis
 rows (hydrodynamics._stepping_basis) in those units, from the midpoint
-states; static mode and step() map their V once. Per step the loop then
-does only this:
+states; static mode and step() map their V once. A run with one potential
+for all steps (static mode; feedback mode when all coefficient rows are
+equal, as in the harmonic well) prepares and factors it once. Per step the
+loop then does only this:
 
-* feedback: write the step's potential into one row of a reused block of
-  OPERAND_BLOCK rows, as one product of its coefficient row with the basis
-  rows; once a block is full, clamp it at the grid's kinetic ceiling in
-  the same units and prepare the operands of all its steps in one pass,
-  into buffers allocated once per run (static mode prepares its one
-  operand once);
+* feedback with a varying potential: write the step's potential into one
+  row of a reused block of OPERAND_BLOCK rows, as one product of its
+  coefficient row with the basis rows; once a block is full, clamp it at
+  the grid's kinetic ceiling in the same units and prepare the operands of
+  all its steps in one pass, into buffers allocated once per run;
 * the quantum step: split-step makes the half-step phase exp(-i V dt/2hbar)
   from one tan, then one in-place numpy.fft pair and pointwise products, so
   it loads no scipy; Crank-Nicolson returns 2 (1 + i theta H)^-1 psi - psi
-  from one tridiagonal LAPACK solve (scipy's zgtsv, imported when its
-  config is validated);
+  from one tridiagonal LAPACK solve (scipy's zgtsv, or zgttrs on zgttrf's
+  factors of a run's one potential, imported when its config is validated);
 * the monitors: the norm from one dot product of psi's float view with
   itself (three for odd n) and the edge mass from two short ones.
 
@@ -108,7 +109,7 @@ class PropagatorConfig:
         if int(self.snapshot_stride) < 1:
             raise PropagationError("snapshot_stride must be >= 1")
         if self.scheme == "crank-nicolson":
-            _zgtsv()  # the LAPACK import belongs to set-up, not the first step
+            _lapack()  # the LAPACK import belongs to set-up, not the first step
 
 
 class Frame(NamedTuple):
@@ -151,13 +152,15 @@ class _Kernel(NamedTuple):
     buffer for them, (n,) or (rows, n), allocated with the kernel's own
     buffers. prepare(block) turns them into step operands (and may overwrite
     them); advance(vals, operand) returns the stepped values and may
-    overwrite vals. Every call reuses the buffers of one factory call."""
+    overwrite vals; fixed(operand) returns the advance of a run that takes
+    operand at every step. Every call reuses the buffers of one factory call."""
 
     shift: float
     scale: float
     block: np.ndarray
     prepare: object
     advance: object
+    fixed: object
 
 
 def _split_step(n, dx, dt, m, hbar, rows=None):
@@ -194,19 +197,20 @@ def _split_step(n, dx, dt, m, hbar, rows=None):
         np.fft.ifft(vals, out=vals)
         return np.multiply(half, vals, out=vals)
 
-    return _Kernel(0.0, -0.25 * dt / hbar, block, prepare, advance)
+    # the phase holds all of a step's per-run work
+    return _Kernel(0.0, -0.25 * dt / hbar, block, prepare, advance, lambda _: advance)
 
 
 @lru_cache(maxsize=1)
-def _zgtsv():
-    """LAPACK's tridiagonal solver, imported on first use: scipy.linalg
-    loads about 320 modules that a split-step run never needs."""
+def _lapack():
+    """LAPACK's tridiagonal zgtsv, zgttrf and zgttrs, imported on first use:
+    scipy.linalg loads about 320 modules that a split-step run never needs."""
     try:
-        from scipy.linalg.lapack import zgtsv
+        from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
     except ImportError as exc:
         raise PropagationError("scheme 'crank-nicolson' needs scipy; install "
                                "it or use scheme 'split-step'") from exc
-    return zgtsv
+    return zgtsv, zgttrf, zgttrs
 
 
 def _crank_nicolson(n, dx, dt, m, hbar, rows=None):
@@ -219,7 +223,7 @@ def _crank_nicolson(n, dx, dt, m, hbar, rows=None):
     theta = dt / (2.0 * hbar)
     off = -(hbar * hbar) / (2.0 * m * dx * dx)
     band = np.full(n - 1, 1j * theta * off)
-    zgtsv = _zgtsv()
+    zgtsv, zgttrf, zgttrs = _lapack()
     shape = (n,) if rows is None else (rows, n)
     work = np.empty((3, *shape))
     block = work[0]
@@ -231,18 +235,29 @@ def _crank_nicolson(n, dx, dt, m, hbar, rows=None):
         np.multiply(d, theta, out=lhs.imag)
         return lhs
 
-    def advance(vals, lhs):
+    def cayley(vals, out, info, routine):
         # the Cayley step (1 + i theta H)^-1 (1 - i theta H) psi is 2 (1 +
         # i theta H)^-1 psi - psi: one solve, on a copy of vals. solve_banded
         # calls zgtsv too, after finiteness scans the step monitors make moot
-        *_, out, info = zgtsv(band, lhs, band, vals)
         if info != 0:
-            raise PropagationError(f"tridiagonal solve failed (zgtsv info {info})")
+            raise PropagationError(f"tridiagonal solve failed ({routine} info {info})")
         out *= 2.0
         out -= vals
         return out
 
-    return _Kernel((hbar * hbar) / (m * dx * dx), 1.0, block, prepare, advance)
+    def advance(vals, lhs):
+        return cayley(vals, *zgtsv(band, lhs, band, vals)[-2:], "zgtsv")
+
+    def fixed(lhs):
+        # zgttrf's factors, then per step only zgttrs: the same elimination
+        # as zgtsv's, so the same bits at about half the cost per step
+        *lu, info = zgttrf(band, lhs, band)
+        if info != 0:
+            raise PropagationError(f"singular tridiagonal system (zgttrf info {info})")
+        return lambda vals, _: cayley(vals, *zgttrs(*lu, vals), "zgttrs")
+
+    return _Kernel((hbar * hbar) / (m * dx * dx), 1.0, block, prepare, advance,
+                   fixed)
 
 
 # scheme -> kernel factory (n, dx, dt, m, hbar, rows=None) -> _Kernel, for
@@ -263,6 +278,17 @@ def _clamp(kernel, u, cap):
     clip = np.minimum if kernel.scale > 0.0 else np.maximum
     return clip(u, (cap + kernel.shift) * kernel.scale, out=u)
 
+
+def _constant(kernel, u, cap, nsteps):
+    """Operands and advance of nsteps steps that all take the potential u
+    (operand units, clamped in place at cap), prepared once."""
+    operand = kernel.prepare(_clamp(kernel, u, cap))
+    return (operand for _ in range(nsteps)), kernel.fixed(operand)
+
+
+def _is_constant(table):
+    """Whether every step's coefficient row equals the first."""
+    return (table == table[0]).all()
 
 def step(
     psi: ComplexField,
@@ -370,8 +396,8 @@ def evolve_feedback(
         )
 
     state0 = gcs_from_model(model, grid, point0, tol)
-    kernel = _STEPPERS[config.scheme](grid.n, grid.dx, dt, m, hbar, OPERAND_BLOCK)
-    block = kernel.block
+    kernels = _STEPPERS[config.scheme]
+    kernel = kernels(grid.n, grid.dx, dt, m, hbar)
     # every step's basis coefficients, once per run, in the kernel's units
     rows, coefficients = _stepping_basis(model, grid)
     q_mid = 0.5 * (q[:-1] + q[1:])
@@ -382,15 +408,25 @@ def evolve_feedback(
     cap = _potential_cap(grid, m, hbar)
     fill = _assembler(model, grid)
 
-    def operands():
+    def operands(kernel):
         # the potentials of up to len(block) steps, one product per step as
         # one row each, then one clamp and one prepare over the whole block;
         # in the last block the rows past the final step are not used
+        block = kernel.block
         for s0 in range(0, nsteps, len(block)):
             k = min(len(block), nsteps - s0)
             for row, coefs in zip(block, table[s0:s0 + k]):
                 np.dot(coefs, rows, out=row)
             yield from kernel.prepare(_clamp(kernel, block, cap))[:k]
+
+    if _is_constant(table):  # the harmonic well: stepped as in static mode
+        u = np.dot(table[0], rows, out=kernel.block)
+        del table
+        steps, advance = _constant(kernel, u, cap, nsteps)
+    else:
+        del kernel  # freed before the block kernel: else +0.06 MiB Morse RSS
+        kernel = kernels(grid.n, grid.dx, dt, m, hbar, OPERAND_BLOCK)
+        steps, advance = operands(kernel), kernel.advance
 
     def frame_at(s, vals):
         pt = traj.point(s)
@@ -399,8 +435,7 @@ def evolve_feedback(
         psi = ComplexField(grid, vals)
         return Frame(s, psi, V, pt, record(psi, model, pt, V, f_s, tol))
 
-    return _run(state0, operands(), kernel.advance, frame_at, traj, model, config,
-                tol)
+    return _run(state0, steps, advance, frame_at, traj, model, config, tol)
 
 
 def evolve_static(
@@ -422,7 +457,8 @@ def evolve_static(
     still integrated and returned for twin-run comparisons. The diagnostics
     potential carries the at-rest assembled convention (V_model - E0);
     propagation itself uses the plain model potential clamped at the grid's
-    kinetic ceiling (densities are offset-invariant), prepared once.
+    kinetic ceiling (densities are offset-invariant), prepared (and
+    factored) once.
     """
     if T <= 0.0:
         raise PropagationError("T must be positive")
@@ -437,8 +473,8 @@ def evolve_static(
     v_model = potential_value(model, grid.points)
     v_diag = RealField(grid, v_model - ground_energy(model))
     kernel = _STEPPERS[config.scheme](grid.n, grid.dx, dt, m, hbar)
-    u = _clamp(kernel, _in_units(kernel, v_model), _potential_cap(grid, m, hbar))
-    operand = kernel.prepare(u)
+    steps, advance = _constant(kernel, _in_units(kernel, v_model),
+                               _potential_cap(grid, m, hbar), nsteps)
     q0 = ground_moments(model, grid, tol).q0
 
     def frame_at(s, vals):
@@ -452,8 +488,7 @@ def evolve_static(
         rec = _record(psi, measured, model, pt, v_diag, f_ref, tol)
         return Frame(s, psi, v_diag, pt, rec)
 
-    operands = (operand for _ in range(nsteps))
-    return _run(state0, operands, kernel.advance, frame_at, traj, model, config, tol)
+    return _run(state0, steps, advance, frame_at, traj, model, config, tol)
 
 
 def _run(state0, operands, advance, frame_at, traj, model, config, tol) -> RunResult:

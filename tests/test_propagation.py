@@ -397,17 +397,19 @@ def test_feedback_loop_matches_public_reference(kind, scheme, request):
 
 @pytest.mark.parametrize("scheme", ["split-step", "crank-nicolson"])
 def test_static_loop_matches_repeated_step(morse, scheme):
+    # static mode prepares its operand once (and Crank-Nicolson factors it
+    # once); every frame must still be the public step() loop's, bit for bit
     grid = suggest_grid(morse, q_reach_min=-1.5, q_reach_max=1.5, n=1024)
     dt, nsteps = 2e-3, 20
     state0 = gcs_from_model(morse, grid, ClassicalPoint(morse.dq, 0.0))
-    conf = PropagatorConfig(dt=dt, scheme=scheme, mode="static",
-                            snapshot_stride=nsteps)
+    conf = PropagatorConfig(dt=dt, scheme=scheme, mode="static")
     run = evolve_static(state0, morse, conf, nsteps * dt)
     V = _clamped(morse, grid, potential_value(morse, grid.points))
     psi = state0.psi
-    for _ in range(nsteps):
+    assert len(run.frames) == nsteps + 1
+    for frame in run.frames:
+        assert np.array_equal(frame.psi.values, psi.values)
         psi = step(psi, V, dt, scheme)
-    assert np.max(np.abs(run.frames[-1].psi.values - psi.values)) <= 1e-12
 
 
 def test_orbit_coverage_fails_before_any_step(harmonic, monkeypatch):
@@ -427,14 +429,20 @@ def test_orbit_coverage_fails_before_any_step(harmonic, monkeypatch):
     calls = []
     kernels = propagation._STEPPERS["crank-nicolson"]
 
-    def counting(*args):
-        kernel = kernels(*args)
-
-        def counted(vals, operand):
+    def counted(advance):
+        def counting_advance(vals, operand):
             calls.append(1)
-            return kernel.advance(vals, operand)
+            return advance(vals, operand)
 
-        return kernel._replace(advance=counted)
+        return counting_advance
+
+    def counting(*args):
+        # step solves on both paths: the block loop's advance and the
+        # advance of a run with one operand
+        kernel = kernels(*args)
+        return kernel._replace(
+            advance=counted(kernel.advance),
+            fixed=lambda operand: counted(kernel.fixed(operand)))
 
     monkeypatch.setitem(propagation._STEPPERS, "crank-nicolson", counting)
     conf = PropagatorConfig(dt=dt, scheme="crank-nicolson", mode="feedback",
@@ -543,13 +551,74 @@ def test_block_prepare_matches_row_by_row(scheme, v):
     assert np.array_equal(block.view(np.uint64), rows.view(np.uint64))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(hnp.arrays(np.float64, _KERNEL_GRID.n + 1,
+                  elements=st.one_of(st.just(_CAP), st.floats(-_CAP, _CAP))),
+       st.sampled_from([1e-4, 1e-2, 0.3, 1.0]), st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("scheme", propagation.SCHEMES)
+@pytest.mark.parametrize("n", [_KERNEL_GRID.n, _KERNEL_GRID.n + 1])
+def test_fixed_operand_advance_matches_advance(scheme, n, v, dt_scale, seed):
+    # a run with one operand factors it once (Crank-Nicolson: zgttrf, then
+    # zgttrs per step); each step must equal advance's (zgtsv) bit for bit
+    g = Grid(_KERNEL_GRID.x_min, _KERNEL_GRID.x_max, n)
+    dt = dt_scale * _DT_4PI
+    kernel = propagation._STEPPERS[scheme](g.n, g.dx, dt, 1.0, 1.0)
+    operand = kernel.prepare(_in_units(kernel, v[:n]))
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=n) + 1j * rng.normal(size=n)
+    fixed = kernel.fixed(operand)
+    for _ in range(2):  # the factors are reused, not consumed
+        want = kernel.advance(vals.copy(), operand)
+        got = fixed(vals.copy(), operand)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        vals = want
+
+
+@pytest.mark.parametrize("n", [5, 257])
+def test_crank_nicolson_raises_on_a_singular_system(n):
+    # a zero diagonal between nonzero bands is singular for odd n; both the
+    # per-step solve and the factor-once path must raise, not step
+    kernel = propagation._crank_nicolson(n, 0.1, 0.01, 1.0, 1.0)
+    singular = np.zeros(n, dtype=complex)
+    with pytest.raises(PropagationError, match="zgtsv info"):
+        kernel.advance(np.ones(n, dtype=complex), singular)
+    with pytest.raises(PropagationError, match="zgttrf info"):
+        kernel.fixed(singular)
+
+
+@pytest.mark.parametrize("kind, factorizations", [("harmonic", 1), ("morse", 0)])
+def test_crank_nicolson_feedback_factors_only_a_constant_potential(
+        kind, factorizations, request, monkeypatch):
+    # the harmonic feedback potential is the fixed well at every step, so
+    # its run factors once; a Morse run's potential moves and is solved by
+    # zgtsv step by step
+    model = request.getfixturevalue(kind)
+    grid = suggest_grid(model, q_reach_min=-1.5, q_reach_max=1.5, n=512)
+    zgtsv, zgttrf, zgttrs = propagation._lapack()
+    calls = []
+
+    def counting_zgttrf(*args):
+        calls.append(1)
+        return zgttrf(*args)
+
+    monkeypatch.setattr(propagation, "_lapack",
+                        lambda: (zgtsv, counting_zgttrf, zgttrs))
+    dt, nsteps = 2e-3, 20
+    conf = PropagatorConfig(dt=dt, scheme="crank-nicolson", mode="feedback",
+                            snapshot_stride=nsteps)
+    evolve_feedback(model, ClassicalPoint(0.3, 0.4), conf, nsteps * dt, grid)
+    assert len(calls) == factorizations
+
+
 @pytest.mark.parametrize("kind, scheme", [("morse", "split-step"),
                                           ("harmonic", "crank-nicolson")])
 def test_feedback_frames_do_not_depend_on_the_block_size(kind, scheme,
                                                          request, monkeypatch):
     # two full blocks and a partial one, against one step per block; the
     # harmonic feedback potential is the same at every step, so only the
-    # Morse run would see operands taken out of order
+    # Morse run would see operands taken out of order (the harmonic run is
+    # kept off its one-operand path here)
+    monkeypatch.setattr(propagation, "_is_constant", lambda table: False)
     model = request.getfixturevalue(kind)
     grid = suggest_grid(model, q_reach_min=-1.5, q_reach_max=1.5, n=512)
     nsteps = 2 * propagation.OPERAND_BLOCK + 3
@@ -564,4 +633,24 @@ def test_feedback_frames_do_not_depend_on_the_block_size(kind, scheme,
         assert np.array_equal(a.psi.values, b.psi.values)
         assert np.array_equal(a.V.values, b.V.values)
         assert a.point == b.point
+        assert a.diagnostics == b.diagnostics
+
+
+@pytest.mark.parametrize("scheme", propagation.SCHEMES)
+def test_constant_feedback_run_matches_the_block_path(harmonic, scheme,
+                                                      monkeypatch):
+    # the harmonic feedback run takes one operand for all steps; built
+    # block by block instead, every frame must be the same, bit for bit
+    grid = suggest_grid(harmonic, q_reach_min=-1.5, q_reach_max=1.5, n=512)
+    dt, nsteps = 2e-3, 2 * propagation.OPERAND_BLOCK + 3
+    conf = PropagatorConfig(dt=dt, scheme=scheme, mode="feedback",
+                            snapshot_stride=4)
+    point0 = ClassicalPoint(0.3, 0.4)
+    constant = evolve_feedback(harmonic, point0, conf, nsteps * dt, grid)
+    monkeypatch.setattr(propagation, "_is_constant", lambda table: False)
+    blocked = evolve_feedback(harmonic, point0, conf, nsteps * dt, grid)
+    assert len(constant.frames) == len(blocked.frames) == 6  # 0, 4, ..., 16, 19
+    for a, b in zip(constant.frames, blocked.frames):
+        assert np.array_equal(a.psi.values, b.psi.values)
+        assert np.array_equal(a.V.values, b.V.values)
         assert a.diagnostics == b.diagnostics
