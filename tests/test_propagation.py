@@ -1,3 +1,5 @@
+import sys
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -654,3 +656,64 @@ def test_constant_feedback_run_matches_the_block_path(harmonic, scheme,
         assert np.array_equal(a.psi.values, b.psi.values)
         assert np.array_equal(a.V.values, b.V.values)
         assert a.diagnostics == b.diagnostics
+
+
+def _public_lapack():
+    from scipy.linalg import lapack
+
+    return lapack.zgtsv, lapack.zgttrf, lapack.zgttrs
+
+
+@pytest.fixture
+def fresh_lapack():
+    """_lapack's cache emptied before the test and after it."""
+    propagation._lapack.cache_clear()
+    yield
+    propagation._lapack.cache_clear()
+
+
+@pytest.mark.parametrize("kind", ["morse", "harmonic"])
+def test_loaded_lapack_matches_scipy_linalg_lapack(kind, request, monkeypatch):
+    # _lapack loads scipy's _flapack extension beside the scipy package. A
+    # Morse feedback run solves through its zgtsv step by step, a harmonic
+    # one through zgttrs on zgttrf's factors; each must give the frames of
+    # the routines the public scipy.linalg.lapack exposes, bit for bit
+    assert propagation._lapack() == _public_lapack()
+    model = request.getfixturevalue(kind)
+    grid = suggest_grid(model, q_reach_min=-1.5, q_reach_max=1.5, n=512)
+    dt, nsteps = 2e-3, 2 * propagation.OPERAND_BLOCK + 3
+    conf = PropagatorConfig(dt=dt, scheme="crank-nicolson", mode="feedback",
+                            snapshot_stride=4)
+    point0 = ClassicalPoint(0.3, 0.4)
+    loaded = evolve_feedback(model, point0, conf, nsteps * dt, grid)
+    monkeypatch.setattr(propagation, "_lapack", _public_lapack)
+    public = evolve_feedback(model, point0, conf, nsteps * dt, grid)
+    assert len(loaded.frames) == len(public.frames) == 6
+    for a, b in zip(loaded.frames, public.frames):
+        assert np.array_equal(a.psi.values.view(np.uint64),
+                              b.psi.values.view(np.uint64))
+        assert a.diagnostics == b.diagnostics
+
+
+def test_lapack_without_flapack_file_takes_the_public_import(
+        harmonic, harmonic_grid, tmp_path, monkeypatch, fresh_lapack):
+    # an install with no _flapack file beside the scipy package (an editable
+    # one, say) falls back to scipy.linalg.lapack, with the same steps
+    import scipy
+
+    psi = ground_state(harmonic, harmonic_grid)
+    V = RealField(harmonic_grid, 0.5 * harmonic_grid.points**2)
+    want = step(psi, V, 1e-2, "crank-nicolson").values
+    propagation._lapack.cache_clear()
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    assert propagation._lapack() == _public_lapack()
+    got = step(psi, V, 1e-2, "crank-nicolson").values
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_crank_nicolson_without_scipy_names_split_step(monkeypatch,
+                                                       fresh_lapack):
+    monkeypatch.setitem(sys.modules, "scipy", None)  # import scipy fails
+    with pytest.raises(PropagationError, match="use scheme 'split-step'"):
+        PropagatorConfig(dt=1e-3, scheme="crank-nicolson")
+    PropagatorConfig(dt=1e-3, scheme="split-step")
