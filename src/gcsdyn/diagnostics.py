@@ -79,12 +79,12 @@ def _bhattacharyya(rho: RealField, ref: np.ndarray) -> float:
 
 
 def potential_slope_at(v: RealField, x_c: float, width: float) -> float:
-    """dV/dx at an off-lattice point: 5-point stencil + local quintic.
+    """dV/dx at an off-lattice point: 7-point stencil + local quintic.
 
     The stencil derivative samples are interpolated at x_c by the degree-5
     Lagrange polynomial through the 6 nodes bracketing it (3 on each side,
     shifted inward at the grid edges). x_c must have at least 6 samples
-    within max(4 width, 8 dx) of it. Only the slice [j0 - 2, j0 + 8) is
+    within max(4 width, 8 dx) of it. Only the slice [j0 - 3, j0 + 9) is
     differentiated and window-tested: it gives the whole grid's stencil
     values at the 6 nodes and holds the samples nearest x_c.
     """
@@ -93,12 +93,12 @@ def potential_slope_at(v: RealField, x_c: float, width: float) -> float:
     if not math.isfinite(x_c):
         raise outside
     j0 = min(max(math.floor((x_c - grid.x_min) / grid.dx) - 2, 0), grid.n - 6)
-    lo, hi = max(j0 - 2, 0), min(j0 + 8, grid.n)
+    lo, hi = max(j0 - 3, 0), min(j0 + 9, grid.n)
     x = grid.points[lo:hi]
     win = np.abs(x - x_c) <= max(4.0 * width, 8.0 * grid.dx)
     if int(np.count_nonzero(win)) < 6:
         raise outside
-    dv = _derivative_arrays(v.values[lo:hi], grid.dx, 1, "5pt")
+    dv = _derivative_arrays(v.values[lo:hi], grid.dx, 1, "7pt")
     t = (x_c - x[j0 - lo]) / grid.dx  # x_c in node units: nodes at t = 0 .. 5
     return float(np.dot(_quintic_weights(t), dv[j0 - lo:j0 - lo + 6]))
 

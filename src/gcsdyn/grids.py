@@ -7,7 +7,7 @@ source of <x>, <x^2> and <p> for every other module.
 
 Boundary handling: fields are assumed negligible at the grid edges. The
 spectral second derivative embeds the field periodically (period n*dx), so
-it must only be used on fields that decay at both ends; the 5-point stencils
+it must only be used on fields that decay at both ends; the 7-point stencils
 use one-sided closures of matching order and are safe near the edges.
 """
 
@@ -111,9 +111,8 @@ def _fd_coefficients(offsets, order: int) -> np.ndarray:
 
 # one-sided rows of matching order for the first points at each edge;
 # row r uses offsets -r .. m-1-r, i.e. always the first m samples
-_D1_5_EDGE = [_fd_coefficients(range(-r, 5 - r), 1) for r in range(2)]
-_D2_5_EDGE = [_fd_coefficients(range(-r, 6 - r), 2) for r in range(2)]
 _D1_7_EDGE = [_fd_coefficients(range(-r, 7 - r), 1) for r in range(3)]
+_D2_7_EDGE = [_fd_coefficients(range(-r, 8 - r), 2) for r in range(3)]
 
 
 def _edge_fill(out, vals, edge_rows, order):
@@ -141,22 +140,19 @@ def _derivative_arrays(vals: np.ndarray, dx: float, order: int, stencil: str):
         return _derivative_arrays(f, dx, order, stencil).view(np.complex128)[:, 0]
     f = vals
     out = np.empty_like(f)
-    if stencil == "5pt" and order == 1:
-        out[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / 12.0
-        _edge_fill(out, f, _D1_5_EDGE, 1)
-        return out / dx
-    if stencil == "5pt" and order == 2:
-        out[2:-2] = (
-            -f[:-4] + 16.0 * f[1:-3] - 30.0 * f[2:-2] + 16.0 * f[3:-1] - f[4:]
-        ) / 12.0
-        _edge_fill(out, f, _D2_5_EDGE, 2)
-        return out / dx**2
     if stencil == "7pt" and order == 1:
         out[3:-3] = (
             -f[:-6] + 9.0 * f[1:-5] - 45.0 * f[2:-4] + 45.0 * f[4:-2] - 9.0 * f[5:-1] + f[6:]
         ) / 60.0
         _edge_fill(out, f, _D1_7_EDGE, 1)
         return out / dx
+    if stencil == "7pt" and order == 2:
+        out[3:-3] = (
+            2.0 * f[:-6] - 27.0 * f[1:-5] + 270.0 * f[2:-4] - 490.0 * f[3:-3]
+            + 270.0 * f[4:-2] - 27.0 * f[5:-1] + 2.0 * f[6:]
+        ) / 180.0
+        _edge_fill(out, f, _D2_7_EDGE, 2)
+        return out / dx**2
     raise ValueError(f"unsupported stencil/order: {stencil!r}/{order}")
 
 
@@ -186,8 +182,8 @@ def _differentiate(fld, order: int, method: str):
     dx = fld.grid.dx
     if method == "spectral":
         der = _spectral_derivative(vals, dx, order)
-    elif method == "central-5pt":
-        der = _derivative_arrays(vals, dx, order, "5pt")
+    elif method == "central-7pt":
+        der = _derivative_arrays(vals, dx, order, "7pt")
     else:
         raise ValueError(f"unknown derivative method {method!r}")
     cls = ComplexField if np.iscomplexobj(vals) else RealField
@@ -198,13 +194,13 @@ def second_derivative(fld, method: str = "spectral"):
     """d^2 f / dx^2 on the same grid.
 
     method="spectral" assumes the field decays to ~0 at both boundaries
-    (periodic embedding with period n*dx); "central-5pt" is fourth order
+    (periodic embedding with period n*dx); "central-7pt" is sixth order
     with one-sided closures and has no such requirement.
     """
     return _differentiate(fld, 2, method)
 
 
-def first_derivative(fld, method: str = "central-5pt"):
+def first_derivative(fld, method: str = "central-7pt"):
     """d f / dx on the same grid (same method options as second_derivative)."""
     return _differentiate(fld, 1, method)
 

@@ -93,8 +93,8 @@ def quantum_curvature(rho: RealField) -> CurvatureResult:
     peak = float(vals.max())
     mask = vals > CURVATURE_FLOOR * peak
     idx = np.flatnonzero(mask)
-    if idx.size < 6:
-        raise InvalidFieldError("density above the curvature floor on < 6 samples")
+    if idx.size < 8:
+        raise InvalidFieldError("density above the curvature floor on < 8 samples")
     i0, i1 = int(idx[0]), int(idx[-1])
     if not np.all(mask[i0 : i1 + 1]):
         hole = i0 + int(np.argmin(mask[i0 : i1 + 1]))
@@ -112,8 +112,8 @@ def quantum_curvature(rho: RealField) -> CurvatureResult:
 
 def _log_curvature_segment(vals: np.ndarray, dx: float, i0: int, i1: int) -> np.ndarray:
     g = 0.5 * np.log(vals[i0 : i1 + 1])
-    g1 = _derivative_arrays(g, dx, 1, "5pt")
-    g2 = _derivative_arrays(g, dx, 2, "5pt")
+    g1 = _derivative_arrays(g, dx, 1, "7pt")
+    g2 = _derivative_arrays(g, dx, 2, "7pt")
     return g2 + g1 * g1
 
 
@@ -277,12 +277,12 @@ def hjm_residual(
     vals = np.maximum(rho.values, 0.0)
     peak = float(vals.max())
     i0, i1 = _peak_segment(vals, RESIDUAL_FLOOR * peak)
-    if i1 - i0 < 6:
-        raise InvalidFieldError("density above the residual floor on < 6 samples")
+    if i1 - i0 < 7:
+        raise InvalidFieldError("density above the residual floor on < 8 samples")
     sl = slice(i0, i1 + 1)
 
     curv = _log_curvature_segment(vals, grid.dx, i0, i1)
-    s_x = _derivative_arrays(S.values[sl], grid.dx, 1, "5pt")
+    s_x = _derivative_arrays(S.values[sl], grid.dx, 1, "7pt")
     r = (
         S_t.values[sl]
         + s_x * s_x / (2.0 * m)

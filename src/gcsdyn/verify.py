@@ -88,7 +88,7 @@ def run_verification(cfg: RunConfig) -> list[CheckResult]:
         )
         results.append(
             _check("stationary_residual",
-                   stationary_residual(model, grid, "central-5pt", tol), 1e-6)
+                   stationary_residual(model, grid, "central-7pt", tol), 1e-6)
         )
         curv = quantum_curvature(rho0)
         target = potential_value(model, x) - ground_energy(model)

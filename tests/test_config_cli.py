@@ -219,10 +219,11 @@ def _subprocess_env(**extra):
 def test_feedback_csvs_independent_of_blas_threads(tmp_path):
     # the feedback step's potential is one BLAS product per step; a shortened
     # morse_feedback run writes the same bytes with one BLAS thread or two.
-    # With OpenBLAS on x86-64 a second thread does not speed up the shipped
-    # 4 x 2048 product, and 4 x n products that it does split gave the same
-    # bits under 1 and 2 threads up to n = 1048576. So this guards only
-    # against a future BLAS build that splits the product differently.
+    # With OpenBLAS on x86-64 a second thread does not speed up a 4 x 2048
+    # product (the shipped one is 4 x 768), and 4 x n products that it does
+    # split gave the same bits under 1 and 2 threads up to n = 1048576. So
+    # this guards only against a future BLAS build that splits the product
+    # differently.
     raw = json.loads((CONFIGS / "morse_feedback.json").read_text())
     raw["propagation"]["T"] = 200 * raw["propagation"]["dt"]
     written = []
@@ -525,6 +526,30 @@ def test_config_tolerances_reach_ground_state_checks(tmp_path, capsys, scheme):
 @pytest.mark.parametrize("name", ["morse_feedback", "morse_static_twin"])
 def test_verify_passes_shipped_morse_configs(name):
     assert main(["verify", "--config", str(CONFIGS / f"{name}.json")]) == 0
+
+
+@pytest.mark.parametrize("name", ["morse_feedback", "morse_static_twin"])
+def test_shipped_morse_grids_are_converged_and_hold_the_tail(name, tmp_path):
+    # each shipped Morse run in full at its n and at 2n on the same domain:
+    # the final spread must not move, and on the feedback run the phase
+    # residual stays small; a grid cut inside the e^{-x} tail turns the
+    # periodic seam into high-k error that this residual amplifies
+    # (7.8e-2 on [-9, 25] at n = 2048, 6.9e-6 on the shipped grid)
+    raw = json.loads((CONFIGS / f"{name}.json").read_text())
+    cols = []
+    for n in (raw["grid"]["n"], 2 * raw["grid"]["n"]):
+        raw["grid"]["n"] = n
+        raw["output"] = {"directory": str(tmp_path / str(n)), "emit_plots": False}
+        path = tmp_path / f"{n}.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)]) == 0
+        csv = tmp_path / str(n) / "diagnostics.csv"
+        head = csv.read_text().splitlines()[0].split(",")
+        data = np.loadtxt(csv, delimiter=",", skiprows=1)
+        cols.append({k: data[:, i] for i, k in enumerate(head)})
+    assert abs(cols[0]["dq2"][-1] - cols[1]["dq2"][-1]) < 1e-9
+    if name == "morse_feedback":
+        assert cols[0]["hjm_residual"].max() <= 1e-4
 
 
 def test_verify_harmonic_continuity_identity(capsys):

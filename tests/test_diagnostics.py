@@ -82,7 +82,7 @@ def _spline_slope(v, x_c, width):
     from scipy.interpolate import make_interp_spline
 
     x = v.grid.points
-    dv = _derivative_arrays(v.values, v.grid.dx, 1, "5pt")
+    dv = _derivative_arrays(v.values, v.grid.dx, 1, "7pt")
     win = np.abs(x - x_c) <= max(4.0 * width, 8.0 * v.grid.dx)
     return float(make_interp_spline(x[win], dv[win], k=5)(x_c))
 
@@ -130,14 +130,15 @@ def test_quintic_weights_closed_form():
 def test_slope_on_a_node_is_its_stencil_sample():
     g = Grid(-4.0, 4.0, 257)  # dx = 1/32: every node offset is exact
     v = RealField(g, g.points**2 * np.sin(g.points))
-    dv = _derivative_arrays(v.values, g.dx, 1, "5pt")
+    dv = _derivative_arrays(v.values, g.dx, 1, "7pt")
     for j in (0, 1, 3, 128, 254, 256):
         assert potential_slope_at(v, g.points[j], 0.1) == dv[j]
 
 
 def test_record_static_ground_state(morse):
     # stationary state at rest: unit overlap, ground spread, zero residuals;
-    # the 1e-8 residual floor needs the finer grid (5-point truncation)
+    # on this grid the 7-point stencils read both residuals at ~1e-11, far
+    # under the 1e-8 floor
     grid = suggest_grid(morse, n=4096)
     info = ground_moments(morse, grid)
     psi0 = ground_state(morse, grid)

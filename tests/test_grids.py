@@ -60,7 +60,7 @@ def test_spectral_second_derivative_eigenfunction():
     assert np.max(np.abs(d2.values + k * k * f.values)) < 1e-10
 
 
-@pytest.mark.parametrize("method", ["spectral", "central-5pt"])
+@pytest.mark.parametrize("method", ["spectral", "central-7pt"])
 def test_second_derivative_constant_is_zero(method):
     g = Grid(-3.0, 3.0, 128)
     d2 = second_derivative(RealField(g, np.full(g.n, 2.5)), method=method)
@@ -83,14 +83,14 @@ def test_stencil_vs_spectral_on_decaying_field():
     g = Grid(-12.0, 12.0, 1024)
     f = RealField(g, np.exp(-0.5 * g.points**2))
     a = second_derivative(f, method="spectral").values
-    b = second_derivative(f, method="central-5pt").values
-    # 5-point stencil is 4th order; agreement at the O(dx^4) scale
-    assert np.max(np.abs(a - b)) < 10.0 * g.dx**4
+    b = second_derivative(f, method="central-7pt").values
+    # 7-point stencil is 6th order; agreement at the O(dx^6) scale
+    assert np.max(np.abs(a - b)) < 10.0 * g.dx**6
 
 
 def test_first_derivative_linear_exact():
     g = Grid(-2.0, 5.0, 64)
-    d1 = first_derivative(RealField(g, 3.0 * g.points - 1.0), method="central-5pt")
+    d1 = first_derivative(RealField(g, 3.0 * g.points - 1.0), method="central-7pt")
     assert np.max(np.abs(d1.values - 3.0)) < 1e-11
 
 
@@ -214,7 +214,7 @@ def test_peak_segment_matches_loop_on_shipped_densities(name):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from([16, 17, 2048, 2049]), st.integers(0, 2**32 - 1),
        st.floats(-300.0, 0.0),
-       st.sampled_from([(1, "5pt"), (2, "5pt"), (1, "7pt")]))
+       st.sampled_from([(1, "7pt"), (2, "7pt")]))
 def test_complex_stencil_is_the_split_stencil_bit_for_bit(n, seed, low, kind):
     # the complex path runs the stencil once over the interleaved (re, im)
     # float view; each part must come out as its own real stencil, bit for
