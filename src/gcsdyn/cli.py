@@ -14,7 +14,11 @@ other gcsdyn error.
 """
 
 import argparse
+import os
+import shutil
 import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -71,33 +75,62 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_run(cfg: RunConfig) -> int:
-    outdir = cfg.output_dir
-    echo_config(cfg, outdir)
-    if cfg.propagation.mode == "feedback":
-        result = evolve_feedback(
-            cfg.model, cfg.initial_point, cfg.propagation, cfg.T, cfg.grid,
-            cfg.tolerances,
-        )
-    else:
-        state0 = gcs_from_model(cfg.model, cfg.grid, cfg.initial_point, cfg.tolerances)
-        result = evolve_static(state0, cfg.model, cfg.propagation, cfg.T, cfg.tolerances)
+@contextmanager
+def _staged(outdir: Path):
+    """A new sibling of outdir to write into, renamed to outdir (replacing an
+    earlier run's) when the block succeeds and removed when it fails. An
+    outdir that holds files but no effective_config.json is not replaced."""
+    outdir = Path(os.path.abspath(outdir))
+    stage = outdir.with_name(f".{outdir.name}.{os.getpid()}.partial")
+    old = stage.with_suffix(".old")
+    try:
+        if (outdir.exists() and not (outdir / "effective_config.json").exists()
+                and any(outdir.iterdir())):
+            raise ConfigError(f"output directory {outdir} holds files that are "
+                              "not a run's output; not replacing it")
+        shutil.rmtree(stage, ignore_errors=True)
+        stage.mkdir(parents=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to output directory {outdir}: {exc}") from exc
+    try:
+        yield stage
+        if outdir.exists():
+            os.rename(outdir, old)
+        os.rename(stage, outdir)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to output directory {outdir}: {exc}") from exc
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+    shutil.rmtree(old, ignore_errors=True)
 
-    write_diagnostics_csv(outdir / "diagnostics.csv", result.records)
-    write_trajectory_csv(outdir / "trajectory.csv", result.trajectory, cfg.model)
-    if cfg.emit_fields:
-        write_fields_csv(outdir / "fields", result)
-    if cfg.emit_plots:
-        write_plot_data(outdir, result)
-        try:
-            render_plots(outdir, result)
-        except OptionalDependencyError as exc:
-            print(f"SVG figures skipped: {exc}", file=sys.stderr)
+
+def cmd_run(cfg: RunConfig) -> int:
+    with _staged(cfg.output_dir) as outdir:
+        echo_config(cfg, outdir)
+        if cfg.propagation.mode == "feedback":
+            result = evolve_feedback(cfg.model, cfg.initial_point, cfg.propagation,
+                                     cfg.T, cfg.grid, cfg.tolerances)
+        else:
+            state0 = gcs_from_model(cfg.model, cfg.grid, cfg.initial_point,
+                                    cfg.tolerances)
+            result = evolve_static(state0, cfg.model, cfg.propagation, cfg.T,
+                                   cfg.tolerances)
+
+        write_diagnostics_csv(outdir / "diagnostics.csv", result.records)
+        write_trajectory_csv(outdir / "trajectory.csv", result.trajectory, cfg.model)
+        if cfg.emit_fields:
+            write_fields_csv(outdir / "fields", result)
+        if cfg.emit_plots:
+            write_plot_data(outdir, result)
+            try:
+                render_plots(outdir, result)
+            except OptionalDependencyError as exc:
+                print(f"SVG figures skipped: {exc}", file=sys.stderr)
 
     worst = max(1.0 - r.overlap for r in result.records)
     print(
         f"run complete: {len(result.records)} snapshots, "
-        f"worst overlap deviation {worst:.3e}, outputs in {outdir}"
+        f"worst overlap deviation {worst:.3e}, outputs in {cfg.output_dir}"
     )
     return EXIT_OK
 

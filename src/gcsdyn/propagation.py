@@ -3,61 +3,17 @@
 In feedback mode (the mechanism under study) the potential is rebuilt every
 step around the advancing classical center, so the packet is carried without
 spreading; in static mode the original potential stays frozen and serves as
-the spreading baseline. The classical trajectory is autonomous: the quantum
-mean is never fed back into it, diagnostics only compare the two.
-
-So the center orbit is integrated once, before the first quantum step, by
-the velocity-Verlet helper behind integrate_trajectory (plain float
-arithmetic, with the force law as a scalar closure), and the quantum loop
-only reads it. Quantum step s uses the potential assembled at the
-time-centered classical state of Verlet step s: midpoint position
-(Q[s-1] + Q[s]) / 2, half-kicked momentum P[s-1] + F[s-1] dt/2, and the
-force evaluated at the midpoint. This keeps the coupled loop second-order
-accurate in dt. In feedback mode, grid coverage of the translated ground
-density is checked at the orbit's turning points and then once more at the
-smallest and largest Q the loop uses, before any quantum step runs.
-
-Each scheme's kernel takes potentials in its own operand units, an affine
-map of V: the half angle -V dt/4hbar of the split-step phase, and
-hbar^2/(m dx^2) + V, the diagonal of the Crank-Nicolson H. Once
-per run, feedback mode computes every step's coefficients of fixed basis
-rows (hydrodynamics._stepping_basis) in those units, from the midpoint
-states; static mode and step() map their V once. A run with one potential
-for all steps (static mode; feedback mode when all coefficient rows are
-equal, as in the harmonic well) prepares and factors it once. Per step the
-loop then does only this:
-
-* feedback with a varying potential: write the step's potential into one
-  row of a reused block of OPERAND_BLOCK rows, as one product of its
-  coefficient row with the basis rows; once a block is full, clamp it at
-  the grid's kinetic ceiling in the same units and prepare the operands of
-  all its steps in one pass, into buffers allocated once per run;
-* the quantum step: split-step makes the half-step phase exp(-i V dt/2hbar)
-  from one tan, then one in-place numpy.fft pair and pointwise products, so
-  it loads no scipy; Crank-Nicolson returns 2 (1 + i theta H)^-1 psi - psi
-  from one tridiagonal LAPACK solve (zgtsv, or zgttrs on zgttrf's factors
-  of a run's one potential; when its config is validated, it imports the
-  scipy package and loads the one extension scipy/linalg/_flapack that
-  holds them, not the scipy.linalg package);
-* the monitors: the norm from one dot product of psi's float view with
-  itself (three for odd n) and the edge mass from two short ones.
-
-Both modes emit the same Frame every snapshot_stride steps (and at the
-first and last step): the step index, psi, the potential V the diagnostics
-read, the classical point they refer to, and the DiagnosticsRecord. In
-feedback mode V is the closed-form hydrodynamics._assembler evaluated,
-unclamped, at the trajectory point (the values of assemble_potential,
-without repeating its coverage check), not the step's basis form, which
-departs from it in the inner Morse wall. In static mode it is the at-rest
-model potential V_model - E0 and the point is anchored at the measured
-packet center: Q = <x> - q0 and P = <p>, from the moments of the
-normalized state that record then reuses, so each snapshot is measured
-once.
+the spreading baseline. The center orbit is autonomous, so it is integrated
+once before the first quantum step; quantum step s takes the potential at
+the time-centered state of Verlet step s (midpoint position, half-kicked
+momentum, midpoint force), second order in dt. Split-step transforms call
+numpy's pocketfft gufuncs directly, or numpy.fft where those fail (_fft_pair).
 """
 
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib import import_module
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import module_from_spec
 from typing import NamedTuple
@@ -151,6 +107,25 @@ def _kinetic_phase(n: int, dx: float, dt: float, m: float, hbar: float) -> np.nd
     return ph
 
 
+@lru_cache(maxsize=1)
+def _fft_pair():
+    """fft(a, 1.0, out=a) and ifft(a, 1/n, out=a): the pocketfft gufuncs, without
+    numpy.fft's per-call argument handling, or numpy.fft's pair if that private
+    module fails to import, has another signature or differs on a probe."""
+    try:
+        pfu = import_module("numpy.fft._pocketfft_umath")
+        x = np.linspace(0.3, 2.1, 6) + 1j * np.linspace(-1.7, 0.4, 6)
+        fwd, inv = pfu.fft(x, 1.0, out=x.copy()), pfu.ifft(x, 1.0 / 6, out=x.copy())
+        if (pfu.fft.signature == "(n),()->(m)"
+                and fwd.tobytes() == np.fft.fft(x).tobytes()
+                and inv.tobytes() == np.fft.ifft(x).tobytes()):
+            return pfu.fft, pfu.ifft
+    except (ImportError, AttributeError, TypeError, ValueError):
+        pass
+    return (lambda a, _, out: np.fft.fft(a, out=out),
+            lambda a, _, out: np.fft.ifft(a, out=out))
+
+
 class _Kernel(NamedTuple):
     """One scheme's step at a grid and dt. Potentials enter it in its own
     operand units, the affine map (V + shift) * scale of V; block is the
@@ -175,6 +150,8 @@ def _split_step(n, dx, dt, m, hbar, rows=None):
     # run (morse_feedback peak RSS +0.14 MiB); as column ranges of shared
     # rows, block-wide ufuncs ran up to 3x slower
     kin = _kinetic_phase(n, dx, dt, m, hbar)
+    fft, ifft = _fft_pair()
+    inv_n = 1.0 / n  # ifft's scale, as numpy.fft.ifft computes it
     shape = (n,) if rows is None else (rows, n)
     work = np.empty((4, *shape))
     block, s = work[0], work[1]
@@ -197,9 +174,9 @@ def _split_step(n, dx, dt, m, hbar, rows=None):
         # factor order as in half * ifft(kin * fft(half * vals)): complex
         # products are not bitwise commutative
         np.multiply(half, vals, out=vals)
-        np.fft.fft(vals, out=vals)
+        fft(vals, 1.0, out=vals)
         np.multiply(kin, vals, out=vals)
-        np.fft.ifft(vals, out=vals)
+        ifft(vals, inv_n, out=vals)
         return np.multiply(half, vals, out=vals)
 
     # the phase holds all of a step's per-run work

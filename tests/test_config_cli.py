@@ -11,6 +11,7 @@ from gcsdyn import (
     ClassicalPoint,
     ConfigError,
     PropagatorConfig,
+    UnitarityError,
     errors,
     evolve_static,
     gcs_from_model,
@@ -18,7 +19,7 @@ from gcsdyn import (
     potential_value,
     suggest_grid,
 )
-from gcsdyn import cli
+from gcsdyn import cli, propagation
 from gcsdyn.cli import main
 from gcsdyn.config import OUTPUT_DIR_ENV, config_from_dict, echo_config
 from gcsdyn.output import write_plot_data
@@ -182,6 +183,10 @@ for path in sys.argv[2:]:
         assert propagation._lapack.cache_info().currsize == 1  # loaded here
     assert main(["run", "--config", path]) == 0
     assert "scipy.linalg" not in sys.modules
+    if json.load(open(path))["propagation"]["scheme"] == "split-step":
+        from numpy.fft import _pocketfft_umath as pfu
+        assert propagation._fft_pair.cache_info().currsize == 1  # loaded here
+        assert propagation._fft_pair() == (pfu.fft, pfu.ifft)
 listing = " ".join(sorted(m for m in sys.modules if m.startswith("scipy.")))
 if propagation._lapack.cache_info().currsize:
     from scipy.linalg import lapack  # a later import shares the routines
@@ -255,6 +260,29 @@ def test_run_loads_no_spline_module(tmp_path):
         "scipy.linalg._flapack"}
     for module in ("scipy.fft", "scipy.interpolate", "scipy.optimize"):
         assert module not in loaded
+
+
+_SETUP_LISTING_NUMPY_FFT = """
+import sys
+from pathlib import Path
+import gcsdyn
+from gcsdyn.config import echo_config, load_config
+cfg = load_config(sys.argv[1])
+echo_config(cfg, Path(sys.argv[2]))
+gcsdyn.gcs_from_model(cfg.model, cfg.grid, cfg.initial_point, cfg.tolerances)
+print(" ".join(sorted(m for m in sys.modules if m.startswith("numpy.fft"))))
+"""
+
+
+def test_setup_loads_no_numpy_fft(tmp_path):
+    # the pocketfft gufuncs are looked up by the first split-step kernel, so
+    # import and set-up (load, echo, initial state) load no numpy.fft at all
+    done = subprocess.run([sys.executable, "-c", _SETUP_LISTING_NUMPY_FFT,
+                           str(CONFIGS / "morse_feedback.json"), str(tmp_path)],
+                          env=_subprocess_env(), capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.split() == []
+    assert (tmp_path / "effective_config.json").exists()
 
 
 def test_split_step_runs_without_scipy(tmp_path):
@@ -414,6 +442,64 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
     path = _write_config(tmp_path, propagation={"T": 0.35, "dt": 0.0035})
     assert main(["run", "--config", str(path)]) == 0
     assert (override / "diagnostics.csv").exists()
+
+
+def _fail_at_step_5(monkeypatch):
+    """Make the step monitors raise a UnitarityError at step 5."""
+    check = propagation._check_monitors
+
+    def failing(vals, grid, step_index, tol):
+        if step_index == 5:
+            raise UnitarityError("norm drifted at step 5")
+        check(vals, grid, step_index, tol)
+
+    monkeypatch.setattr(propagation, "_check_monitors", failing)
+
+
+def _tree(directory):
+    return {p.relative_to(directory): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def test_failed_run_leaves_the_output_directory_as_it_was(tmp_path, monkeypatch):
+    # a run writes into a sibling directory and renames it into place only
+    # when it succeeds: a failure mid-loop leaves no directory, or an
+    # earlier run's unchanged, and a successful re-run replaces it whole
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    out = tmp_path / "out"
+    first = _write_config(tmp_path, "first.json", propagation={"T": 0.35},
+                          output={"emit_fields": True})
+    second = _write_config(tmp_path, "second.json", propagation={"T": 0.42})
+    with monkeypatch.context() as m:
+        _fail_at_step_5(m)
+        assert main(["run", "--config", str(first)]) == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first.json", "second.json"]
+    assert main(["run", "--config", str(first)]) == 0
+    earlier = _tree(out)
+    assert Path("fields") / "0000.csv" in earlier
+    with monkeypatch.context() as m:
+        _fail_at_step_5(m)
+        assert main(["run", "--config", str(second)]) == 4
+    assert _tree(out) == earlier
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "first.json", "out", "second.json"]
+    assert main(["run", "--config", str(second)]) == 0
+    later = _tree(out)
+    assert not (out / "fields").exists()
+    assert later[Path("diagnostics.csv")] != earlier[Path("diagnostics.csv")]
+
+
+def test_run_does_not_replace_a_directory_that_is_not_a_run_output(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    monkeypatch.setattr(cli, "evolve_feedback", _not_called)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "notes.txt").write_text("kept")
+    path = _write_config(tmp_path)
+    assert main(["run", "--config", str(path)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert "not a run's output" in err
+    assert _tree(tmp_path / "out") == {Path("notes.txt"): b"kept"}
 
 
 def _not_called(*args, **kwargs):

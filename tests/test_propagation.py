@@ -717,3 +717,70 @@ def test_crank_nicolson_without_scipy_names_split_step(monkeypatch,
     with pytest.raises(PropagationError, match="use scheme 'split-step'"):
         PropagatorConfig(dt=1e-3, scheme="crank-nicolson")
     PropagatorConfig(dt=1e-3, scheme="split-step")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.integers(1, 40), st.sampled_from([97, 256, 768, 1021, 1024])),
+       st.data())
+def test_split_step_advance_is_its_strang_product(n, data):
+    # n even, odd and prime (1 included): the step through the pocketfft
+    # gufuncs is the numpy.fft expression of the Strang step, bit for bit
+    dx, dt = 8.0 / n, 0.3 * _DT_4PI
+    kernel = propagation._split_step(n, dx, dt, 1.0, 1.0)
+    v = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-_CAP, _CAP)))
+    half = kernel.prepare(_in_units(kernel, v))
+    parts = st.floats(-1e3, 1e3)
+    vals = (data.draw(hnp.arrays(np.float64, n, elements=parts))
+            + 1j * data.draw(hnp.arrays(np.float64, n, elements=parts)))
+    kin = propagation._kinetic_phase(n, dx, dt, 1.0, 1.0)
+    want = half * np.fft.ifft(kin * np.fft.fft(half * vals))
+    got = kernel.advance(vals.copy(), half)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.fixture
+def fresh_fft():
+    """_fft_pair's cache emptied before the test and after it."""
+    propagation._fft_pair.cache_clear()
+    yield
+    propagation._fft_pair.cache_clear()
+
+
+def _reversed_fft(a, fct, out=None):
+    return np.fft.fft(a)[::-1]
+
+
+_reversed_fft.signature = "(n),()->(m)"
+
+
+@pytest.mark.parametrize("stand_in", ["no module", "no gufuncs", "swapped",
+                                      "wrong bits"])
+def test_fft_pair_falls_back_to_numpy_fft(stand_in, morse, morse_run_grid,
+                                          monkeypatch, fresh_fft):
+    # the private module fails to import, lacks the gufuncs, has another
+    # signature or gives other bits: numpy.fft's own pair steps instead,
+    # and a split-step feedback run gives the same frames on both paths
+    from types import SimpleNamespace
+
+    from numpy.fft import _pocketfft_umath as pfu
+
+    conf = PropagatorConfig(dt=2e-3, scheme="split-step", snapshot_stride=4)
+    point0 = ClassicalPoint(0.3, 0.4)
+    nsteps = 2 * propagation.OPERAND_BLOCK + 3
+    direct = evolve_feedback(morse, point0, conf, nsteps * conf.dt, morse_run_grid)
+    assert propagation._fft_pair() == (pfu.fft, pfu.ifft)
+    propagation._fft_pair.cache_clear()
+    monkeypatch.setitem(sys.modules, "numpy.fft._pocketfft_umath", {
+        "no module": None,
+        "no gufuncs": SimpleNamespace(),
+        "swapped": SimpleNamespace(fft=pfu.ifft, ifft=pfu.fft),
+        "wrong bits": SimpleNamespace(fft=_reversed_fft, ifft=pfu.ifft),
+    }[stand_in])
+    fft, ifft = propagation._fft_pair()
+    assert fft is not pfu.fft and ifft is not pfu.ifft
+    public = evolve_feedback(morse, point0, conf, nsteps * conf.dt, morse_run_grid)
+    assert len(direct.frames) == len(public.frames) == 6
+    for a, b in zip(direct.frames, public.frames):
+        assert np.array_equal(a.psi.values.view(np.uint64),
+                              b.psi.values.view(np.uint64))
+        assert a.diagnostics == b.diagnostics
