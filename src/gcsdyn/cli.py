@@ -75,28 +75,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# what gcsdyn run writes into its output directory; a re-run replaces these
+# and leaves every other entry there (extract-vclass's vclass.csv) alone
+RUN_OUTPUTS = ("effective_config.json", "diagnostics.csv", "trajectory.csv",
+               "fields", "plots")
+
+
 @contextmanager
 def _staged(outdir: Path):
-    """A new sibling of outdir to write into, renamed to outdir (replacing an
-    earlier run's) when the block succeeds and removed when it fails. An
-    outdir that holds files but no effective_config.json is not replaced."""
+    """A new sibling of outdir to write a run into. When the block succeeds,
+    its RUN_OUTPUTS replace those of an earlier run in outdir; when it fails,
+    outdir is not touched, and when a move fails, the moves made are undone."""
     outdir = Path(os.path.abspath(outdir))
     stage = outdir.with_name(f".{outdir.name}.{os.getpid()}.partial")
     old = stage.with_suffix(".old")
     try:
-        if (outdir.exists() and not (outdir / "effective_config.json").exists()
-                and any(outdir.iterdir())):
-            raise ConfigError(f"output directory {outdir} holds files that are "
-                              "not a run's output; not replacing it")
         shutil.rmtree(stage, ignore_errors=True)
         stage.mkdir(parents=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot write to output directory {outdir}: {exc}") from exc
-    try:
         yield stage
-        if outdir.exists():
-            os.rename(outdir, old)
-        os.rename(stage, outdir)
+        outdir.mkdir(exist_ok=True)
+        old.mkdir(exist_ok=True)
+        moves = [(a / name, b / name) for a, b in ((outdir, old), (stage, outdir))
+                 for name in RUN_OUTPUTS if os.path.lexists(a / name)]
+        for i, (src, dst) in enumerate(moves):
+            try:
+                shutil.move(src, dst)
+            except OSError:  # put back what moved, the earlier run's last
+                for src, dst in reversed(moves[:i]):
+                    shutil.move(dst, src)
+                shutil.rmtree(old, ignore_errors=True)
+                raise
     except OSError as exc:
         raise ConfigError(f"cannot write to output directory {outdir}: {exc}") from exc
     finally:

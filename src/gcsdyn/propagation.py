@@ -7,7 +7,7 @@ the spreading baseline. The center orbit is autonomous, so it is integrated
 once before the first quantum step; quantum step s takes the potential at
 the time-centered state of Verlet step s (midpoint position, half-kicked
 momentum, midpoint force), second order in dt. Split-step transforms call
-numpy's pocketfft gufuncs directly, or numpy.fft where those fail (_fft_pair).
+numpy's pocketfft gufuncs directly (_pocketfft).
 """
 
 import os
@@ -107,23 +107,19 @@ def _kinetic_phase(n: int, dx: float, dt: float, m: float, hbar: float) -> np.nd
     return ph
 
 
-@lru_cache(maxsize=1)
-def _fft_pair():
-    """fft(a, 1.0, out=a) and ifft(a, 1/n, out=a): the pocketfft gufuncs, without
-    numpy.fft's per-call argument handling, or numpy.fft's pair if that private
-    module fails to import, has another signature or differs on a probe."""
+def _pocketfft():
+    """fft(a, 1.0, out=a) and ifft(a, 1/n, out=a): the pocketfft gufuncs that
+    numpy.fft.fft and ifft wrap, without their per-call argument handling.
+    The module is private, so a numpy without it is a PropagationError."""
     try:
         pfu = import_module("numpy.fft._pocketfft_umath")
-        x = np.linspace(0.3, 2.1, 6) + 1j * np.linspace(-1.7, 0.4, 6)
-        fwd, inv = pfu.fft(x, 1.0, out=x.copy()), pfu.ifft(x, 1.0 / 6, out=x.copy())
-        if (pfu.fft.signature == "(n),()->(m)"
-                and fwd.tobytes() == np.fft.fft(x).tobytes()
-                and inv.tobytes() == np.fft.ifft(x).tobytes()):
+        if (pfu.fft.signature, pfu.ifft.signature) == ("(n),()->(m)", "(m),()->(n)"):
             return pfu.fft, pfu.ifft
-    except (ImportError, AttributeError, TypeError, ValueError):
+    except (ImportError, AttributeError):
         pass
-    return (lambda a, _, out: np.fft.fft(a, out=out),
-            lambda a, _, out: np.fft.ifft(a, out=out))
+    raise PropagationError(f"numpy {np.__version__} lacks the gufuncs fft (n),()->(m) "
+                           "and ifft (m),()->(n) in numpy.fft._pocketfft_umath "
+                           "that scheme 'split-step' calls")
 
 
 class _Kernel(NamedTuple):
@@ -150,7 +146,7 @@ def _split_step(n, dx, dt, m, hbar, rows=None):
     # run (morse_feedback peak RSS +0.14 MiB); as column ranges of shared
     # rows, block-wide ufuncs ran up to 3x slower
     kin = _kinetic_phase(n, dx, dt, m, hbar)
-    fft, ifft = _fft_pair()
+    fft, ifft = _pocketfft()
     inv_n = 1.0 / n  # ifft's scale, as numpy.fft.ifft computes it
     shape = (n,) if rows is None else (rows, n)
     work = np.empty((4, *shape))

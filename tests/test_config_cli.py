@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -183,10 +184,6 @@ for path in sys.argv[2:]:
         assert propagation._lapack.cache_info().currsize == 1  # loaded here
     assert main(["run", "--config", path]) == 0
     assert "scipy.linalg" not in sys.modules
-    if json.load(open(path))["propagation"]["scheme"] == "split-step":
-        from numpy.fft import _pocketfft_umath as pfu
-        assert propagation._fft_pair.cache_info().currsize == 1  # loaded here
-        assert propagation._fft_pair() == (pfu.fft, pfu.ifft)
 listing = " ".join(sorted(m for m in sys.modules if m.startswith("scipy.")))
 if propagation._lapack.cache_info().currsize:
     from scipy.linalg import lapack  # a later import shares the routines
@@ -462,9 +459,9 @@ def _tree(directory):
 
 
 def test_failed_run_leaves_the_output_directory_as_it_was(tmp_path, monkeypatch):
-    # a run writes into a sibling directory and renames it into place only
-    # when it succeeds: a failure mid-loop leaves no directory, or an
-    # earlier run's unchanged, and a successful re-run replaces it whole
+    # a run writes into a sibling directory and moves its outputs into place
+    # only when it succeeds: a failure mid-loop leaves no directory, or an
+    # earlier run's unchanged, and a successful re-run replaces its outputs
     monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
     out = tmp_path / "out"
     first = _write_config(tmp_path, "first.json", propagation={"T": 0.35},
@@ -489,17 +486,34 @@ def test_failed_run_leaves_the_output_directory_as_it_was(tmp_path, monkeypatch)
     assert later[Path("diagnostics.csv")] != earlier[Path("diagnostics.csv")]
 
 
-def test_run_does_not_replace_a_directory_that_is_not_a_run_output(
-        tmp_path, monkeypatch, capsys):
+def test_rerun_replaces_only_the_run_outputs(tmp_path, monkeypatch):
+    # extract-vclass and a run share one directory: the run keeps vclass.csv
+    # and a file of the user's beside its outputs, and a re-run whose moves
+    # fail half-way puts the earlier outputs back
     monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
-    monkeypatch.setattr(cli, "evolve_feedback", _not_called)
-    (tmp_path / "out").mkdir()
-    (tmp_path / "out" / "notes.txt").write_text("kept")
-    path = _write_config(tmp_path)
-    assert main(["run", "--config", str(path)]) == 2
-    (err,) = capsys.readouterr().err.splitlines()
-    assert "not a run's output" in err
-    assert _tree(tmp_path / "out") == {Path("notes.txt"): b"kept"}
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, propagation={"T": 0.35})
+    assert main(["extract-vclass", "--config", str(path)]) == 0
+    (out / "notes.txt").write_text("kept")
+    kept = _tree(out)
+    assert main(["run", "--config", str(path)]) == 0
+    ran = _tree(out)
+    assert set(ran) == set(kept) | {Path("diagnostics.csv"), Path("trajectory.csv")}
+    for name in ("vclass.csv", "notes.txt"):
+        assert ran[Path(name)] == kept[Path(name)]
+    move = shutil.move
+
+    def failing(src, dst):
+        if Path(src).name == "trajectory.csv" and Path(src).parent.suffix == ".partial":
+            raise OSError("no space left on device")
+        return move(src, dst)
+
+    monkeypatch.setattr(shutil, "move", failing)
+    second = _write_config(tmp_path, "second.json", propagation={"T": 0.42})
+    assert main(["run", "--config", str(second)]) == 2
+    assert _tree(out) == ran
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cfg.json", "out", "second.json"]
 
 
 def _not_called(*args, **kwargs):

@@ -738,49 +738,17 @@ def test_split_step_advance_is_its_strang_product(n, data):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-@pytest.fixture
-def fresh_fft():
-    """_fft_pair's cache emptied before the test and after it."""
-    propagation._fft_pair.cache_clear()
-    yield
-    propagation._fft_pair.cache_clear()
-
-
-def _reversed_fft(a, fct, out=None):
-    return np.fft.fft(a)[::-1]
-
-
-_reversed_fft.signature = "(n),()->(m)"
-
-
-@pytest.mark.parametrize("stand_in", ["no module", "no gufuncs", "swapped",
-                                      "wrong bits"])
-def test_fft_pair_falls_back_to_numpy_fft(stand_in, morse, morse_run_grid,
-                                          monkeypatch, fresh_fft):
-    # the private module fails to import, lacks the gufuncs, has another
-    # signature or gives other bits: numpy.fft's own pair steps instead,
-    # and a split-step feedback run gives the same frames on both paths
+@pytest.mark.parametrize("stand_in", ["no module", "no gufuncs", "other signature"])
+def test_split_step_without_pocketfft_gufuncs_is_an_error(stand_in, monkeypatch):
+    # numpy.fft._pocketfft_umath is private: a numpy without its fft and ifft
+    # gufuncs, or with others in their place, stops a split-step run with a
+    # named error rather than stepping with something else
     from types import SimpleNamespace
 
-    from numpy.fft import _pocketfft_umath as pfu
-
-    conf = PropagatorConfig(dt=2e-3, scheme="split-step", snapshot_stride=4)
-    point0 = ClassicalPoint(0.3, 0.4)
-    nsteps = 2 * propagation.OPERAND_BLOCK + 3
-    direct = evolve_feedback(morse, point0, conf, nsteps * conf.dt, morse_run_grid)
-    assert propagation._fft_pair() == (pfu.fft, pfu.ifft)
-    propagation._fft_pair.cache_clear()
     monkeypatch.setitem(sys.modules, "numpy.fft._pocketfft_umath", {
         "no module": None,
         "no gufuncs": SimpleNamespace(),
-        "swapped": SimpleNamespace(fft=pfu.ifft, ifft=pfu.fft),
-        "wrong bits": SimpleNamespace(fft=_reversed_fft, ifft=pfu.ifft),
+        "other signature": SimpleNamespace(fft=np.add, ifft=np.add),
     }[stand_in])
-    fft, ifft = propagation._fft_pair()
-    assert fft is not pfu.fft and ifft is not pfu.ifft
-    public = evolve_feedback(morse, point0, conf, nsteps * conf.dt, morse_run_grid)
-    assert len(direct.frames) == len(public.frames) == 6
-    for a, b in zip(direct.frames, public.frames):
-        assert np.array_equal(a.psi.values.view(np.uint64),
-                              b.psi.values.view(np.uint64))
-        assert a.diagnostics == b.diagnostics
+    with pytest.raises(PropagationError, match="numpy.fft._pocketfft_umath"):
+        propagation._split_step(64, 0.1, 1e-3, 1.0, 1.0)
