@@ -75,17 +75,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# what gcsdyn run writes into its output directory; a re-run replaces these
-# and leaves every other entry there (extract-vclass's vclass.csv) alone
+# what gcsdyn run and gcsdyn extract-vclass write into their output
+# directory; each replaces its own and leaves every other entry there alone
 RUN_OUTPUTS = ("effective_config.json", "diagnostics.csv", "trajectory.csv",
                "fields", "plots")
+VCLASS_OUTPUTS = ("effective_config.json", "vclass.csv")
 
 
 @contextmanager
-def _staged(outdir: Path):
-    """A new sibling of outdir to write a run into. When the block succeeds,
-    its RUN_OUTPUTS replace those of an earlier run in outdir; when it fails,
-    outdir is not touched, and when a move fails, the moves made are undone."""
+def _staged(outdir: Path, outputs):
+    """A new sibling of outdir to write a command's outputs into. When the
+    block succeeds, they replace those of an earlier call in outdir; when it
+    fails, outdir is not touched, and when a move fails, the moves made are
+    undone."""
     outdir = Path(os.path.abspath(outdir))
     stage = outdir.with_name(f".{outdir.name}.{os.getpid()}.partial")
     old = stage.with_suffix(".old")
@@ -96,7 +98,7 @@ def _staged(outdir: Path):
         outdir.mkdir(exist_ok=True)
         old.mkdir(exist_ok=True)
         moves = [(a / name, b / name) for a, b in ((outdir, old), (stage, outdir))
-                 for name in RUN_OUTPUTS if os.path.lexists(a / name)]
+                 for name in outputs if os.path.lexists(a / name)]
         for i, (src, dst) in enumerate(moves):
             try:
                 shutil.move(src, dst)
@@ -113,7 +115,7 @@ def _staged(outdir: Path):
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    with _staged(cfg.output_dir) as outdir:
+    with _staged(cfg.output_dir, RUN_OUTPUTS) as outdir:
         echo_config(cfg, outdir)
         if cfg.propagation.mode == "feedback":
             result = evolve_feedback(cfg.model, cfg.initial_point, cfg.propagation,
@@ -144,40 +146,40 @@ def cmd_run(cfg: RunConfig) -> int:
 
 
 def cmd_extract_vclass(cfg: RunConfig) -> int:
-    outdir = cfg.output_dir
-    echo_config(cfg, outdir)
-    model = cfg.model
-    reach = 3.0 * model.dq
-    # widen the grid so every sampled displacement keeps full coverage
-    n = max(cfg.grid.n, 2048)
-    grid = suggest_grid(model, q_reach_min=-(reach + model.dq),
-                        q_reach_max=reach + model.dq, n=n)
-    scale = model.well_depth if model.kind == "morse" else model.energy_scale
+    with _staged(cfg.output_dir, VCLASS_OUTPUTS) as outdir:
+        echo_config(cfg, outdir)
+        model = cfg.model
+        reach = 3.0 * model.dq
+        # widen the grid so every sampled displacement keeps full coverage
+        n = max(cfg.grid.n, 2048)
+        grid = suggest_grid(model, q_reach_min=-(reach + model.dq),
+                            q_reach_max=reach + model.dq, n=n)
+        scale = model.well_depth if model.kind == "morse" else model.energy_scale
 
-    nodes, weights = np.polynomial.legendre.leggauss(20)
-    q_values = np.linspace(-reach, reach, 61)
-    rows = []
-    worst = 0.0
-    for q in q_values:
-        ana = float(v_class(model, q))
-        if q == 0.0:
-            num = 0.0
-        else:
-            xg = 0.5 * q * (nodes + 1.0)
-            wg = 0.5 * q * weights
-            forces = [
-                linear_coefficient(
-                    model, ClassicalPoint(Q=float(xq), P=0.0, t=0.0),
-                    dPdt=0.0, grid=grid, method="fit", tol=cfg.tolerances,
-                )
-                for xq in xg
-            ]
-            num = -float(np.dot(wg, forces))
-        rel = abs(num - ana) / max(abs(ana), 1e-9 * scale)
-        worst = max(worst, rel)
-        rows.append((q, ana, num, rel))
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        q_values = np.linspace(-reach, reach, 61)
+        rows = []
+        worst = 0.0
+        for q in q_values:
+            ana = float(v_class(model, q))
+            if q == 0.0:
+                num = 0.0
+            else:
+                xg = 0.5 * q * (nodes + 1.0)
+                wg = 0.5 * q * weights
+                forces = [
+                    linear_coefficient(
+                        model, ClassicalPoint(Q=float(xq), P=0.0, t=0.0),
+                        dPdt=0.0, grid=grid, method="fit", tol=cfg.tolerances,
+                    )
+                    for xq in xg
+                ]
+                num = -float(np.dot(wg, forces))
+            rel = abs(num - ana) / max(abs(ana), 1e-9 * scale)
+            worst = max(worst, rel)
+            rows.append((q, ana, num, rel))
 
-    write_vclass_csv(outdir / "vclass.csv", rows)
+        write_vclass_csv(outdir / "vclass.csv", rows)
     print(f"vclass reconstruction over |Q| <= {reach:.6g}: "
           f"max relative deviation {worst:.3e}")
     return EXIT_OK

@@ -203,50 +203,67 @@ def _lapack():
 
 
 def _crank_nicolson(n, dx, dt, m, hbar, rows=None):
-    # operand units: hbar^2/(m dx^2) + V, the diagonal of H; prepare writes
-    # theta times it into the imaginary part of 1 + i theta H, whose real
-    # part 1 is set once. block and lhs are slabs of one allocation, as in
-    # _split_step. (Folding theta into the coefficients as well saves that
-    # multiply, about 0.6 us per step over a bare copy into lhs at n = 1024,
-    # but moved harmonic_feedback's diagnostics by round-off.)
+    # Numerov (compact fourth-order) Crank-Nicolson: H = M^-1 T + V, with
+    # T = off d2 and M = 1 + d2/12 on the Dirichlet second difference d2
+    # (Lele 1992; van Dijk and Toyama 2007). M and T commute, so H is
+    # symmetric and its Cayley step 2 (1 + i theta H)^-1 psi - psi is
+    # unitary; times 6 M it is A^-1 (12 M psi) - psi with A = 6 M + 6 i
+    # theta (T + M V), one tridiagonal solve (A is half of 12 M (1 + i theta
+    # H), which spares doubling the solution). Operand units: e = theta (V +
+    # 12 off) / 2. A's lower band is 1/2 + i e[:-1], its upper band 1/2 + i
+    # e[1:] and its diagonal 5 + i (10 e - 72 theta off); an operand holds
+    # the one array of both bands and the diagonal, prepare writes their
+    # imaginary parts, the real parts are set once.
     theta = dt / (2.0 * hbar)
     off = -(hbar * hbar) / (2.0 * m * dx * dx)
-    band = np.full(n - 1, 1j * theta * off)
     zgtsv, zgttrf, zgttrs = _lapack()
     shape = (n,) if rows is None else (rows, n)
-    work = np.empty((3, *shape))
-    block = work[0]
-    block[...] = 0.0
-    lhs = work[1:].reshape(-1).view(np.complex128).reshape(shape)
-    lhs.real = 1.0
+    block = np.zeros(shape)
+    bands = np.empty((*shape[:-1], 2, n), dtype=np.complex128)
+    outer, diag = np.moveaxis(bands, -2, 0)
+    outer.real, diag.real = 0.5, 5.0
+    outer_im, diag_im = outer.imag, diag.imag
+    rhs = np.empty(n, dtype=np.complex128)
+    r = rhs.view(np.float64)  # (re, im) pairs, so a neighbour is 2 floats away
+    r_lo, r_hi = r[2:], r[:-2]
 
-    def prepare(d):
-        np.multiply(d, theta, out=lhs.imag)
-        return lhs
+    def prepare(e):
+        np.copyto(outer_im, e)
+        np.multiply(e, 10.0, out=diag_im)
+        np.add(diag_im, -72.0 * theta * off, out=diag_im)
+        return bands
+
+    def twelve_m(vals):
+        # 12 M psi = psi[j-1] + 10 psi[j] + psi[j+1], zero past either end
+        v = vals.view(np.float64)
+        np.multiply(v, 10.0, out=r)
+        np.add(r_lo, v[:-2], out=r_lo)
+        np.add(r_hi, v[2:], out=r_hi)
+        return rhs
 
     def cayley(vals, out, info, routine):
-        # the Cayley step (1 + i theta H)^-1 (1 - i theta H) psi is 2 (1 +
-        # i theta H)^-1 psi - psi: one solve, on a copy of vals. solve_banded
-        # calls zgtsv too, after finiteness scans the step monitors make moot
+        # A^-1 (12 M psi) - psi into vals; solve_banded calls zgtsv too,
+        # after finiteness scans the step monitors make moot
         if info != 0:
             raise PropagationError(f"tridiagonal solve failed ({routine} info {info})")
-        out *= 2.0
-        out -= vals
-        return out
+        return np.subtract(out, vals, out=vals)
 
-    def advance(vals, lhs):
-        return cayley(vals, *zgtsv(band, lhs, band, vals)[-2:], "zgtsv")
+    def advance(vals, operand):
+        c, d = operand  # zgtsv works on copies of the bands
+        return cayley(vals, *zgtsv(c[:-1], d, c[1:], twelve_m(vals),
+                                   overwrite_b=1)[-2:], "zgtsv")
 
-    def fixed(lhs):
+    def fixed(operand):
         # zgttrf's factors, then per step only zgttrs: the same elimination
         # as zgtsv's, so the same bits at about half the cost per step
-        *lu, info = zgttrf(band, lhs, band)
+        c, d = operand
+        *lu, info = zgttrf(c[:-1], d, c[1:])
         if info != 0:
             raise PropagationError(f"singular tridiagonal system (zgttrf info {info})")
-        return lambda vals, _: cayley(vals, *zgttrs(*lu, vals), "zgttrs")
+        return lambda vals, _: cayley(vals, *zgttrs(*lu, twelve_m(vals), overwrite_b=1),
+                                      "zgttrs")
 
-    return _Kernel((hbar * hbar) / (m * dx * dx), 1.0, block, prepare, advance,
-                   fixed)
+    return _Kernel(12.0 * off, 0.5 * theta, block, prepare, advance, fixed)
 
 
 # scheme -> kernel factory (n, dx, dt, m, hbar, rows=None) -> _Kernel, for
@@ -290,10 +307,12 @@ def step(
     """One unitary step of i hbar d_t psi = -(hbar^2/2m) psi'' + V psi.
 
     Crank-Nicolson: Cayley form as 2 (1 + i theta H)^-1 psi - psi, theta =
-    dt/2hbar, one tridiagonal solve; unconditionally unitary to round-off
-    (second order in dt and dx). Split-step: Strang splitting, half-step
-    phase from tan of its half angle, spectral in space, second order in dt;
-    in feedback mode the caller hands in V at the step's midpoint time.
+    dt/2hbar, with the Numerov Hamiltonian H = M^-1 T + V (compact fourth
+    order, M = 1 + d2/12), one tridiagonal solve; unconditionally unitary to
+    round-off, second order in dt and fourth order in dx. Split-step: Strang
+    splitting, half-step phase from tan of its half angle, spectral in
+    space, second order in dt; in feedback mode the caller hands in V at
+    the step's midpoint time.
     """
     if psi.grid != V.grid:
         raise PropagationError("psi and V live on different grids")
@@ -301,7 +320,8 @@ def step(
         raise PropagationError(f"scheme must be one of {SCHEMES}")
     kernel = _STEPPERS[scheme](psi.grid.n, psi.grid.dx, dt, m, hbar)
     operand = kernel.prepare(_in_units(kernel, V.values))
-    return ComplexField(psi.grid, kernel.advance(psi.values.copy(), operand))
+    vals = psi.values.astype(np.complex128)  # a copy; advance writes into it
+    return ComplexField(psi.grid, kernel.advance(vals, operand))
 
 
 def _potential_cap(grid: Grid, m: float, hbar: float) -> float:

@@ -69,6 +69,17 @@ def test_step_grid_mismatch():
         step(psi, v, 1e-3)
 
 
+@pytest.mark.parametrize("scheme", propagation.SCHEMES)
+def test_step_takes_a_real_psi(harmonic, scheme):
+    # ground_state is a RealField; step() advances it as its complex copy
+    g = Grid(-6.0, 6.0, 128)
+    psi = ground_state(harmonic, g)
+    v = RealField(g, potential_value(harmonic, g.points))
+    want = step(ComplexField(g, psi.values), v, 1e-2, scheme).values
+    got = step(psi, v, 1e-2, scheme).values
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_free_particle_single_step_matches_closed_form():
     # oracle: free Gaussian spreading, psi(x,t) with complex width
     # sigma^2(t) = sigma0^2 (1 + i hbar t / 2 m sigma0^2)
@@ -116,12 +127,13 @@ def test_stationary_state_phase_advance(harmonic, harmonic_grid):
     assert advance == pytest.approx(-0.5 * dt, abs=1e-10)  # -E0 dt / hbar
     assert np.max(np.abs(np.abs(out.values) ** 2 - psi0.values**2)) < 1e-10
 
-    # Crank-Nicolson advances with the 3-point-Laplacian ground energy, a
-    # dx^2-shifted eigenvalue; density stays put
+    # Crank-Nicolson advances with the Numerov ground energy, a dx^4-shifted
+    # eigenvalue (1.5e-12 here, mostly the Cayley phase's (E0 dt)^3/12; the
+    # 3-point Laplacian's dx^2/32 shift gave 4.9e-9); density stays put
     out_cn = step(psi, v, dt, scheme="crank-nicolson")
     advance_cn = np.angle(np.dot(w, np.conj(psi.values) * out_cn.values))
-    dx2_shift = harmonic_grid.dx**2 / 12.0  # |E_fd - E0| ~ hbar w (w dx)^2/12 scale
-    assert advance_cn == pytest.approx(-0.5 * dt, abs=10.0 * dx2_shift * dt)
+    dx4_shift = harmonic_grid.dx**4  # |E_N - E0| ~ 4e-3 hbar w (w dx)^4
+    assert advance_cn == pytest.approx(-0.5 * dt, abs=dx4_shift * dt)
     assert np.max(np.abs(np.abs(out_cn.values) ** 2 - psi0.values**2)) < 1e-8
 
 
@@ -146,6 +158,31 @@ def test_self_convergence_second_order(harmonic, harmonic_grid, scheme):
         errs.append(np.sqrt(float(np.dot(w, np.abs(diff) ** 2))))
     ratio = errs[0] / errs[1]
     assert 3.2 < ratio < 4.8
+
+
+def test_crank_nicolson_spatial_convergence_fourth_order(harmonic):
+    # Numerov's compact Laplacian: at one small dt, the error against an
+    # n = 1025 reference on nested grids falls ~16x per halving of dx (the
+    # 3-point Laplacian's fell 4x); measured 16.20 and 16.11
+    point0, dt, nsteps = ClassicalPoint(1.0, 0.0), 1e-3, 500
+
+    def run(n):
+        g = Grid(-8.0, 8.0, n)
+        psi = gcs_from_model(harmonic, g, point0).psi
+        v = RealField(g, potential_value(harmonic, g.points))
+        for _ in range(nsteps):
+            psi = step(psi, v, dt, scheme="crank-nicolson")
+        return g, psi.values
+
+    _, ref = run(1025)
+    errs = []
+    for n in (65, 129, 257):
+        g, vals = run(n)
+        diff = vals - ref[::1024 // (n - 1)]
+        errs.append(np.sqrt(float(np.dot(quadrature_weights(g), np.abs(diff) ** 2))))
+    assert errs[0] > 1e-5  # well above the reference's own error
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 14.0 < coarse / fine < 18.0
 
 
 def test_crank_nicolson_unitarity_long_run(harmonic):
@@ -515,22 +552,30 @@ def test_split_step_phase_is_exp_of_its_angle(v_random, offsets):
                   elements=st.one_of(st.just(_CAP), st.floats(-_CAP, _CAP))),
        st.floats(1e-4, 1.0), st.integers(0, 2**32 - 1))
 def test_crank_nicolson_step_solves_its_cayley_system(v, dt_scale, seed):
-    # (1 + i theta H) psi' = (1 - i theta H) psi with H the 3-point Dirichlet
-    # Hamiltonian, to round-off, and |psi'| = |psi|
+    # (1 + i theta H) psi' = (1 - i theta H) psi with H = M^-1 T + V the
+    # Numerov Dirichlet Hamiltonian, M = 1 + d2/12 and T = -d2/(2 dx^2) on
+    # the second difference d2, checked times M (M + i theta (T + M V), no
+    # inverse), to round-off, and |psi'| = |psi|
     g, dt = _KERNEL_GRID, dt_scale * _DT_4PI
     rng = np.random.default_rng(seed)
     vals = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
     vals /= np.linalg.norm(vals)
     out = step(ComplexField(g, vals), RealField(g, v), dt, "crank-nicolson").values
 
-    def h(f):
+    def d2(f):
         lap = -2.0 * f
         lap[1:] += f[:-1]
         lap[:-1] += f[1:]
-        return -0.5 * lap / g.dx**2 + v * f
+        return lap
+
+    def m(f):
+        return f + d2(f) / 12.0
+
+    def mh(f):  # M H f = T f + M (V f)
+        return -0.5 * d2(f) / g.dx**2 + m(v * f)
 
     theta = 0.5 * dt
-    residual = (out + 1j * theta * h(out)) - (vals - 1j * theta * h(vals))
+    residual = (m(out) + 1j * theta * mh(out)) - (m(vals) - 1j * theta * mh(vals))
     assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(vals)
     assert abs(np.linalg.norm(out) ** 2 - 1.0) <= 1e-13
 
@@ -578,10 +623,14 @@ def test_fixed_operand_advance_matches_advance(scheme, n, v, dt_scale, seed):
 
 @pytest.mark.parametrize("n", [5, 257])
 def test_crank_nicolson_raises_on_a_singular_system(n):
-    # a zero diagonal between nonzero bands is singular for odd n; both the
-    # per-step solve and the factor-once path must raise, not step
+    # no real potential makes the Numerov matrix A = 6 M (1 + i theta H)
+    # singular (M is positive definite, H symmetric), so the operand (bands,
+    # diagonal) is built by hand: a zero diagonal between unit bands is
+    # singular for odd n; both the per-step solve and the factor-once path
+    # must raise, not step
     kernel = propagation._crank_nicolson(n, 0.1, 0.01, 1.0, 1.0)
-    singular = np.zeros(n, dtype=complex)
+    singular = np.array([np.ones(n), np.zeros(n)], dtype=complex)
+    assert singular.shape == kernel.prepare(_in_units(kernel, np.zeros(n))).shape
     with pytest.raises(PropagationError, match="zgtsv info"):
         kernel.advance(np.ones(n, dtype=complex), singular)
     with pytest.raises(PropagationError, match="zgttrf info"):
@@ -610,6 +659,27 @@ def test_crank_nicolson_feedback_factors_only_a_constant_potential(
                             snapshot_stride=nsteps)
     evolve_feedback(model, ClassicalPoint(0.3, 0.4), conf, nsteps * dt, grid)
     assert len(calls) == factorizations
+
+
+def test_crank_nicolson_morse_feedback_agrees_with_split_step(morse):
+    # a Morse feedback run's potential moves every step, so Crank-Nicolson
+    # solves it by zgtsv step by step (no shipped config or benchmark run
+    # does); on morse_feedback's wide grid, where no tail is cut, it must
+    # follow the spectral split-step run. Measured max |dpsi| 2.6e-7 and
+    # max |d dq2| 2.7e-8 over the frames (dt^2 and Numerov dx^4 error; at
+    # dt = 2e-3 they read 6.6e-7 and 1.8e-7)
+    grid = Grid(-9.0, 40.0, 768)
+    dt, nsteps = 1e-3, 400
+    runs = [evolve_feedback(morse, ClassicalPoint(0.3, 0.4),
+                            PropagatorConfig(dt=dt, scheme=scheme, mode="feedback",
+                                             snapshot_stride=100),
+                            nsteps * dt, grid)
+            for scheme in ("crank-nicolson", "split-step")]
+    pairs = list(zip(*(run.frames for run in runs)))
+    assert len(pairs) == 5
+    for cn, ss in pairs:
+        assert np.max(np.abs(cn.psi.values - ss.psi.values)) <= 5e-7
+        assert abs(cn.diagnostics.dq2 - ss.diagnostics.dq2) <= 1e-7
 
 
 @pytest.mark.parametrize("kind, scheme", [("morse", "split-step"),
