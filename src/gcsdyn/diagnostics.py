@@ -89,15 +89,14 @@ def potential_slope_at(v: RealField, x_c: float, width: float) -> float:
     values at the 6 nodes and holds the samples nearest x_c.
     """
     grid = v.grid
-    outside = DiagnosticsError(f"evaluation point {x_c:g} outside the grid window")
     if not math.isfinite(x_c):
-        raise outside
+        raise DiagnosticsError(f"evaluation point {x_c:g} outside the grid window")
     j0 = min(max(math.floor((x_c - grid.x_min) / grid.dx) - 2, 0), grid.n - 6)
     lo, hi = max(j0 - 3, 0), min(j0 + 9, grid.n)
     x = grid.points[lo:hi]
     win = np.abs(x - x_c) <= max(4.0 * width, 8.0 * grid.dx)
     if int(np.count_nonzero(win)) < 6:
-        raise outside
+        raise DiagnosticsError(f"evaluation point {x_c:g} outside the grid window")
     dv = _derivative_arrays(v.values[lo:hi], grid.dx, 1, "7pt")
     t = (x_c - x[j0 - lo]) / grid.dx  # x_c in node units: nodes at t = 0 .. 5
     return float(np.dot(_quintic_weights(t), dv[j0 - lo:j0 - lo + 6]))
@@ -153,7 +152,10 @@ def _measure(psi: ComplexField, hbar: float) -> _Measured:
     grid = psi.grid
     rho_raw = np.abs(psi.values) ** 2
     nrm = float(np.dot(quadrature_weights(grid), rho_raw))
-    vals_n = ComplexField(grid, psi.values / math.sqrt(nrm)).values
+    # psi's samples are finite (ComplexField), so vals_n's are when nrm > 0
+    if not nrm > 0.0:
+        raise InvalidFieldError(f"state norm {nrm:g} cannot be normalized")
+    vals_n = psi.values / math.sqrt(nrm)
     rho_n = np.abs(vals_n) ** 2
     return _Measured(nrm, rho_raw, vals_n, rho_n,
                      *_moments(grid, vals_n, rho_n, hbar))

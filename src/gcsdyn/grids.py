@@ -8,7 +8,8 @@ source of <x>, <x^2> and <p> for every other module.
 Boundary handling: fields are assumed negligible at the grid edges. The
 spectral second derivative embeds the field periodically (period n*dx), so
 it must only be used on fields that decay at both ends; the 7-point stencils
-use one-sided closures of matching order and are safe near the edges.
+close each end with one-sided rows of matching order and are safe near the
+edges.
 """
 
 import math
@@ -109,51 +110,39 @@ def _fd_coefficients(offsets, order: int) -> np.ndarray:
     return c
 
 
-# one-sided rows of matching order for the first points at each edge;
-# row r uses offsets -r .. m-1-r, i.e. always the first m samples
-_D1_7_EDGE = [_fd_coefficients(range(-r, 7 - r), 1) for r in range(3)]
-_D2_7_EDGE = [_fd_coefficients(range(-r, 8 - r), 2) for r in range(3)]
+def _stencil_7(order, taps):
+    """The interior taps (offsets -3 .. 3), and the one-sided rows of matching
+    order for the first three points: row r on offsets -r .. 5 + order - r,
+    and for the right end the same, mirrored with the sign of odd orders."""
+    left = np.array([_fd_coefficients(range(-r, 6 + order - r), order) for r in range(3)])
+    return taps, left, (-1.0) ** order * left
 
 
-def _edge_fill(out, vals, edge_rows, order):
-    # one column at a time: a (re, im) pair of columns stays two dot
-    # products, so the edges keep the bits of the separate real and
-    # imaginary passes
-    if vals.ndim == 2:
-        for col in range(vals.shape[1]):
-            _edge_fill(out[:, col], vals[:, col], edge_rows, order)
-        return out
-    sign = -1.0 if order % 2 else 1.0
-    rev = vals[::-1]
-    for r, row in enumerate(edge_rows):
-        m = len(row)
-        out[r] = np.dot(row, vals[:m])
-        out[-1 - r] = sign * np.dot(row, rev[:m])
-    return out
+_STENCILS_7 = {
+    1: _stencil_7(1, np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0),
+    2: _stencil_7(2, np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0),
+}
 
 
 def _derivative_arrays(vals: np.ndarray, dx: float, order: int, stencil: str):
+    """d^order vals / dx^order by the 7-point stencil: the interior as one
+    correlation with the taps, each end as one product with its edge rows;
+    complex input runs each part as its own real input."""
+    if stencil != "7pt" or order not in _STENCILS_7:
+        raise ValueError(f"unsupported stencil/order: {stencil!r}/{order}")
     if np.iscomplexobj(vals):
-        # one pass over the interleaved (re, im) float view, the same
-        # operations on each part as two real passes, bit for bit
-        f = np.ascontiguousarray(vals).view(np.float64).reshape(-1, 2)
-        return _derivative_arrays(f, dx, order, stencil).view(np.complex128)[:, 0]
-    f = vals
-    out = np.empty_like(f)
-    if stencil == "7pt" and order == 1:
-        out[3:-3] = (
-            -f[:-6] + 9.0 * f[1:-5] - 45.0 * f[2:-4] + 45.0 * f[4:-2] - 9.0 * f[5:-1] + f[6:]
-        ) / 60.0
-        _edge_fill(out, f, _D1_7_EDGE, 1)
-        return out / dx
-    if stencil == "7pt" and order == 2:
-        out[3:-3] = (
-            2.0 * f[:-6] - 27.0 * f[1:-5] + 270.0 * f[2:-4] - 490.0 * f[3:-3]
-            + 270.0 * f[4:-2] - 27.0 * f[5:-1] + 2.0 * f[6:]
-        ) / 180.0
-        _edge_fill(out, f, _D2_7_EDGE, 2)
-        return out / dx**2
-    raise ValueError(f"unsupported stencil/order: {stencil!r}/{order}")
+        out = np.empty(vals.shape, dtype=np.complex128)
+        out.real = _derivative_arrays(vals.real, dx, order, stencil)
+        out.imag = _derivative_arrays(vals.imag, dx, order, stencil)
+        return out
+    taps, left, right = _STENCILS_7[order]
+    m = left.shape[1]
+    out = np.empty(len(vals))
+    np.matmul(left, vals[:m], out=out[:3])  # a ValueError if len(vals) < m
+    np.matmul(right, vals[:-m - 1:-1], out=out[:-4:-1])
+    out[3:-3] = np.correlate(vals, taps, "valid")
+    out /= dx**order
+    return out
 
 
 _NODE_PRODUCTS = np.array([-120.0, 24.0, -12.0, 12.0, -24.0, 120.0])

@@ -35,6 +35,7 @@ from .grids import (
     ComplexField,
     Grid,
     RealField,
+    quadrature_weights,
 )
 from .hydrodynamics import _assembler, _stepping_basis
 from .models import (
@@ -337,37 +338,33 @@ def _potential_cap(grid: Grid, m: float, hbar: float) -> float:
     return hbar**2 * k_max**2 / (2.0 * m)
 
 
-def _monitor_values(vals, grid):
-    """Norm and edge mass of the complex values vals, as dots of their
-    (re, im) float view: trapezoid weights (n even) make the norm one dot
-    less half the two end samples, Simpson's (n odd) add two strided dots
-    over the odd samples. (np.vdot's zdotc would page in 0.12 MiB of code.)
-    """
-    v = vals.view(np.float64)
-    ends = abs(vals[0]) ** 2 + abs(vals[-1]) ** 2
-    total = np.dot(v, v)
-    if grid.n % 2:
-        odd = np.dot(v[2::4], v[2::4]) + np.dot(v[3::4], v[3::4])
-        nrm = (2.0 * (total + odd) - ends) * grid.dx / 3.0
-    else:
-        nrm = (total - 0.5 * ends) * grid.dx
-    head, tail = v[:2 * BOUNDARY_POINTS], v[-2 * BOUNDARY_POINTS:]
-    return nrm, (np.dot(head, head) + np.dot(tail, tail)) * grid.dx
+def _monitor(grid, tol):
+    """check(vals, step) of one run: the norm and edge mass of the complex
+    values vals, as one product of their squared (re, im) floats with two
+    weight rows (quadrature weights; dx on the edge strips), raising on
+    either beyond tol; returns (norm, edge mass)."""
+    edge = 2 * BOUNDARY_POINTS
+    weights = np.zeros((2, 2 * grid.n))
+    weights[0] = np.repeat(quadrature_weights(grid), 2)
+    weights[1, :edge] = weights[1, -edge:] = grid.dx
+    squares = np.empty(2 * grid.n)
+    out = np.empty(2)
+    drift, edge_max = tol.unitarity_drift, tol.boundary_mass
 
+    def check(vals, step):
+        v = vals.view(np.float64)
+        nrm, bm = np.dot(weights, np.multiply(v, v, out=squares), out=out).tolist()
+        # written as "not <=" so that a NaN raises at the step it appears
+        if not abs(nrm - 1.0) <= drift:
+            raise UnitarityError(f"norm drifted to {nrm:.12g} at step {step}")
+        if not bm <= edge_max:
+            raise CoverageError(
+                f"packet reached the grid boundary at step {step} "
+                f"(edge mass {bm:.3e})"
+            )
+        return nrm, bm
 
-def _check_monitors(vals, grid, step_index, tol):
-    """Raise on norm drift or edge mass of vals beyond tol."""
-    nrm, bm = _monitor_values(vals, grid)
-    # written as "not <=" so that a NaN raises at the step it appears
-    if not abs(nrm - 1.0) <= tol.unitarity_drift:
-        raise UnitarityError(
-            f"norm drifted to {nrm:.12g} at step {step_index}"
-        )
-    if not bm <= tol.boundary_mass:
-        raise CoverageError(
-            f"packet reached the grid boundary at step {step_index} "
-            f"(edge mass {bm:.3e})"
-        )
+    return check
 
 
 def evolve_feedback(
@@ -501,16 +498,17 @@ def evolve_static(
 
 
 def _run(state0, operands, advance, frame_at, traj, model, config, tol) -> RunResult:
-    """The step loop of both modes: advance psi by one operand per step, run
-    the monitors, and collect frame_at(step, values) at the snapshot steps
-    (the first and last step included)."""
+    """The step loop of both modes: advance psi by one operand per step,
+    check it with the run's _monitor, and collect frame_at(step, values) at
+    the snapshot steps (the first and last step included)."""
     grid = state0.psi.grid
     nsteps = len(traj) - 1
+    check = _monitor(grid, tol)
     vals = state0.psi.values.copy()
     frames = [frame_at(0, vals)]
     for s, operand in enumerate(operands, start=1):
         vals = advance(vals, operand)
-        _check_monitors(vals, grid, s, tol)
+        check(vals, s)
         if s % config.snapshot_stride == 0 or s == nsteps:
             frames.append(frame_at(s, vals))
     return RunResult(

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gcsdyn import (
     ClassicalPoint,
@@ -84,6 +87,39 @@ def test_unknown_keys_rejected(tmp_path):
         path.write_text(json.dumps(raw))
         with pytest.raises(ConfigError, match=key):
             load_config(path)
+
+
+# every key a config may hold, by section (None: the top level)
+_KNOWN_KEYS = {
+    None: ("model", "grid", "initial", "propagation", "output", "tolerances"),
+    "grid": ("x_min", "x_max", "n"),
+    "initial": ("Q0", "P0"),
+    "propagation": ("T", "dt", "scheme", "mode", "snapshot_stride"),
+    "output": ("directory", "emit_fields", "emit_plots"),
+    "tolerances": ("boundary_mass", "unitarity_drift"),
+}
+_MODEL_KEYS = {"harmonic": ("kind", "omega", "mass", "hbar"),
+               "morse": ("kind", "a", "lam", "mass", "hbar")}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(_MODEL_KEYS)),
+       st.sampled_from([None, "model", *sorted(k for k in _KNOWN_KEYS if k)]),
+       st.one_of(st.text(min_size=1, max_size=12),
+                 st.sampled_from(["a", "omega", "lam", "dx", "Q", "phase_floor"])))
+def test_generated_unknown_keys_are_rejected_by_name(kind, section, key):
+    # in every section of an otherwise valid config, a key it does not
+    # hold (a parameter of the other model kind included) is a ConfigError
+    # that names it
+    known = _MODEL_KEYS[kind] if section == "model" else _KNOWN_KEYS[section]
+    assume(key not in known)
+    raw = {"model": {"kind": kind}}
+    if section is None:
+        raw[key] = {}
+    else:
+        raw.setdefault(section, {})[key] = 1
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        config_from_dict(raw)
 
 
 @pytest.mark.parametrize("name", [
@@ -443,14 +479,19 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
 
 def _fail_at_step_5(monkeypatch):
     """Make the step monitors raise a UnitarityError at step 5."""
-    check = propagation._check_monitors
+    monitor = propagation._monitor
 
-    def failing(vals, grid, step_index, tol):
-        if step_index == 5:
-            raise UnitarityError("norm drifted at step 5")
-        check(vals, grid, step_index, tol)
+    def failing_monitor(grid, tol):
+        check = monitor(grid, tol)
 
-    monkeypatch.setattr(propagation, "_check_monitors", failing)
+        def failing(vals, step):
+            if step == 5:
+                raise UnitarityError("norm drifted at step 5")
+            return check(vals, step)
+
+        return failing
+
+    monkeypatch.setattr(propagation, "_monitor", failing_monitor)
 
 
 def _tree(directory):

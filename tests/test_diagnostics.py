@@ -8,6 +8,7 @@ from gcsdyn import (
     ComplexField,
     DiagnosticsError,
     Grid,
+    InvalidFieldError,
     RealField,
     assemble_potential,
     classical_force,
@@ -176,6 +177,13 @@ def test_record_rejects_mismatched_inputs(morse, morse_grid, harmonic_grid):
     other = RealField(harmonic_grid, np.zeros(harmonic_grid.n))
     with pytest.raises(DiagnosticsError):
         record(psi, morse, pt, other, 0.0)
+
+
+def test_record_rejects_a_zero_state(morse, morse_grid):
+    psi = ComplexField(morse_grid, np.zeros(morse_grid.n))
+    V = RealField(morse_grid, np.zeros(morse_grid.n))
+    with pytest.raises(InvalidFieldError, match="norm 0 "):
+        record(psi, morse, ClassicalPoint(0.0, 0.0, 0.0), V, 0.0)
 
 
 def test_feedback_run_tracks_trajectory(morse):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gcsdyn import (
     ClassicalPoint,
@@ -7,6 +9,7 @@ from gcsdyn import (
     CoverageError,
     Grid,
     PhaseUnwrapError,
+    PotentialModel,
     RealField,
     alpha_label,
     density_phase,
@@ -20,6 +23,9 @@ from gcsdyn import (
     normalized,
     quadrature_weights,
 )
+from gcsdyn.grids import boundary_mass
+from gcsdyn.models import reference_density
+from gcsdyn.tolerances import DEFAULT_TOLERANCES
 from conftest import bhattacharyya
 
 
@@ -176,3 +182,33 @@ def test_phase_unwrap_ambiguity_detected():
     psi = normalized(ComplexField(g, psi))
     with pytest.raises(PhaseUnwrapError):
         density_phase(psi)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["harmonic", "morse"]), st.floats(0.5, 2.0),
+       st.floats(0.5, 2.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+def test_displaced_state_is_the_translated_ground_state_boosted_by_p(
+        kind, hbar, mass, u, v):
+    # for (Q, P) inside coverage: norm 1, the density of the ground state
+    # translated by Q, and a phase that turns by P dx / hbar per sample
+    # (P up to a tenth of a radian per sample, so the stencil <p> check
+    # of the constructor holds)
+    if kind == "harmonic":
+        model = PotentialModel.harmonic(omega=1.0, mass=mass, hbar=hbar)
+        grid = Grid(-12.0 * model.dq, 12.0 * model.dq, 1024)
+        q = 4.0 * model.dq * u
+    else:
+        model = PotentialModel.morse(a=1.0, mass=mass, hbar=hbar)
+        grid = Grid(-9.0, 40.0, 1024)
+        q = 2.0 + 4.0 * u
+    p = 0.1 * hbar / grid.dx * v
+    ref = reference_density(model, grid, q)
+    assume(boundary_mass(ref, grid) <= DEFAULT_TOLERANCES.boundary_mass)
+    psi = gcs_from_model(model, grid, ClassicalPoint(q, p)).psi.values
+    rho = np.abs(psi) ** 2
+    assert abs(np.dot(quadrature_weights(grid), rho) - 1.0) <= 1e-12
+    assert np.max(np.abs(rho - ref)) <= 1e-12 * ref.max()
+    # the ground state is positive wherever its samples are normal numbers
+    live = np.minimum(rho[1:], rho[:-1]) > 1e-250
+    turn = np.angle(psi[1:] * np.conj(psi[:-1]))[live]
+    assert np.max(np.abs(turn - p * grid.dx / hbar)) <= 1e-12

@@ -36,9 +36,8 @@ from gcsdyn import (
 from gcsdyn import propagation
 from gcsdyn.grids import boundary_mass
 from gcsdyn.propagation import (
-    _check_monitors,
     _in_units,
-    _monitor_values,
+    _monitor,
     _potential_cap,
 )
 from gcsdyn.tolerances import DEFAULT_TOLERANCES
@@ -357,7 +356,7 @@ def test_monitor_raises_on_nan_at_its_step():
     g = Grid(-5.0, 5.0, 64)
     vals = np.full(g.n, np.nan + 0j)
     with pytest.raises(UnitarityError, match="at step 7$"):
-        _check_monitors(vals, g, 7, DEFAULT_TOLERANCES)
+        _monitor(g, DEFAULT_TOLERANCES)(vals, 7)
 
 
 def _random_state(n, seed):
@@ -367,14 +366,18 @@ def _random_state(n, seed):
     return g, normalized(ComplexField(g, vals)).values.copy()
 
 
-@pytest.mark.parametrize("n", [64, 65, 2048, 2049])
-def test_monitor_norm_and_edge_mass_match_quadrature(n):
-    # trapezoid (even n) and Simpson (odd n) weights, from dots alone
-    g, vals = _random_state(n, n)
+def _assert_monitor_is_quadrature(nrm, bm, vals, g):
     rho = np.abs(vals) ** 2
-    nrm, bm = _monitor_values(vals, g)
     assert abs(nrm - np.dot(quadrature_weights(g), rho)) <= 1e-14
     assert bm == pytest.approx(boundary_mass(rho, g), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [64, 65, 2048, 2049])
+def test_monitor_norm_and_edge_mass_match_quadrature(n):
+    # trapezoid (even n) and Simpson (odd n) weights, in one product
+    g, vals = _random_state(n, n)
+    loose = DEFAULT_TOLERANCES.replacing(boundary_mass=1.0)
+    _assert_monitor_is_quadrature(*_monitor(g, loose)(vals, 1), vals, g)
 
 
 @pytest.mark.parametrize("where, bad", [(32, np.nan), (2, np.inf)])
@@ -383,17 +386,37 @@ def test_monitor_raises_on_a_bad_sample_at_its_step(where, bad):
     # whose edge mass is within bounds; the norm check comes first, and
     # either sample makes the norm NaN or inf
     g, vals = _random_state(64, 3)
-    tol = DEFAULT_TOLERANCES.replacing(boundary_mass=1.0)
-    _check_monitors(vals, g, 4, tol)
+    check = _monitor(g, DEFAULT_TOLERANCES.replacing(boundary_mass=1.0))
+    check(vals, 4)
     vals[where] = bad
     with pytest.raises(UnitarityError, match=f"at step {where + 5}$"):
-        _check_monitors(vals, g, where + 5, tol)
+        check(vals, where + 5)
 
 
 def test_monitor_raises_on_edge_mass_at_its_step():
     g, vals = _random_state(64, 4)  # about a sixth of the mass in the strips
     with pytest.raises(CoverageError, match="at step 9 "):
-        _check_monitors(vals, g, 9, DEFAULT_TOLERANCES)
+        _monitor(g, DEFAULT_TOLERANCES)(vals, 9)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(16, 2049), st.integers(0, 2**32 - 1), st.data())
+def test_monitor_is_quadrature_and_raises_on_any_bad_sample(n, seed, data):
+    # one monitor per run, reused at every step: its values are the
+    # quadrature norm and boundary_mass of each state it is handed, and a
+    # NaN or inf anywhere, real or imaginary part, raises at its step
+    g, vals = _random_state(n, seed)
+    check = _monitor(g, DEFAULT_TOLERANCES.replacing(boundary_mass=10.0,
+                                                     unitarity_drift=10.0))
+    _assert_monitor_is_quadrature(*check(vals, 1), vals, g)
+    shifted = np.roll(vals, n // 3)
+    _assert_monitor_is_quadrature(*check(shifted, 2), shifted, g)
+    where = data.draw(st.integers(0, n - 1))
+    bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    part = data.draw(st.sampled_from(["real", "imag"]))
+    setattr(vals[where:where + 1], part, bad)
+    with pytest.raises(UnitarityError, match="at step 3$"):
+        check(vals, 3)
 
 
 def _clamped(model, grid, v_vals):
