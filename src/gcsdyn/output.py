@@ -2,7 +2,9 @@
 
 All floating-point output is written with 17 significant digits so runs are
 reproducible bit for bit and downstream plotting is implementation
-independent. Column names and order are part of the contract:
+independent. Each file is formatted and written in blocks of BLOCK_ROWS
+rows, so its text is never held in memory whole; the bytes written do not
+depend on the block size. Column names and order are part of the contract:
 
 * diagnostics.csv: t, norm, q_mean, p_mean, dq2, overlap,
   ehrenfest_residual, hjm_residual, boundary_mass, l2_distance
@@ -26,6 +28,7 @@ series need the optional matplotlib ('plots' extra).
 
 import csv
 import dataclasses
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -38,32 +41,37 @@ from .models import PotentialModel
 from .propagation import RunResult
 
 
-def _column_text(column) -> list[str]:
-    """Integers as str(int), everything else with 17 significant digits."""
-    arr = np.asarray(column)
-    if arr.dtype.kind in "biu":
-        return [str(v) for v in arr.astype(np.int64).tolist()]
-    return [format(v, ".17g") for v in arr.astype(np.float64).tolist()]
+BLOCK_ROWS = 256
 
 
 def _write_rows(path: Path, header, columns):
-    """One CSV row per index of the equal-length columns.
-
-    Numbers never need quoting, so the data lines are joined directly, with
-    the csv module's \r\n line ending.
-    """
+    """One CSV row per index of the columns, which must be of equal length
+    (else ValueError): integers as str(int), everything else with 17
+    significant digits. Numbers never need quoting, so each block of
+    BLOCK_ROWS rows is one %-format of the line template, with the csv
+    module's \r\n line ending."""
+    columns = [np.asarray(c) for c in columns]
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"{path.name}: columns of unequal length {lengths}")
+    ints = [c.dtype.kind in "biu" for c in columns]
+    columns = [c.astype(np.int64 if i else np.float64, copy=False)
+               for c, i in zip(columns, ints)]
+    line = ",".join("%d" if i else "%.17g" for i in ints) + "\r\n"
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = [_column_text(c) for c in columns]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.writelines(",".join(row) + "\r\n" for row in zip(*text))
+        for start in range(0, lengths[0], BLOCK_ROWS):
+            block = [c[start:start + BLOCK_ROWS].tolist() for c in columns]
+            values = tuple(chain.from_iterable(zip(*block)))
+            fh.write((line * len(block[0])) % values)
     return path
 
 
 def write_diagnostics_csv(path, records) -> Path:
     """One row per record, one column per DiagnosticsRecord field."""
     header = [f.name for f in dataclasses.fields(DiagnosticsRecord)]
-    columns = zip(*map(dataclasses.astuple, records))
+    columns = [[getattr(r, name) for r in records] for name in header]
     return _write_rows(Path(path), header, columns)
 
 

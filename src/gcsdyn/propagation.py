@@ -500,17 +500,24 @@ def evolve_static(
 def _run(state0, operands, advance, frame_at, traj, model, config, tol) -> RunResult:
     """The step loop of both modes: advance psi by one operand per step,
     check it with the run's _monitor, and collect frame_at(step, values) at
-    the snapshot steps (the first and last step included)."""
+    the snapshot steps (the first and last step included).
+
+    Steps and checks run without numpy's invalid and overflow warnings: a
+    state that turns non-finite is reported by the check's own error alone.
+    Frames are measured under the caller's numpy error handling."""
     grid = state0.psi.grid
     nsteps = len(traj) - 1
     check = _monitor(grid, tol)
     vals = state0.psi.values.copy()
     frames = [frame_at(0, vals)]
-    for s, operand in enumerate(operands, start=1):
-        vals = advance(vals, operand)
-        check(vals, s)
-        if s % config.snapshot_stride == 0 or s == nsteps:
-            frames.append(frame_at(s, vals))
+    caller = np.geterr()
+    with np.errstate(invalid="ignore", over="ignore"):
+        for s, operand in enumerate(operands, start=1):
+            vals = advance(vals, operand)
+            check(vals, s)
+            if s % config.snapshot_stride == 0 or s == nsteps:
+                with np.errstate(**caller):
+                    frames.append(frame_at(s, vals))
     return RunResult(
         frames=tuple(frames), trajectory=traj, grid=grid, model=model, config=config
     )

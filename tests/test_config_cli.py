@@ -494,6 +494,32 @@ def _fail_at_step_5(monkeypatch):
     monkeypatch.setattr(propagation, "_monitor", failing_monitor)
 
 
+@pytest.mark.filterwarnings("error")
+def test_non_finite_state_exits_with_the_error_alone(tmp_path, monkeypatch, capsys):
+    # an inf placed into psi before step 3 spreads through the step and
+    # reaches the check: the run leaves with the UnitarityError's one line,
+    # and no numpy warning is printed (here: raised) next to it
+    kernels = propagation._STEPPERS["split-step"]
+
+    def poisoning(*args):
+        kernel = kernels(*args)
+        steps = []
+
+        def advance(vals, operand):
+            steps.append(1)
+            if len(steps) == 3:
+                vals[len(vals) // 2] = np.inf
+            return kernel.advance(vals, operand)
+
+        return kernel._replace(advance=advance)
+
+    monkeypatch.setitem(propagation._STEPPERS, "split-step", poisoning)
+    path = _write_config(tmp_path, propagation={"T": 0.35})
+    assert main(["run", "--config", str(path)]) == 4
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.endswith("at step 3")
+
+
 def _tree(directory):
     return {p.relative_to(directory): p.read_bytes()
             for p in sorted(directory.rglob("*")) if p.is_file()}

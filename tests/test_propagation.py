@@ -1,4 +1,5 @@
 import sys
+from contextlib import nullcontext
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -34,7 +35,7 @@ from gcsdyn import (
     suggest_grid,
 )
 from gcsdyn import propagation
-from gcsdyn.grids import boundary_mass
+from gcsdyn.grids import BOUNDARY_POINTS, boundary_mass
 from gcsdyn.propagation import (
     _in_units,
     _monitor,
@@ -415,7 +416,12 @@ def test_monitor_is_quadrature_and_raises_on_any_bad_sample(n, seed, data):
     bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     part = data.draw(st.sampled_from(["real", "imag"]))
     setattr(vals[where:where + 1], part, bad)
-    with pytest.raises(UnitarityError, match="at step 3$"):
+    # outside the edge strips an inf meets the edge row's zero weights, and
+    # numpy warns of inf * 0 (inside a run, _run silences it)
+    interior = BOUNDARY_POINTS <= where < n - BOUNDARY_POINTS
+    warns = (pytest.warns(RuntimeWarning, match="invalid value encountered in dot")
+             if np.isinf(bad) and interior else nullcontext())
+    with pytest.raises(UnitarityError, match="at step 3$"), warns:
         check(vals, 3)
 
 
