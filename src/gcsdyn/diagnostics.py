@@ -23,7 +23,7 @@ from .grids import (
     boundary_mass,
     quadrature_weights,
 )
-from .hydrodynamics import hjm_residual
+from .hydrodynamics import _phase_residual, _residual_support
 from .models import (
     PotentialModel,
     ground_moments,
@@ -62,7 +62,9 @@ def coherence_overlap(
     iff rho coincides with the translated reference there. Dimensionless and
     bounded by 1.
     """
-    return _bhattacharyya(rho, _checked_reference(model, rho.grid, q, tol))
+    ref = _checked_reference(model, rho.grid, q, tol)
+    w = quadrature_weights(rho.grid)
+    return _bhattacharyya(w, np.maximum(rho.values, 0.0), ref)
 
 
 def _checked_reference(model, grid, q, tol) -> np.ndarray:
@@ -71,10 +73,9 @@ def _checked_reference(model, grid, q, tol) -> np.ndarray:
     return ref
 
 
-def _bhattacharyya(rho: RealField, ref: np.ndarray) -> float:
-    w = quadrature_weights(rho.grid)
-    own = np.maximum(rho.values, 0.0)
-    own = own / float(np.dot(w, own))
+def _bhattacharyya(w: np.ndarray, rho: np.ndarray, ref: np.ndarray) -> float:
+    # rho >= 0, renormalized by the quadrature weights w; ref is normalized
+    own = rho / float(np.dot(w, rho))
     return float(np.dot(w, np.sqrt(own * ref)))
 
 
@@ -102,9 +103,8 @@ def potential_slope_at(v: RealField, x_c: float, width: float) -> float:
     return float(np.dot(_quintic_weights(t), dv[j0 - lo:j0 - lo + 6]))
 
 
-def _l2_distance(rho: RealField, ref: np.ndarray) -> float:
-    w = quadrature_weights(rho.grid)
-    d = rho.values - ref
+def _l2_distance(w: np.ndarray, rho: np.ndarray, ref: np.ndarray) -> float:
+    d = rho - ref
     return math.sqrt(float(np.dot(w, d * d)))
 
 
@@ -128,18 +128,19 @@ def record(
     packet stops being one. On propagated states it is floored by
     time-stepping dust in the measured density (amplified by 1/dx^2 inside
     the curvature term), so treat it as a comparative indicator there; the
-    exact identities are checked on analytic fields.
+    exact identities are checked on analytic fields. psi is measured once:
+    every column reads the one density |psi / sqrt(norm)|^2, and the phase
+    is unwrapped, and d_t S formed, on the residual's support alone.
     """
     return _record(psi, _measure(psi, model.hbar), model, point, V, dPdt, tol)
 
 
 class _Measured(NamedTuple):
     """The measurements of one snapshot that record and the static anchor
-    share: the quadrature norm nrm of psi, |psi|^2 (rho_raw), the
-    normalized samples and their |.|^2, and their moments."""
+    share: the quadrature norm nrm of psi, the normalized samples and
+    their |.|^2 (the one density every column reads), and their moments."""
 
     nrm: float
-    rho_raw: np.ndarray
     vals_n: np.ndarray
     rho_n: np.ndarray
     q_mean: float
@@ -150,54 +151,52 @@ class _Measured(NamedTuple):
 def _measure(psi: ComplexField, hbar: float) -> _Measured:
     # as moments(normalized(psi)), bit for bit
     grid = psi.grid
-    rho_raw = np.abs(psi.values) ** 2
-    nrm = float(np.dot(quadrature_weights(grid), rho_raw))
+    nrm = float(np.dot(quadrature_weights(grid), np.abs(psi.values) ** 2))
     # psi's samples are finite (ComplexField), so vals_n's are when nrm > 0
     if not nrm > 0.0:
         raise InvalidFieldError(f"state norm {nrm:g} cannot be normalized")
     vals_n = psi.values / math.sqrt(nrm)
     rho_n = np.abs(vals_n) ** 2
-    return _Measured(nrm, rho_raw, vals_n, rho_n,
-                     *_moments(grid, vals_n, rho_n, hbar))
+    return _Measured(nrm, vals_n, rho_n, *_moments(grid, vals_n, rho_n, hbar))
 
 
 def _record(psi, measured, model, point, V, dPdt, tol) -> DiagnosticsRecord:
-    """record, from the snapshot's measurements."""
+    """record, from the snapshot's measurements; psi's ComplexField checked
+    its samples once, so nothing here is wrapped in a field again."""
     grid = psi.grid
     if V.grid != grid:
         raise DiagnosticsError("potential and state live on different grids")
 
-    x = grid.points
     hbar = model.hbar
-    nrm, q_mean = measured.nrm, measured.q_mean
-    dq2 = measured.x2 - q_mean * q_mean
-
-    rho = RealField(grid, measured.rho_raw / nrm)
+    w = quadrature_weights(grid)
+    rho, q_mean = measured.rho_n, measured.q_mean
     ref = _checked_reference(model, grid, point.Q, tol)
-    overlap = _bhattacharyya(rho, ref)
-    l2 = _l2_distance(rho, ref)
 
-    info = ground_moments(model, grid, tol)
-    x_c = q_mean - info.q0
+    x_c = q_mean - ground_moments(model, grid, tol).q0
     ehrenfest = abs(dPdt + potential_slope_at(V, x_c, model.dq))
 
-    dQdt = point.P / model.mass
-    s_t = RealField(grid, dPdt * x - 0.5 * (dPdt * point.Q + point.P * dQdt))
     try:
-        s, _ = _unwrapped_phase(measured.vals_n, measured.rho_n, "mask")
-        hjm = hjm_residual(s_t, RealField(grid, hbar * s), rho, V, model.mass, hbar)
+        sl = _residual_support(rho)
     except InvalidFieldError:
         hjm = float("inf")  # support collapsed: coherence entirely lost
+    else:
+        # the phase and the ansatz's d_t S only on the support
+        vals = measured.vals_n[sl]
+        s, _, _ = _unwrapped_phase(vals, rho[sl], 0, len(vals) - 1, "mask")
+        dQdt = point.P / model.mass
+        s_t = dPdt * grid.points[sl] - 0.5 * (dPdt * point.Q + point.P * dQdt)
+        hjm = _phase_residual(s_t, hbar * s, rho[sl], V.values[sl], w[sl],
+                              grid.dx, model.mass, hbar)
 
     return DiagnosticsRecord(
         t=point.t,
-        norm=nrm,
+        norm=measured.nrm,
         q_mean=q_mean,
         p_mean=measured.p_mean,
-        dq2=dq2,
-        overlap=overlap,
+        dq2=measured.x2 - q_mean * q_mean,
+        overlap=_bhattacharyya(w, rho, ref),
         ehrenfest_residual=ehrenfest,
         hjm_residual=hjm,
-        boundary_mass=boundary_mass(rho.values, grid),
-        l2_distance=l2,
+        boundary_mass=boundary_mass(rho, grid),
+        l2_distance=_l2_distance(w, rho, ref),
     )

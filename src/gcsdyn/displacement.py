@@ -234,29 +234,36 @@ def density_phase(
     else:
         psi = state
     rho = np.abs(psi.values) ** 2
-    s, valid = _unwrapped_phase(psi.values, rho, on_ambiguity)
+    left, right = _peak_segment(rho, PHASE_FLOOR * rho.max())
+    s, lo, hi = _unwrapped_phase(psi.values, rho, left, right, on_ambiguity)
+    valid = np.zeros(psi.grid.n, dtype=bool)
+    valid[lo : hi + 1] = True
     return PolarFields(
         rho=RealField(psi.grid, rho), S=RealField(psi.grid, hbar * s), valid=valid
     )
 
 
-def _unwrapped_phase(vals, rho, on_ambiguity):
-    """density_phase on arrays: the unwrapped phase S / hbar of the complex
-    samples vals, whose |vals|^2 the caller hands in as rho, and its valid
-    mask."""
+def _unwrapped_phase(vals, rho, left, right, on_ambiguity):
+    """Unwrap a run: the phase S / hbar of the complex samples vals over
+    the run [left, right] around the peak of rho = |vals|^2, as
+    density_phase describes, extended linearly from its valid part [lo, hi]
+    to both ends of vals; returns s, lo, hi. record hands in only the
+    residual's support, inside the PHASE_FLOOR run: no jump out of it
+    reaches PHASE_JUMP_FLOOR, so there S is density_phase's up to a
+    constant and round-off."""
     n = len(vals)
-    peak = int(np.argmax(rho))
-    left, right = _peak_segment(rho, PHASE_FLOOR * rho[peak])
-
-    raw = np.angle(vals)
-    d = np.diff(raw[left : right + 1])
-    d -= 2.0 * np.pi * np.round(d / (2.0 * np.pi))
-    # jumps near pi are ambiguous, but only where the state carries
-    # amplitude; tail samples hold numerical dust with random phases
-    seg_rho = rho[left : right + 1]
-    core = np.minimum(seg_rho[:-1], seg_rho[1:]) >= PHASE_JUMP_FLOOR * rho[peak]
-    too_big = (np.abs(d) > 0.9 * np.pi) & core
-    if np.any(too_big):
+    peak = int(rho.argmax())
+    raw = np.angle(vals[left : right + 1])
+    d = raw[1:] - raw[:-1]
+    d -= 2.0 * np.pi * np.rint(d / (2.0 * np.pi))
+    lo, hi = 0, d.size
+    too_big = np.abs(d) > 0.9 * np.pi
+    if too_big.any():
+        # jumps near pi are ambiguous, but only where the state carries
+        # amplitude; tail samples hold numerical dust with random phases
+        seg_rho = rho[left : right + 1]
+        too_big &= np.minimum(seg_rho[:-1], seg_rho[1:]) >= PHASE_JUMP_FLOOR * rho[peak]
+    if too_big.any():
         if on_ambiguity == "raise":
             i = int(np.argmax(too_big))
             raise PhaseUnwrapError(left + i + 1, float(d[i]))
@@ -267,22 +274,19 @@ def _unwrapped_phase(vals, rho, on_ambiguity):
         below = bad[bad < peak - left]
         lo = int(below[-1]) + 1 if below.size else 0
         hi = int(above[0]) if above.size else d.size
-        d = d[lo:hi]
-        left, right = left + lo, left + hi
-    valid = np.zeros(n, dtype=bool)
-    valid[left : right + 1] = True
-    s = np.zeros(n)
-    s_seg = np.concatenate(([raw[left]], raw[left] + np.cumsum(d)))
+    s_seg = np.concatenate(([raw[lo]], raw[lo] + np.cumsum(d[lo:hi])))
+    lo, hi = left + lo, left + hi
     # anchor the global branch to the principal value at the peak
-    s_seg -= 2.0 * np.pi * np.round((s_seg[peak - left] - raw[peak]) / (2.0 * np.pi))
-    s[left : right + 1] = s_seg
+    s_seg -= 2.0 * np.pi * round((s_seg[peak - lo] - raw[peak - left]) / (2.0 * np.pi))
+    s = np.empty(n)
+    s[lo : hi + 1] = s_seg
 
     # linear extension beyond the valid run
-    if left > 0:
-        slope = s[left + 1] - s[left] if right > left else 0.0
-        s[:left] = s[left] - slope * np.arange(left, 0, -1)
-    if right < n - 1:
-        slope = s[right] - s[right - 1] if right > left else 0.0
-        s[right + 1 :] = s[right] + slope * np.arange(1, n - right)
+    if lo > 0:
+        slope = s[lo + 1] - s[lo] if hi > lo else 0.0
+        s[:lo] = s[lo] - slope * np.arange(lo, 0, -1)
+    if hi < n - 1:
+        slope = s[hi] - s[hi - 1] if hi > lo else 0.0
+        s[hi + 1 :] = s[hi] + slope * np.arange(1, n - hi)
 
-    return s, valid
+    return s, lo, hi

@@ -130,7 +130,7 @@ def _derivative_arrays(vals: np.ndarray, dx: float, order: int, stencil: str):
     complex input runs each part as its own real input."""
     if stencil != "7pt" or order not in _STENCILS_7:
         raise ValueError(f"unsupported stencil/order: {stencil!r}/{order}")
-    if np.iscomplexobj(vals):
+    if vals.dtype.kind == "c":
         out = np.empty(vals.shape, dtype=np.complex128)
         out.real = _derivative_arrays(vals.real, dx, order, stencil)
         out.imag = _derivative_arrays(vals.imag, dx, order, stencil)
@@ -153,7 +153,7 @@ def _quintic_weights(t: float) -> np.ndarray:
     prod_m (t - m) / ((t - k) c_k), c_k = prod_{m != k} (k - m) from the
     table above; on a node they are exactly its indicator."""
     d = t - np.arange(6.0)
-    p = np.prod(d)
+    p = d.prod()
     return (d == 0.0) * 1.0 if p == 0.0 else p / (d * _NODE_PRODUCTS)
 
 
@@ -274,10 +274,10 @@ def _peak_segment(vals: np.ndarray, floor: float) -> tuple[int, int]:
     The run always holds the argmax sample, even when that sample is not
     above the floor; a NaN sample ends the run like one below the floor.
     """
-    peak = int(np.argmax(vals))
-    stops = np.flatnonzero(~(vals > floor))
-    k0 = int(np.searchsorted(stops, peak))  # stops[:k0] lie left of the peak
-    k1 = int(np.searchsorted(stops, peak, side="right"))  # stops[k1:] right of it
+    peak = int(vals.argmax())
+    stops = (~(vals > floor)).nonzero()[0]
+    k0 = int(stops.searchsorted(peak))  # stops[:k0] lie left of the peak
+    k1 = int(stops.searchsorted(peak, side="right"))  # stops[k1:] right of it
     i0 = int(stops[k0 - 1]) + 1 if k0 > 0 else 0
     i1 = int(stops[k1]) - 1 if k1 < stops.size else len(vals) - 1
     return i0, i1

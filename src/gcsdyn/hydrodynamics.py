@@ -100,7 +100,7 @@ def quantum_curvature(rho: RealField) -> CurvatureResult:
         hole = i0 + int(np.argmin(mask[i0 : i1 + 1]))
         raise NodeError(f"density vanishes in the interior near sample {hole}")
 
-    f_seg = _log_curvature_segment(vals, rho.grid.dx, i0, i1)
+    f_seg = _log_curvature(vals[i0 : i1 + 1], rho.grid.dx)
     f = np.empty(rho.grid.n)
     f[i0 : i1 + 1] = f_seg
     f[:i0] = f_seg[0]
@@ -110,8 +110,8 @@ def quantum_curvature(rho: RealField) -> CurvatureResult:
     return CurvatureResult(F=RealField(rho.grid, f), valid=valid)
 
 
-def _log_curvature_segment(vals: np.ndarray, dx: float, i0: int, i1: int) -> np.ndarray:
-    g = 0.5 * np.log(vals[i0 : i1 + 1])
+def _log_curvature(rho: np.ndarray, dx: float) -> np.ndarray:
+    g = 0.5 * np.log(rho)
     g1 = _derivative_arrays(g, dx, 1, "7pt")
     g2 = _derivative_arrays(g, dx, 2, "7pt")
     return g2 + g1 * g1
@@ -271,25 +271,31 @@ def hjm_residual(
     sqrt(int rho r^2) / sqrt(int rho V^2). The support is the contiguous
     region around the density peak where rho exceeds RESIDUAL_FLOOR times
     its peak; deeper tails of measured states hold numerical dust whose
-    differentiated phase would dominate the norm.
+    differentiated phase would dominate the norm. Only the support of S_t
+    and S is read, so a phase unwrapped on the support alone serves.
     """
-    grid = rho.grid
     vals = np.maximum(rho.values, 0.0)
-    peak = float(vals.max())
-    i0, i1 = _peak_segment(vals, RESIDUAL_FLOOR * peak)
+    sl = _residual_support(vals)
+    w = quadrature_weights(rho.grid)[sl]
+    return _phase_residual(S_t.values[sl], S.values[sl], vals[sl], V.values[sl],
+                           w, rho.grid.dx, m, hbar)
+
+
+def _residual_support(rho: np.ndarray) -> slice:
+    """The run around the peak of the density samples rho above
+    RESIDUAL_FLOOR times the peak, as a slice of at least 8 samples."""
+    i0, i1 = _peak_segment(rho, RESIDUAL_FLOOR * float(rho.max()))
     if i1 - i0 < 7:
         raise InvalidFieldError("density above the residual floor on < 8 samples")
-    sl = slice(i0, i1 + 1)
+    return slice(i0, i1 + 1)
 
-    curv = _log_curvature_segment(vals, grid.dx, i0, i1)
-    s_x = _derivative_arrays(S.values[sl], grid.dx, 1, "7pt")
-    r = (
-        S_t.values[sl]
-        + s_x * s_x / (2.0 * m)
-        - (hbar**2 / (2.0 * m)) * curv
-        + V.values[sl]
-    )
-    return _relative_norm(quadrature_weights(grid)[sl] * vals[sl], r, V.values[sl])
+
+def _phase_residual(s_t, s, rho, v, w, dx, m, hbar) -> float:
+    """hjm_residual on the support's samples and quadrature weights w."""
+    s_x = _derivative_arrays(s, dx, 1, "7pt")
+    curv = _log_curvature(rho, dx)
+    r = s_t + s_x * s_x / (2.0 * m) - (hbar**2 / (2.0 * m)) * curv + v
+    return _relative_norm(w * rho, r, v)
 
 
 def _relative_norm(w, r, ref) -> float:

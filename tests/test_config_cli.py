@@ -137,6 +137,55 @@ def test_echo_loads_back_to_the_same_config(name, tmp_path, monkeypatch):
     assert load_config(echo_config(cfg, tmp_path / "echo")) == cfg
 
 
+_NUMBER = st.floats(0.5, 2.0)
+
+
+@st.composite
+def _valid_configs(draw):
+    # a valid config of either model kind, scheme and mode, with any
+    # stride; every other entry is either drawn or left to its default
+    kind = draw(st.sampled_from(sorted(_MODEL_KEYS)))
+    names = ("omega", "mass", "hbar") if kind == "harmonic" else ("a", "mass", "hbar")
+    params = {k: draw(_NUMBER) for k in names if draw(st.booleans())}
+    raw = {"model": {"kind": kind, **params}}
+    # a Morse orbit stays bound: |a Q0| <= 0.3 and P0^2 / 2m <= U0 / 4
+    a, m, hbar = (params.get(k, 1.0) for k in ("a", "mass", "hbar"))
+    q0, u = draw(st.floats(-0.3, 0.3)), draw(st.floats(-1.0, 1.0))
+    raw["initial"] = {"Q0": q0 / a, "P0": 0.5 * u * hbar * a}
+    if draw(st.booleans()):
+        raw["grid"] = {"x_min": draw(st.floats(-30.0, -5.0)),
+                       "x_max": draw(st.floats(5.0, 60.0)),
+                       "n": draw(st.integers(16, 4096))}
+    T = draw(st.floats(0.1, 50.0))
+    raw["propagation"] = {
+        "T": T,
+        "dt": T / draw(st.integers(1, 100_000)),
+        "scheme": draw(st.sampled_from(sorted(propagation.SCHEMES))),
+        "mode": draw(st.sampled_from(sorted(propagation.MODES))),
+        "snapshot_stride": draw(st.integers(1, 10**6)),
+    }
+    raw["output"] = {"directory": draw(st.sampled_from(["out", "runs/a b", "ü"])),
+                     "emit_fields": draw(st.booleans()),
+                     "emit_plots": draw(st.booleans())}
+    if draw(st.booleans()):
+        raw["tolerances"] = {"boundary_mass": draw(st.floats(1e-12, 1e-4)),
+                             "unitarity_drift": draw(st.floats(1e-12, 1e-4))}
+    return raw
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_valid_configs())
+def test_generated_configs_echo_back_to_themselves(tmp_path_factory, raw):
+    # load -> echo -> load is the identity over the config space
+    path = tmp_path_factory.mktemp("cfg") / "config.json"
+    path.write_text(json.dumps(raw))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv(OUTPUT_DIR_ENV, raising=False)
+        cfg = load_config(path)
+        echoed = echo_config(cfg, path.parent / "echo")
+        assert load_config(echoed) == cfg
+
+
 def test_preconditions_checked_at_load(tmp_path):
     with pytest.raises(ConfigError):
         config_from_dict({"model": {"kind": "morse", "a": -2.0}})
