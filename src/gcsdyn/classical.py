@@ -24,11 +24,11 @@ import numpy as np
 
 from .displacement import ClassicalPoint
 from .errors import EscapeError, ExtractionError
-from .grids import Grid
+from .grids import Grid, _fd_coefficients
 from .models import _EXP_CAP, PotentialModel, potential_gradient, potential_value
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
-LINEAR_FIT_WINDOW = 3.0  # half-width of the fit window, in ground-state spreads
+FIT_SAMPLES = 10  # samples nearest x = 0 that the fitted slope reads
 
 
 @dataclass(frozen=True)
@@ -100,9 +100,9 @@ def linear_coefficient(
     method="analytic" evaluates the closed form a(t) = F_cl(Q) - dP/dt.
     method="fit" extracts it from the assembled potential samples: the
     linear Taylor coefficient at the expansion point x = 0 is the slope
-    there, read off a quintic spline through the samples within
-    LINEAR_FIT_WINDOW ground-state spreads of the origin. Both evaluators
-    agree to ~1e-10 relative on adequate grids.
+    there, taken as the slope at 0 of the polynomial through the
+    FIT_SAMPLES samples nearest 0 (one dot with its derivative weights).
+    Both evaluators agree to ~1e-10 relative on the shipped grids.
     """
     if method == "analytic":
         return float(classical_force(model, point.Q)) - dPdt
@@ -110,29 +110,19 @@ def linear_coefficient(
         raise ValueError(f"unknown method {method!r}")
     if grid is None:
         raise ExtractionError("numeric extraction needs a grid")
+    x, half = grid.points, FIT_SAMPLES // 2
+    i = int(x.searchsorted(0.0))  # x[i - 1] < 0 <= x[i]
+    if not half <= i <= grid.n - half:
+        raise ExtractionError(
+            f"expansion point x = 0 needs {half} grid samples on either side"
+        )
 
     from .hydrodynamics import assemble_potential
 
     snap = assemble_potential(model, point, dPdt, grid, tol=tol)
-    x = grid.points
-    half = LINEAR_FIT_WINDOW * model.dq
-    window = np.abs(x) <= half
-    if int(np.count_nonzero(window)) < 12:
-        raise ExtractionError(
-            f"fit window |x| <= {half:g} holds {int(np.count_nonzero(window))} "
-            "samples; need at least 12"
-        )
-    if not (x[window][0] < 0.0 < x[window][-1]):
-        raise ExtractionError("expansion point x = 0 not inside the fit window")
-    # imported here: loading scipy.interpolate costs 0.4-0.7 s and about
-    # 50 MiB of RSS (shared 2-vCPU host), and no run needs it
-    from scipy.interpolate import make_interp_spline
-
-    try:
-        spline = make_interp_spline(x[window], snap.V.values[window], k=5)
-    except Exception as exc:  # singular collocation, duplicated knots
-        raise ExtractionError(f"spline fit failed: {exc}") from exc
-    return float(spline.derivative()(0.0))
+    near = slice(i - half, i + half)
+    weights = _fd_coefficients(x[near] / grid.dx, 1)
+    return float(weights @ snap.V.values[near]) / grid.dx
 
 
 def classical_period(model: PotentialModel, e_cl: float = 0.0) -> float:

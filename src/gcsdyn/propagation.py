@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import import_module
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 from typing import NamedTuple
 
 import numpy as np
@@ -183,20 +183,27 @@ def _split_step(n, dx, dt, m, hbar, rows=None):
 @lru_cache(maxsize=1)
 def _lapack():
     """LAPACK's tridiagonal zgtsv, zgttrf and zgttrs, loaded on first use
-    from scipy's one extension that holds them, scipy/linalg/_flapack, not
-    through the scipy.linalg package (about 300 more modules, 0.17 s and 20
-    MiB); an install with no such file takes scipy.linalg.lapack."""
+    from scipy/linalg/_flapack, the one scipy extension that holds them.
+    find_spec locates scipy without running its package start-up, and the
+    extension loads without the scipy.linalg package (about 300 more
+    modules, 0.17 s and 20 MiB). Where that direct load fails (no such
+    file, as in an editable install, or a file that needs scipy's start-up,
+    which may set the DLL search path) scipy.linalg.lapack is imported;
+    with no scipy the scheme is a PropagationError."""
     try:
-        import scipy
-
-        finder = FileFinder(os.path.join(scipy.__path__[0], "linalg"),
-                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        found = find_spec("scipy")
+        if found is None:
+            raise ImportError("No module named 'scipy'")
+        linalg = os.path.join(found.submodule_search_locations[0], "linalg")
+        finder = FileFinder(linalg, (ExtensionFileLoader, EXTENSION_SUFFIXES))
         spec = finder.find_spec("scipy.linalg._flapack")
-        if spec is None:
-            from scipy.linalg import lapack as flapack
-        else:
+        try:
+            if spec is None:
+                raise ImportError("no _flapack file beside scipy")
             flapack = module_from_spec(spec)
             spec.loader.exec_module(flapack)
+        except ImportError:
+            from scipy.linalg import lapack as flapack
     except ImportError as exc:
         raise PropagationError("scheme 'crank-nicolson' needs scipy; install "
                                "it or use scheme 'split-step'") from exc

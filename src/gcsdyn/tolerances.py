@@ -3,7 +3,7 @@
 A carried packet is trusted only while it stays on the grid and the step
 stays unitary. These two thresholds decide both, and a configuration's
 `tolerances` section may set either. The purely numerical floors (norm
-precondition, density cut-offs, fit window) are constants next to their
+precondition, density cut-offs, fit samples) are constants next to their
 only reader.
 """
 

@@ -62,6 +62,12 @@ def test_linear_coefficient_fit_degenerate_grid(morse):
         )
     with pytest.raises(ExtractionError):
         linear_coefficient(morse, ClassicalPoint(0.2, 0.0), 0.0, method="fit")
+    # x = 0 three and a half samples inside the left edge: the 10 samples
+    # nearest it would run off the grid
+    grid = Grid(-3.5 * 32.0 / 1019.5, 32.0, 1024)
+    with pytest.raises(ExtractionError, match="5 grid samples on either side"):
+        linear_coefficient(morse, ClassicalPoint(0.2, 0.0), 0.0, grid=grid,
+                           method="fit")
 
 
 def test_classical_force_signs(morse, harmonic):

@@ -186,6 +186,34 @@ def test_generated_configs_echo_back_to_themselves(tmp_path_factory, raw):
         assert load_config(echoed) == cfg
 
 
+def _csvs(directory):
+    return {p.relative_to(directory): p.read_bytes()
+            for p in sorted(directory.rglob("*.csv"))}
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(_valid_configs(), st.integers(1, 50))
+def test_generated_configs_rerun_byte_for_byte(tmp_path_factory, raw, steps):
+    # a run of at most 50 steps, rerun from its echoed config, writes every
+    # CSV again byte for byte; a config whose run stops with an error (a
+    # coverage or unitarity alarm) leaves no echo to rerun and is not counted
+    raw["propagation"]["T"] = steps * raw["propagation"]["dt"]
+    base = tmp_path_factory.mktemp("rerun")
+    raw["output"]["directory"] = str(base / "first")
+    path = base / "config.json"
+    path.write_text(json.dumps(raw))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv(OUTPUT_DIR_ENV, raising=False)
+        assume(main(["run", "--config", str(path)]) == 0)
+        echoed = json.loads((base / "first" / "effective_config.json").read_text())
+        echoed["output"]["directory"] = str(base / "second")
+        path.write_text(json.dumps(echoed))
+        assert main(["run", "--config", str(path)]) == 0
+    first = _csvs(base / "first")
+    assert len(first) >= 2  # diagnostics and trajectory at least
+    assert _csvs(base / "second") == first
+
+
 def test_preconditions_checked_at_load(tmp_path):
     with pytest.raises(ConfigError):
         config_from_dict({"model": {"kind": "morse", "a": -2.0}})
@@ -252,6 +280,12 @@ def test_run_writes_outputs_and_is_deterministic(tmp_path):
 
 _MAIN = "import sys; from gcsdyn.cli import main; sys.exit(main(sys.argv[1:]))"
 
+_LISTING_SCIPY = """
+def scipy_modules():
+    return " ".join(sorted(m for m, mod in sys.modules.items()
+                           if mod is not None and m.partition(".")[0] == "scipy"))
+"""
+
 _RUN_LISTING_SCIPY = """
 import json
 import sys
@@ -260,6 +294,7 @@ if sys.argv[1] == "no-scipy":
 from gcsdyn import propagation
 from gcsdyn.cli import main
 from gcsdyn.config import load_config
+""" + _LISTING_SCIPY + """
 for path in sys.argv[2:]:
     if json.load(open(path))["propagation"]["scheme"] == "crank-nicolson":
         if sys.argv[1] == "no-scipy":
@@ -267,19 +302,29 @@ for path in sys.argv[2:]:
             continue
         load_config(path)
         assert propagation._lapack.cache_info().currsize == 1  # loaded here
+        # without scipy's package start-up: the extension is all there is
+        assert scipy_modules() == "scipy.linalg._flapack", scipy_modules()
     assert main(["run", "--config", path]) == 0
     assert "scipy.linalg" not in sys.modules
-listing = " ".join(sorted(m for m in sys.modules if m.startswith("scipy.")))
+listing = scipy_modules()
 if propagation._lapack.cache_info().currsize:
     from scipy.linalg import lapack  # a later import shares the routines
     assert propagation._lapack() == (lapack.zgtsv, lapack.zgttrf, lapack.zgttrs)
 print(listing)
 """
 
+_COMMAND_LISTING_SCIPY = """
+import sys
+from gcsdyn.cli import main
+""" + _LISTING_SCIPY + """
+assert main(sys.argv[1:]) == 0
+print(scipy_modules())
+"""
+
 
 def _run_shortened(tmp_path, scipy, names):
     """Run shortened copies of shipped configs, every output on, in a fresh
-    interpreter (other tests import scipy); return the scipy submodules it
+    interpreter (other tests import scipy); return the scipy modules it
     loaded."""
     paths = []
     for name in names:
@@ -329,19 +374,37 @@ def test_feedback_csvs_independent_of_blas_threads(tmp_path):
 
 
 def test_run_loads_no_spline_module(tmp_path):
-    # split-step loads no scipy at all; Crank-Nicolson loads the scipy
-    # package and its one LAPACK extension when its config is validated, not
-    # the scipy.linalg package, and neither scheme loads scipy.fft
+    # split-step loads no scipy at all; Crank-Nicolson loads scipy's one
+    # LAPACK extension when its config is validated, neither the scipy
+    # package nor scipy.linalg, and neither scheme loads scipy.fft
     names = ("morse_feedback", "morse_static_twin")
     assert _run_shortened(tmp_path, "scipy", names) == []
     for name in names:
         assert (tmp_path / name / "diagnostics.csv").exists()
         assert (tmp_path / name / "fields" / "0000.csv").exists()
     loaded = _run_shortened(tmp_path, "scipy", ["harmonic_feedback"])
-    assert {m for m in loaded if m.startswith("scipy.linalg")} <= {
-        "scipy.linalg._flapack"}
-    for module in ("scipy.fft", "scipy.interpolate", "scipy.optimize"):
+    assert loaded == ["scipy.linalg._flapack"]
+    for module in ("scipy", "scipy.fft", "scipy.interpolate", "scipy.optimize"):
         assert module not in loaded
+
+
+@pytest.mark.parametrize("command", ["verify", "extract-vclass"])
+@pytest.mark.parametrize("name", ["morse_feedback", "harmonic_feedback"])
+def test_fitted_slope_loads_no_spline_module(command, name, tmp_path):
+    # both commands read linear_coefficient(method="fit"), a dot with
+    # polynomial weights: in a fresh interpreter neither loads
+    # scipy.interpolate or scipy.optimize, and only the Crank-Nicolson
+    # config loads anything of scipy, its LAPACK extension
+    done = subprocess.run(
+        [sys.executable, "-c", _COMMAND_LISTING_SCIPY, command, "--config",
+         str(CONFIGS / f"{name}.json")],
+        env=_subprocess_env(**{OUTPUT_DIR_ENV: str(tmp_path / "out")}),
+        capture_output=True, text=True, check=True)
+    listing = done.stdout.splitlines()[-1].split()
+    for module in ("scipy.interpolate", "scipy.optimize"):
+        assert module not in listing
+    cn = load_config(CONFIGS / f"{name}.json").propagation.scheme == "crank-nicolson"
+    assert listing == (["scipy.linalg._flapack"] if cn else [])
 
 
 _SETUP_LISTING_NUMPY_FFT = """
@@ -786,10 +849,21 @@ def test_config_tolerances_reach_ground_state_checks(tmp_path, capsys, scheme):
     assert {r[0]: r[3] for r in rows}["grid_coverage"] == "PASS"
 
 
+# linear_coefficient_agreement on each shipped config, pinned at 15-26x its
+# reading (7.8e-11, 5.1e-14, 1.3e-10) and far below verify's 1e-6 gate: the
+# quintic spline this fit replaced read 6.3e-8 and 7.8e-8 on the Morse grids
+_LINEAR_AGREEMENT = {"morse_feedback": 2e-9, "harmonic_feedback": 1e-12,
+                     "morse_static_twin": 2e-9}
+
+
 @pytest.mark.parametrize("name", ["morse_feedback", "harmonic_feedback",
                                   "morse_static_twin"])
-def test_verify_passes_shipped_configs(name):
+def test_verify_passes_shipped_configs(name, capsys):
     assert main(["verify", "--config", str(CONFIGS / f"{name}.json")]) == 0
+    rows = dict(r.split(",", 1) for r in capsys.readouterr().out.splitlines()
+                if "," in r)
+    agreement = float(rows["linear_coefficient_agreement"].split(",")[0])
+    assert agreement <= _LINEAR_AGREEMENT[name]
 
 
 @pytest.mark.parametrize("name", ["morse_feedback", "morse_static_twin"])

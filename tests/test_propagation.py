@@ -1,5 +1,7 @@
 import sys
 from contextlib import nullcontext
+from importlib.machinery import ModuleSpec
+from importlib.util import module_from_spec
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -794,25 +796,65 @@ def test_loaded_lapack_matches_scipy_linalg_lapack(kind, request, monkeypatch):
         assert a.diagnostics == b.diagnostics
 
 
+def _crank_nicolson_step(harmonic, harmonic_grid):
+    """One Crank-Nicolson step of the harmonic ground state, as raw bits."""
+    psi = ground_state(harmonic, harmonic_grid)
+    V = RealField(harmonic_grid, 0.5 * harmonic_grid.points**2)
+    return step(psi, V, 1e-2, "crank-nicolson").values.view(np.uint64)
+
+
+def _spying_module_from_spec(monkeypatch, fail=False):
+    """propagation.module_from_spec, recording the spec of every direct load
+    and, with fail, raising ImportError as a DLL that does not load does."""
+    loads = []
+
+    def spy(spec):
+        loads.append(spec.name)
+        if fail:
+            raise ImportError("DLL load failed while importing _flapack")
+        return module_from_spec(spec)
+
+    monkeypatch.setattr(propagation, "module_from_spec", spy)
+    return loads
+
+
 def test_lapack_without_flapack_file_takes_the_public_import(
         harmonic, harmonic_grid, tmp_path, monkeypatch, fresh_lapack):
     # an install with no _flapack file beside the scipy package (an editable
-    # one, say) falls back to scipy.linalg.lapack, with the same steps
-    import scipy
-
-    psi = ground_state(harmonic, harmonic_grid)
-    V = RealField(harmonic_grid, 0.5 * harmonic_grid.points**2)
-    want = step(psi, V, 1e-2, "crank-nicolson").values
+    # one, say) falls back to scipy.linalg.lapack, with the same steps; the
+    # install layout is faked where _lapack reads it, in scipy's spec
+    want = _crank_nicolson_step(harmonic, harmonic_grid)
     propagation._lapack.cache_clear()
-    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    scipy_here = ModuleSpec("scipy", None, is_package=True)
+    scipy_here.submodule_search_locations.append(str(tmp_path))
+    monkeypatch.setattr(propagation, "find_spec",
+                        lambda name: scipy_here if name == "scipy" else None)
+    loads = _spying_module_from_spec(monkeypatch)
     assert propagation._lapack() == _public_lapack()
-    got = step(psi, V, 1e-2, "crank-nicolson").values
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert loads == []  # no file, so no direct load was tried
+    got = _crank_nicolson_step(harmonic, harmonic_grid)
+    assert np.array_equal(got, want)
+
+
+def test_lapack_whose_direct_load_fails_takes_the_public_import(
+        harmonic, harmonic_grid, monkeypatch, fresh_lapack):
+    # a _flapack file that does not load without scipy's start-up (which
+    # may set the DLL search path) falls back to scipy.linalg.lapack, with
+    # the same steps
+    want = _crank_nicolson_step(harmonic, harmonic_grid)
+    propagation._lapack.cache_clear()
+    loads = _spying_module_from_spec(monkeypatch, fail=True)
+    assert propagation._lapack() == _public_lapack()
+    assert loads == ["scipy.linalg._flapack"]
+    got = _crank_nicolson_step(harmonic, harmonic_grid)
+    assert np.array_equal(got, want)
 
 
 def test_crank_nicolson_without_scipy_names_split_step(monkeypatch,
                                                        fresh_lapack):
-    monkeypatch.setitem(sys.modules, "scipy", None)  # import scipy fails
+    # find_spec finds no scipy package, and any scipy import fails
+    monkeypatch.setattr(propagation, "find_spec", lambda name: None)
+    monkeypatch.setitem(sys.modules, "scipy", None)
     with pytest.raises(PropagationError, match="use scheme 'split-step'"):
         PropagatorConfig(dt=1e-3, scheme="crank-nicolson")
     PropagatorConfig(dt=1e-3, scheme="split-step")
