@@ -25,6 +25,7 @@ import numpy as np
 from .displacement import ClassicalPoint
 from .errors import EscapeError, ExtractionError
 from .grids import Grid, _fd_coefficients
+from .hydrodynamics import assemble_potential
 from .models import _EXP_CAP, PotentialModel, potential_gradient, potential_value
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -116,8 +117,6 @@ def linear_coefficient(
         raise ExtractionError(
             f"expansion point x = 0 needs {half} grid samples on either side"
         )
-
-    from .hydrodynamics import assemble_potential
 
     snap = assemble_potential(model, point, dPdt, grid, tol=tol)
     near = slice(i - half, i + half)

@@ -98,7 +98,7 @@ def potential_slope_at(v: RealField, x_c: float, width: float) -> float:
     win = np.abs(x - x_c) <= max(4.0 * width, 8.0 * grid.dx)
     if int(np.count_nonzero(win)) < 6:
         raise DiagnosticsError(f"evaluation point {x_c:g} outside the grid window")
-    dv = _derivative_arrays(v.values[lo:hi], grid.dx, 1, "7pt")
+    dv = _derivative_arrays(v.values[lo:hi], grid.dx, 1)
     t = (x_c - x[j0 - lo]) / grid.dx  # x_c in node units: nodes at t = 0 .. 5
     return float(np.dot(_quintic_weights(t), dv[j0 - lo:j0 - lo + 6]))
 

@@ -124,16 +124,16 @@ _STENCILS_7 = {
 }
 
 
-def _derivative_arrays(vals: np.ndarray, dx: float, order: int, stencil: str):
+def _derivative_arrays(vals: np.ndarray, dx: float, order: int):
     """d^order vals / dx^order by the 7-point stencil: the interior as one
     correlation with the taps, each end as one product with its edge rows;
     complex input runs each part as its own real input."""
-    if stencil != "7pt" or order not in _STENCILS_7:
-        raise ValueError(f"unsupported stencil/order: {stencil!r}/{order}")
+    if order not in _STENCILS_7:
+        raise ValueError(f"unsupported derivative order {order}")
     if vals.dtype.kind == "c":
         out = np.empty(vals.shape, dtype=np.complex128)
-        out.real = _derivative_arrays(vals.real, dx, order, stencil)
-        out.imag = _derivative_arrays(vals.imag, dx, order, stencil)
+        out.real = _derivative_arrays(vals.real, dx, order)
+        out.imag = _derivative_arrays(vals.imag, dx, order)
         return out
     taps, left, right = _STENCILS_7[order]
     m = left.shape[1]
@@ -172,7 +172,7 @@ def _differentiate(fld, order: int, method: str):
     if method == "spectral":
         der = _spectral_derivative(vals, dx, order)
     elif method == "central-7pt":
-        der = _derivative_arrays(vals, dx, order, "7pt")
+        der = _derivative_arrays(vals, dx, order)
     else:
         raise ValueError(f"unknown derivative method {method!r}")
     cls = ComplexField if np.iscomplexobj(vals) else RealField
@@ -254,7 +254,7 @@ def _moments(grid: Grid, vals, rho, hbar):
     nrm = float(np.dot(w, rho))
     if abs(nrm - 1.0) > NORM_TOL:
         raise NormalizationError(nrm, NORM_TOL, "wavefunction")
-    dpsi = _derivative_arrays(vals, grid.dx, 1, "7pt")
+    dpsi = _derivative_arrays(vals, grid.dx, 1)
     return (
         float(np.dot(w, x * rho)),
         float(np.dot(w, x * x * rho)),

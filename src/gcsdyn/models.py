@@ -20,7 +20,15 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CoverageError, InvalidFieldError
-from .grids import Grid, RealField, boundary_mass, moments, quadrature_weights
+from .grids import (
+    BOUNDARY_POINTS,
+    Grid,
+    RealField,
+    boundary_mass,
+    moments,
+    quadrature_weights,
+    second_derivative,
+)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 # decay constant of the Morse ground state in units of its spread
@@ -112,21 +120,18 @@ class PotentialModel:
 def potential_value(model: PotentialModel, x):
     """V(x) for scalars or arrays."""
     x = np.asarray(x, dtype=np.float64)
-    v = _potential_into(model, x, np.empty_like(x))
-    return v if v.ndim else float(v)
-
-
-def _potential_into(model: PotentialModel, x: np.ndarray, out: np.ndarray):
-    """V(x) written into out, a float array shaped like x; returns out."""
+    v = np.empty_like(x)
     if model.kind == "harmonic":
-        np.multiply(x, 0.5 * model.mass * model.omega**2, out=out)
-        return np.multiply(out, x, out=out)
-    np.multiply(x, -model.a, out=out)
-    np.minimum(out, _EXP_CAP, out=out)
-    np.exp(out, out=out)
-    np.subtract(1.0, out, out=out)
-    np.square(out, out=out)
-    return np.multiply(out, model.well_depth, out=out)
+        np.multiply(x, 0.5 * model.mass * model.omega**2, out=v)
+        np.multiply(v, x, out=v)
+    else:
+        np.multiply(x, -model.a, out=v)
+        np.minimum(v, _EXP_CAP, out=v)
+        np.exp(v, out=v)
+        np.subtract(1.0, v, out=v)
+        np.square(v, out=v)
+        np.multiply(v, model.well_depth, out=v)
+    return v if v.ndim else float(v)
 
 
 def potential_gradient(model: PotentialModel, x):
@@ -169,14 +174,22 @@ def ground_density_values(model: PotentialModel, x) -> np.ndarray:
 def reference_density(model: PotentialModel, grid: Grid, q: float) -> np.ndarray:
     """Ground density translated by q, normalized to 1 on the grid."""
     ref = ground_density_values(model, grid.points - q)
-    return ref / float(np.dot(quadrature_weights(grid), ref))
+    return ref / _grid_mass(ref, grid, f"ground density shifted by Q = {q:g}")
+
+
+def _grid_mass(rho: np.ndarray, grid: Grid, what: str) -> float:
+    """The quadrature of the density rho; CoverageError if it vanishes."""
+    mass = float(np.dot(quadrature_weights(grid), rho))
+    if not mass > 0.0:
+        raise CoverageError(f"{what} vanishes on every grid sample")
+    return mass
 
 
 def require_coverage(rho: np.ndarray, grid: Grid, tol: Tolerances, what: str):
     """Raise CoverageError when the normalized density rho has more mass at
     the grid edges than the coverage tolerance allows."""
     bm = boundary_mass(rho, grid)
-    if bm > tol.boundary_mass:
+    if not bm <= tol.boundary_mass:  # a NaN edge mass fails too
         raise CoverageError(
             f"{what} touches the grid boundary "
             f"(edge mass {bm:.3e} > {tol.boundary_mass:g})"
@@ -200,7 +213,7 @@ def _normalized_ground_state(model, grid, q, tol, what) -> np.ndarray:
     after the coverage check of their density."""
     psi = ground_state_values(model, grid.points - q)
     rho = psi * psi
-    mass = float(np.dot(quadrature_weights(grid), rho))
+    mass = _grid_mass(rho, grid, what)
     require_coverage(rho / mass, grid, tol, what)
     return psi / math.sqrt(mass)
 
@@ -246,8 +259,6 @@ def suggest_grid(
 def stationary_residual(model: PotentialModel, grid: Grid, method: str = "spectral",
                         tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """max |H psi0 - E0 psi0| / max |psi0| on the interior of the grid."""
-    from .grids import BOUNDARY_POINTS, second_derivative
-
     psi = ground_state(model, grid, tol)
     d2 = second_derivative(psi, method=method).values
     h = (

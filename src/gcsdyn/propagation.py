@@ -37,7 +37,7 @@ from .grids import (
     RealField,
     quadrature_weights,
 )
-from .hydrodynamics import _assembler, _stepping_basis
+from .hydrodynamics import _closed_form, _stepping_basis
 from .models import (
     PotentialModel,
     ground_energy,
@@ -419,7 +419,6 @@ def evolve_feedback(
                          kernel.shift, kernel.scale)
     del q_mid, p_half  # kept for the run, they cost harmonic_feedback 0.1 MiB RSS
     cap = _potential_cap(grid, m, hbar)
-    fill = _assembler(model, grid)
 
     def operands(kernel):
         # the potentials of up to len(block) steps, one product per step as
@@ -444,7 +443,7 @@ def evolve_feedback(
     def frame_at(s, vals):
         pt = traj.point(s)
         f_s = float(f[s])
-        V = RealField(grid, fill(pt.Q, pt.P, f_s))  # a copy of fill's array
+        V = RealField(grid, _closed_form(model, grid, pt.Q, pt.P, f_s))
         psi = ComplexField(grid, vals)
         return Frame(s, psi, V, pt, record(psi, model, pt, V, f_s, tol))
 

@@ -632,6 +632,28 @@ def test_non_finite_state_exits_with_the_error_alone(tmp_path, monkeypatch, caps
     assert err.endswith("at step 3")
 
 
+@pytest.mark.filterwarnings("error")
+def test_orbit_off_the_grid_exits_with_the_coverage_error_alone(tmp_path, capsys):
+    # dt = 11.8 is past Verlet's stability limit, so the orbit runs out to
+    # Q ~ -2e10, where the translated ground density underflows on every
+    # sample: the pre-check exits 3 with its one line, where it divided by
+    # the zero quadrature and let the NaN density pass into the run (exit 4)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "model": {"kind": "harmonic", "omega": 1.0},
+        "grid": {"x_min": -14.75, "x_max": 25.95, "n": 398},
+        "initial": {"Q0": 1.0, "P0": 0.0},
+        "propagation": {"T": 59.0, "dt": 11.8, "scheme": "split-step",
+                        "mode": "feedback"},
+        "output": {"directory": str(tmp_path / "out")},
+    }))
+    assert main(["run", "--config", str(path)]) == 3
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith("coverage/escape error: ground density shifted by Q = ")
+    assert err.endswith("vanishes on every grid sample")
+    assert not (tmp_path / "out").exists()
+
+
 def _tree(directory):
     return {p.relative_to(directory): p.read_bytes()
             for p in sorted(directory.rglob("*")) if p.is_file()}

@@ -83,7 +83,7 @@ def _spline_slope(v, x_c, width):
     from scipy.interpolate import make_interp_spline
 
     x = v.grid.points
-    dv = _derivative_arrays(v.values, v.grid.dx, 1, "7pt")
+    dv = _derivative_arrays(v.values, v.grid.dx, 1)
     win = np.abs(x - x_c) <= max(4.0 * width, 8.0 * v.grid.dx)
     return float(make_interp_spline(x[win], dv[win], k=5)(x_c))
 
@@ -131,7 +131,7 @@ def test_quintic_weights_closed_form():
 def test_slope_on_a_node_is_its_stencil_sample():
     g = Grid(-4.0, 4.0, 257)  # dx = 1/32: every node offset is exact
     v = RealField(g, g.points**2 * np.sin(g.points))
-    dv = _derivative_arrays(v.values, g.dx, 1, "7pt")
+    dv = _derivative_arrays(v.values, g.dx, 1)
     for j in (0, 1, 3, 128, 254, 256):
         assert potential_slope_at(v, g.points[j], 0.1) == dv[j]
 

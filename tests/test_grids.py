@@ -214,21 +214,20 @@ def test_peak_segment_matches_loop_on_shipped_densities(name):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from([16, 17, 2048, 2049]), st.integers(0, 2**32 - 1),
        st.floats(-300.0, 0.0),
-       st.sampled_from([(1, "7pt"), (2, "7pt")]))
-def test_complex_stencil_is_the_split_stencil_bit_for_bit(n, seed, low, kind):
+       st.sampled_from([1, 2]))
+def test_complex_stencil_is_the_split_stencil_bit_for_bit(n, seed, low, order):
     # the complex path runs the stencil once over the interleaved (re, im)
     # float view; each part must come out as its own real stencil, bit for
     # bit, with magnitudes spread over 10^low .. 10^3
-    order, stencil = kind
     rng = np.random.default_rng(seed)
     vals = np.empty(n, dtype=np.complex128)
     vals.real = rng.normal(size=n) * 10.0 ** rng.uniform(low, 3.0, size=n)
     vals.imag = rng.normal(size=n) * 10.0 ** rng.uniform(low, 3.0, size=n)
     dx = 34.0 / (n - 1)
     split = np.empty(n, dtype=np.complex128)
-    split.real = _derivative_arrays(vals.real, dx, order, stencil)
-    split.imag = _derivative_arrays(vals.imag, dx, order, stencil)
-    got = _derivative_arrays(vals, dx, order, stencil)
+    split.real = _derivative_arrays(vals.real, dx, order)
+    split.imag = _derivative_arrays(vals.imag, dx, order)
+    got = _derivative_arrays(vals, dx, order)
     assert np.array_equal(got.view(np.uint64), split.view(np.uint64))
 
 
@@ -275,7 +274,7 @@ def test_stencil_is_the_term_by_term_stencil_to_round_off(n, seed, low, order):
     rng = np.random.default_rng(seed)
     f = rng.normal(size=n) * 10.0 ** rng.uniform(low, 3.0, size=n)
     dx = 34.0 / (n - 1)
-    got = _derivative_arrays(f, dx, order, "7pt")
+    got = _derivative_arrays(f, dx, order)
     err = np.abs(got - _stencil_by_terms(f, dx, order))
     assert np.all(err <= 8.0 * np.finfo(float).eps * _stencil_of_magnitudes(f, dx, order))
 
@@ -285,5 +284,11 @@ def test_stencil_is_the_term_by_term_stencil_to_round_off(n, seed, low, order):
 def test_stencil_needs_as_many_samples_as_its_edge_rows(order, m, dtype):
     for n in range(m):
         with pytest.raises(ValueError):
-            _derivative_arrays(np.ones(n, dtype=dtype), 0.1, order, "7pt")
-    assert _derivative_arrays(np.ones(m, dtype=dtype), 0.1, order, "7pt").shape == (m,)
+            _derivative_arrays(np.ones(n, dtype=dtype), 0.1, order)
+    assert _derivative_arrays(np.ones(m, dtype=dtype), 0.1, order).shape == (m,)
+
+
+@pytest.mark.parametrize("order", [0, 3])
+def test_stencil_rejects_an_order_it_lacks(order):
+    with pytest.raises(ValueError, match="unsupported derivative order"):
+        _derivative_arrays(np.ones(16), 0.1, order)

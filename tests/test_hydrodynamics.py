@@ -7,10 +7,12 @@ from gcsdyn import (
     Grid,
     NodeError,
     NormalizationError,
+    PropagatorConfig,
     RealField,
     assemble_potential,
     classical_force,
     continuity_residual,
+    evolve_feedback,
     ground_density_values,
     ground_energy,
     ground_state,
@@ -237,19 +239,19 @@ def test_constant_offset_leaves_density_invariant(morse, morse_grid):
 
 
 @pytest.mark.parametrize("kind", ["morse", "harmonic"])
-def test_loop_assembler_matches_assemble_potential_bitwise(kind, request):
-    # _assembler is the snapshot potential: feedback frames hand its V to
-    # the diagnostics and to potential_snapshots.csv, so it must be the
-    # public assembled potential, bit for bit
-    from gcsdyn.hydrodynamics import _assembler
-
+def test_feedback_frames_carry_the_assembled_potential_bitwise(kind, request):
+    # feedback frames hand their V to the diagnostics and to
+    # potential_snapshots.csv, so each must be the public assembled
+    # potential at the frame's trajectory point and force, bit for bit
     model = request.getfixturevalue(kind)
     grid = request.getfixturevalue(f"{kind}_grid")
-    fill = _assembler(model, grid)
-    for q, p in [(0.0, 0.0), (0.37, -0.21), (-0.8, 0.45)]:
-        f = classical_force(model, q)
-        snap = assemble_potential(model, ClassicalPoint(q, p), f, grid)
-        assert np.array_equal(fill(q, p, f), snap.V.values)
+    conf = PropagatorConfig(dt=2e-3, scheme="split-step", snapshot_stride=7)
+    run = evolve_feedback(model, ClassicalPoint(0.4, -0.3), conf, 40 * 2e-3, grid)
+    assert [fr.step for fr in run.frames] == [0, 7, 14, 21, 28, 35, 40]
+    for frame in run.frames:
+        f = float(run.trajectory.forces[frame.step])
+        snap = assemble_potential(model, frame.point, f, grid)
+        assert np.array_equal(frame.V.values, snap.V.values)
 
 
 @pytest.mark.parametrize("kind", ["morse", "harmonic"])

@@ -18,7 +18,8 @@ from gcsdyn import (
     stationary_residual,
     suggest_grid,
 )
-from gcsdyn.models import MORSE_GAMMA
+from gcsdyn.models import MORSE_GAMMA, reference_density, require_coverage
+from gcsdyn.tolerances import DEFAULT_TOLERANCES
 
 
 def test_morse_parameter_validation():
@@ -127,6 +128,25 @@ def test_stationary_schrodinger_residual(morse, harmonic):
 def test_ground_state_coverage_error(morse):
     with pytest.raises(CoverageError):
         ground_state(morse, Grid(-1.0, 3.0, 64))
+
+
+@pytest.mark.filterwarnings("error")
+def test_density_that_vanishes_on_the_grid_is_a_coverage_error(harmonic):
+    # a ground density that underflows on every sample has quadrature 0:
+    # a CoverageError naming that, with no 0/0 and no numpy warning
+    grid = Grid(100.0, 140.0, 398)
+    with pytest.raises(CoverageError, match="vanishes on every grid sample"):
+        reference_density(harmonic, grid, -2.4e10)
+    with pytest.raises(CoverageError, match="ground state vanishes"):
+        ground_state(harmonic, grid)
+
+
+def test_nan_edge_mass_fails_the_coverage_check(harmonic):
+    grid = Grid(-10.0, 10.0, 64)
+    rho = np.zeros(64)
+    rho[0] = np.nan
+    with pytest.raises(CoverageError, match="edge mass nan"):
+        require_coverage(rho, grid, DEFAULT_TOLERANCES, "packet")
 
 
 def test_suggest_grid_covers(morse, harmonic):

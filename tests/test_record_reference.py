@@ -101,9 +101,9 @@ def _reference_hjm(s_t, s, rho, v, m, hbar, grid):
         raise InvalidFieldError("density above the residual floor on < 8 samples")
     sl = slice(i0, i1 + 1)
     g = 0.5 * np.log(vals[sl])
-    g1 = _derivative_arrays(g, grid.dx, 1, "7pt")
-    curv = _derivative_arrays(g, grid.dx, 2, "7pt") + g1 * g1
-    s_x = _derivative_arrays(s.values[sl], grid.dx, 1, "7pt")
+    g1 = _derivative_arrays(g, grid.dx, 1)
+    curv = _derivative_arrays(g, grid.dx, 2) + g1 * g1
+    s_x = _derivative_arrays(s.values[sl], grid.dx, 1)
     r = (s_t.values[sl] + s_x * s_x / (2.0 * m) - (hbar**2 / (2.0 * m)) * curv
          + v.values[sl])
     w = quadrature_weights(grid)[sl] * vals[sl]
