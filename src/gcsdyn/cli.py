@@ -154,7 +154,6 @@ def cmd_extract_vclass(cfg: RunConfig) -> int:
         n = max(cfg.grid.n, 2048)
         grid = suggest_grid(model, q_reach_min=-(reach + model.dq),
                             q_reach_max=reach + model.dq, n=n)
-        scale = model.well_depth if model.kind == "morse" else model.energy_scale
 
         nodes, weights = np.polynomial.legendre.leggauss(20)
         q_values = np.linspace(-reach, reach, 61)
@@ -175,7 +174,7 @@ def cmd_extract_vclass(cfg: RunConfig) -> int:
                     for xq in xg
                 ]
                 num = -float(np.dot(wg, forces))
-            rel = abs(num - ana) / max(abs(ana), 1e-9 * scale)
+            rel = abs(num - ana) / max(abs(ana), 1e-9 * model.energy_scale)
             worst = max(worst, rel)
             rows.append((q, ana, num, rel))
 

@@ -156,7 +156,7 @@ def test_ehrenfest_closure_along_trajectory(morse, morse_grid):
     for i in range(0, len(traj), 25):
         pt = traj.point(i)
         snap = assemble_potential(morse, pt, float(traj.forces[i]), morse_grid)
-        grad = potential_slope_at(snap.V, pt.Q, morse.dq)
+        grad = potential_slope_at(snap.V, pt.Q)
         assert abs(traj.forces[i] + grad) / scale < 1e-6
 
 

@@ -850,6 +850,51 @@ def test_verify_detects_bad_coverage_before_running(tmp_path, capsys):
     assert "unitarity" not in out  # propagation checks skipped
 
 
+# the checks before the feedback run, in the order verify reports them
+_PRE_RUN_CHECKS = (
+    "grid_coverage", "ground_norm", "stationary_residual", "curvature_identity",
+    "ground_spread", "hjm_identity", "continuity_identity",
+    "linear_coefficient_agreement", "vclass_mirror", "ehrenfest_closure",
+)
+# the checks whose groups assemble or sample the displaced packet
+_DISPLACED_PACKET_CHECKS = ("hjm_identity", "continuity_identity",
+                            "linear_coefficient_agreement", "ehrenfest_closure")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid, q0, failed", [
+    # the orbit clips the grid: the edge mass fails grid_coverage, the groups
+    # of the displaced packet raise and read inf, and the ground state,
+    # centred on the grid, still passes its four checks
+    ({"x_min": -5.0, "x_max": 5.0, "n": 256}, 2.5,
+     {"grid_coverage": "3.246542e-04",
+      **dict.fromkeys(_DISPLACED_PACKET_CHECKS, "inf")}),
+    # the orbit and the ground state lie off the grid: only the analytic
+    # mirror check can be evaluated
+    ({"x_min": 100.0, "x_max": 140.0, "n": 256}, 120.0,
+     dict.fromkeys(set(_PRE_RUN_CHECKS) - {"vclass_mirror"}, "inf")),
+], ids=["clipped", "off_grid"])
+def test_verify_reports_every_check_when_the_grid_misses_the_orbit(
+        tmp_path, capsys, grid, q0, failed):
+    # the checks that a group did not fill before it raised read inf; the
+    # feedback run is left out, and verify exits 1 with no error line
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": {"kind": "harmonic"}, "grid": grid,
+                                "initial": {"Q0": q0, "P0": 0.0}}))
+    assert main(["verify", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    *lines, summary = out.splitlines()
+    rows = [line.split(",") for line in lines]
+    assert [r[0] for r in rows] == list(_PRE_RUN_CHECKS)
+    for name, value, _, status in rows:
+        if name in failed:
+            assert (value, status) == (failed[name], "FAIL")
+        else:
+            assert status == "PASS"
+    assert summary == f"verification FAILED: {len(failed)} of 10 checks"
+
+
 @pytest.mark.parametrize("scheme", ["split-step", "crank-nicolson"])
 def test_config_tolerances_reach_ground_state_checks(tmp_path, capsys, scheme):
     # the ground state's edge mass on this grid (4.5e-7) passes only the
@@ -876,6 +921,10 @@ def test_config_tolerances_reach_ground_state_checks(tmp_path, capsys, scheme):
 # quintic spline this fit replaced read 6.3e-8 and 7.8e-8 on the Morse grids
 _LINEAR_AGREEMENT = {"morse_feedback": 2e-9, "harmonic_feedback": 1e-12,
                      "morse_static_twin": 2e-9}
+# ehrenfest_closure on each shipped config, pinned at 4x its reading (7.98e-8,
+# 1.70e-14, 1.21e-7)
+_EHRENFEST_CLOSURE = {"morse_feedback": 3.2e-7, "harmonic_feedback": 6.8e-14,
+                      "morse_static_twin": 4.8e-7}
 
 
 @pytest.mark.parametrize("name", ["morse_feedback", "harmonic_feedback",
@@ -886,6 +935,8 @@ def test_verify_passes_shipped_configs(name, capsys):
                 if "," in r)
     agreement = float(rows["linear_coefficient_agreement"].split(",")[0])
     assert agreement <= _LINEAR_AGREEMENT[name]
+    closure = float(rows["ehrenfest_closure"].split(",")[0])
+    assert closure <= _EHRENFEST_CLOSURE[name]
 
 
 @pytest.mark.parametrize("name", ["morse_feedback", "morse_static_twin"])

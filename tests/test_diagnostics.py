@@ -99,7 +99,7 @@ def test_slope_matches_spline_and_analytic(kind, request):
         snap = assemble_potential(model, ClassicalPoint(q, p), dpdt, grid)
         x_c = q + rng.uniform(-1.0, 1.0) * model.dq
         exact = float(potential_gradient(model, x_c - q)) - dpdt
-        got = potential_slope_at(snap.V, x_c, model.dq)
+        got = potential_slope_at(snap.V, x_c)
         ref = _spline_slope(snap.V, x_c, model.dq)
         assert abs(got - ref) < 1e-8
         assert abs(got - exact) < 1e-5
@@ -109,11 +109,23 @@ def test_slope_matches_spline_and_analytic(kind, request):
 def test_slope_rejects_point_off_the_grid(morse, morse_grid):
     v = RealField(morse_grid, morse_grid.points**2)
     with pytest.raises(DiagnosticsError):
-        potential_slope_at(v, morse_grid.x_max + 1.0, 0.01)
+        potential_slope_at(v, morse_grid.x_max + 1.0)
     # near an edge the nodes shift inward; a parabola's slope stays exact
     x_c = morse_grid.x_min + 0.3 * morse_grid.dx
-    assert potential_slope_at(v, x_c, 0.01) == pytest.approx(2.0 * x_c, abs=1e-9)
+    assert potential_slope_at(v, x_c) == pytest.approx(2.0 * x_c, abs=1e-9)
 
+
+
+def test_slope_rejects_a_point_one_spread_past_the_grid_edge(morse):
+    # morse_feedback's grid; the former window rule, max(4 dq, 8 dx), took a
+    # point up to about 4 dq past an edge and extrapolated its slope
+    g = Grid(-9.0, 40.0, 768)
+    v = RealField(g, g.points**2)
+    for x_c in (g.x_max + morse.dq, g.x_min - morse.dq, math.nan):
+        with pytest.raises(DiagnosticsError):
+            potential_slope_at(v, x_c)
+    for x_c in (g.x_min, g.x_max):
+        assert potential_slope_at(v, x_c) == pytest.approx(2.0 * x_c, abs=1e-8)
 
 def test_quintic_weights_closed_form():
     # against the product-of-ratios Lagrange form, also next to the nodes
@@ -133,7 +145,7 @@ def test_slope_on_a_node_is_its_stencil_sample():
     v = RealField(g, g.points**2 * np.sin(g.points))
     dv = _derivative_arrays(v.values, g.dx, 1)
     for j in (0, 1, 3, 128, 254, 256):
-        assert potential_slope_at(v, g.points[j], 0.1) == dv[j]
+        assert potential_slope_at(v, g.points[j]) == dv[j]
 
 
 def test_record_static_ground_state(morse):

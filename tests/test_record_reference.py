@@ -144,7 +144,7 @@ def _reference_record(psi, model, point, V, dPdt):
         p_mean=p_mean,
         dq2=x2 - q_mean * q_mean,
         overlap=float(np.dot(w, np.sqrt(own * ref))),
-        ehrenfest_residual=abs(dPdt + potential_slope_at(V, x_c, model.dq)),
+        ehrenfest_residual=abs(dPdt + potential_slope_at(V, x_c)),
         hjm_residual=hjm,
         boundary_mass=boundary_mass(rho.values, grid),
         l2_distance=math.sqrt(float(np.dot(w, d * d))),
