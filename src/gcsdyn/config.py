@@ -23,7 +23,7 @@ from .errors import ConfigError, EscapeError, GcsdynError, PropagationError
 from .grids import Grid
 from .models import PotentialModel, suggest_grid
 from .propagation import PropagatorConfig
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import Tolerances
 
 OUTPUT_DIR_ENV = "GCSDYN_OUTPUT_DIR"
 
@@ -164,9 +164,10 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError("output.emit_fields and output.emit_plots must be booleans")
 
     tsec = _section(raw, "tolerances", _field_names(Tolerances))
-    tol = DEFAULT_TOLERANCES.replacing(
-        **{k: _number(tsec, k, None, "tolerances") for k in tsec}
-    )
+    tol = Tolerances(**{k: _number(tsec, k, None, "tolerances") for k in tsec})
+    for k, v in dataclasses.asdict(tol).items():
+        if not v > 0.0:
+            raise ConfigError(f"tolerances.{k} must be positive, got {v!r}")
 
     return RunConfig(
         model=model,

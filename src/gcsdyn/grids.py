@@ -5,11 +5,7 @@ propagation) lives on the uniform grid defined here. Fields are immutable
 value objects; the operations are pure functions. moments() is the one
 source of <x>, <x^2> and <p> for every other module.
 
-Boundary handling: fields are assumed negligible at the grid edges. The
-spectral second derivative embeds the field periodically (period n*dx), so
-it must only be used on fields that decay at both ends; the 7-point stencils
-close each end with one-sided rows of matching order and are safe near the
-edges.
+Derivatives are the 7-point stencils; they need no decay at the grid edges.
 """
 
 import math
@@ -157,41 +153,19 @@ def _quintic_weights(t: float) -> np.ndarray:
     return (d == 0.0) * 1.0 if p == 0.0 else p / (d * _NODE_PRODUCTS)
 
 
-def _spectral_derivative(vals: np.ndarray, dx: float, order: int) -> np.ndarray:
-    n = len(vals)
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-    out = np.fft.ifft((1j * k) ** order * np.fft.fft(vals))
-    if not np.iscomplexobj(vals):
-        return out.real
-    return out
+def _differentiate(fld, order: int):
+    cls = ComplexField if np.iscomplexobj(fld.values) else RealField
+    return cls(fld.grid, _derivative_arrays(fld.values, fld.grid.dx, order))
 
 
-def _differentiate(fld, order: int, method: str):
-    vals = fld.values
-    dx = fld.grid.dx
-    if method == "spectral":
-        der = _spectral_derivative(vals, dx, order)
-    elif method == "central-7pt":
-        der = _derivative_arrays(vals, dx, order)
-    else:
-        raise ValueError(f"unknown derivative method {method!r}")
-    cls = ComplexField if np.iscomplexobj(vals) else RealField
-    return cls(fld.grid, der)
+def second_derivative(fld):
+    """d^2 f / dx^2 on the same grid (sixth order, one-sided closures)."""
+    return _differentiate(fld, 2)
 
 
-def second_derivative(fld, method: str = "spectral"):
-    """d^2 f / dx^2 on the same grid.
-
-    method="spectral" assumes the field decays to ~0 at both boundaries
-    (periodic embedding with period n*dx); "central-7pt" is sixth order
-    with one-sided closures and has no such requirement.
-    """
-    return _differentiate(fld, 2, method)
-
-
-def first_derivative(fld, method: str = "central-7pt"):
-    """d f / dx on the same grid (same method options as second_derivative)."""
-    return _differentiate(fld, 1, method)
+def first_derivative(fld):
+    """d f / dx on the same grid (sixth order, one-sided closures)."""
+    return _differentiate(fld, 1)
 
 
 # ---------------------------------------------------------------------------

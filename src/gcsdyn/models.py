@@ -256,11 +256,11 @@ def suggest_grid(
     return Grid(lo, hi, n)
 
 
-def stationary_residual(model: PotentialModel, grid: Grid, method: str = "spectral",
+def stationary_residual(model: PotentialModel, grid: Grid,
                         tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """max |H psi0 - E0 psi0| / max |psi0| on the interior of the grid."""
     psi = ground_state(model, grid, tol)
-    d2 = second_derivative(psi, method=method).values
+    d2 = second_derivative(psi).values
     h = (
         -(model.hbar**2) / (2.0 * model.mass) * d2
         + potential_value(model, grid.points) * psi.values

@@ -10,6 +10,7 @@ momentum, midpoint force), second order in dt. Split-step transforms call
 numpy's pocketfft gufuncs directly (_pocketfft).
 """
 
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -62,14 +63,15 @@ class PropagatorConfig:
     snapshot_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise PropagationError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise PropagationError(f"dt must be positive and finite, got {self.dt!r}")
         if self.scheme not in SCHEMES:
             raise PropagationError(f"scheme must be one of {SCHEMES}")
         if self.mode not in MODES:
             raise PropagationError(f"mode must be one of {MODES}")
-        if int(self.snapshot_stride) < 1:
-            raise PropagationError("snapshot_stride must be >= 1")
+        stride = self.snapshot_stride
+        if not (isinstance(stride, (int, np.integer)) and stride >= 1):
+            raise PropagationError(f"snapshot_stride {stride!r} is not an integer >= 1")
         if self.scheme == "crank-nicolson":
             _lapack()  # the LAPACK import belongs to set-up, not the first step
 
@@ -374,6 +376,15 @@ def _monitor(grid, tol):
     return check
 
 
+def _orbit(model, point, config, T) -> Trajectory:
+    """The Verlet orbit of the center from point over the horizon T, in
+    round(T / dt) steps of config.dt (at least one)."""
+    if not 0.0 < T < math.inf:
+        raise PropagationError(f"T must be positive and finite, got {T!r}")
+    nsteps = max(1, int(round(T / config.dt)))
+    return Trajectory(*_verlet(model, point.Q, point.P, config.dt, nsteps), config.dt)
+
+
 def evolve_feedback(
     model: PotentialModel,
     point0: ClassicalPoint,
@@ -391,14 +402,10 @@ def evolve_feedback(
     always including the initial and final ones. Cheap monitors (norm
     drift, boundary mass) run every step.
     """
-    if T <= 0.0:
-        raise PropagationError("T must be positive")
-    nsteps = max(1, int(round(T / config.dt)))
-    dt = config.dt
-    m, hbar = model.mass, model.hbar
-
     q_lo, q_hi = turning_points(model, classical_energy(model, point0.Q, point0.P))
-    traj = Trajectory(*_verlet(model, point0.Q, point0.P, dt, nsteps), dt)
+    traj = _orbit(model, point0, config, T)
+    nsteps, dt = len(traj) - 1, config.dt
+    m, hbar = model.mass, model.hbar
     q, p, f = traj.q, traj.p, traj.forces
     # the exact turning points, then the Verlet orbit's extremes; every
     # midpoint lies between two step ends, so this covers all Q used
@@ -472,15 +479,10 @@ def evolve_static(
     kinetic ceiling (densities are offset-invariant), prepared (and
     factored) once.
     """
-    if T <= 0.0:
-        raise PropagationError("T must be positive")
     grid = state0.psi.grid
-    nsteps = max(1, int(round(T / config.dt)))
-    dt = config.dt
+    traj = _orbit(model, state0.point, config, T)
+    nsteps, dt = len(traj) - 1, config.dt
     m, hbar = model.mass, model.hbar
-
-    point0 = state0.point
-    traj = Trajectory(*_verlet(model, point0.Q, point0.P, dt, nsteps), dt)
 
     v_model = potential_value(model, grid.points)
     v_diag = RealField(grid, v_model - ground_energy(model))

@@ -2,12 +2,11 @@
 
 A carried packet is trusted only while it stays on the grid and the step
 stays unitary. These two thresholds decide both, and a configuration's
-`tolerances` section may set either. The purely numerical floors (norm
-precondition, density cut-offs, fit samples) are constants next to their
-only reader.
+`tolerances` section may set either to a positive value. The purely
+numerical floors (norm precondition, density cut-offs, fit samples) are
+constants next to their only reader.
 """
 
-import dataclasses
 from dataclasses import dataclass
 
 
@@ -27,10 +26,6 @@ class Tolerances:
 
     boundary_mass: float = 1e-8
     unitarity_drift: float = 1e-8
-
-    def replacing(self, **overrides) -> "Tolerances":
-        """Return a copy with the given entries replaced."""
-        return dataclasses.replace(self, **overrides)
 
 
 DEFAULT_TOLERANCES = Tolerances()

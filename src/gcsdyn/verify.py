@@ -102,8 +102,7 @@ def run_verification(cfg: RunConfig) -> list[CheckResult]:
         psi0 = ground_state(model, grid, tol)
         rho0 = RealField(grid, psi0.values**2)
         yield "ground_norm", abs(integrate(rho0) - 1.0)
-        yield "stationary_residual", stationary_residual(
-            model, grid, "central-7pt", tol)
+        yield "stationary_residual", stationary_residual(model, grid, tol)
         curv = quantum_curvature(rho0)
         target = potential_value(model, x) - ground_energy(model)
         good = rho0.values > 1e-8 * float(rho0.values.max())

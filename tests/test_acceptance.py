@@ -6,6 +6,8 @@ fixtures. Grids stay at or below 4096 points and every run finishes in
 seconds.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -234,7 +236,7 @@ def test_criterion_5_spreading_baseline(morse, feedback_run):
     e_cl = 0.2 * morse.well_depth
     p0 = momentum_for_energy(morse, e_cl, 0.0)
     period = classical_period(morse, e_cl)
-    tol = DEFAULT_TOLERANCES.replacing(boundary_mass=1e-5, unitarity_drift=1e-4)
+    tol = replace(DEFAULT_TOLERANCES, boundary_mass=1e-5, unitarity_drift=1e-4)
     conf = PropagatorConfig(dt=period / 1000, scheme="split-step", mode="static",
                             snapshot_stride=100)
     st0 = gcs_from_model(morse, grid, ClassicalPoint(0.0, p0), tol)

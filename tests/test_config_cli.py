@@ -248,6 +248,17 @@ def test_null_and_non_finite_numbers_rejected(section, key, value, tmp_path, cap
     assert err.endswith(f"{section}.{key} must be a finite number, got {value!r}")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("unitarity_drift", -1), ("boundary_mass", 0), ("boundary_mass", -1e-8),
+])
+def test_non_positive_tolerances_rejected(key, value, tmp_path, capsys):
+    path = _write_config(tmp_path, tolerances={key: value})
+    assert main(["run", "--config", str(path)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err == f"config error: tolerances.{key} must be positive, got {float(value)!r}"
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_json_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -117,12 +117,10 @@ def test_morse_moments(morse, morse_grid):
 
 
 def test_stationary_schrodinger_residual(morse, harmonic):
-    # spectral form needs decay at both ends; the Morse right tail falls as
-    # exp(-a x / 2), so pad far out
     grid = Grid(-8.0, 56.0, 4096)
-    assert stationary_residual(morse, grid, method="spectral") < 1e-6
+    assert stationary_residual(morse, grid) < 1e-6
     hgrid = Grid(-12.0, 12.0, 1024)
-    assert stationary_residual(harmonic, hgrid, method="spectral") < 1e-6
+    assert stationary_residual(harmonic, hgrid) < 1e-6
 
 
 def test_ground_state_coverage_error(morse):

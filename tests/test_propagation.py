@@ -1,5 +1,6 @@
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 from importlib.machinery import ModuleSpec
 from importlib.util import module_from_spec
 
@@ -60,6 +61,23 @@ def test_config_validation():
         PropagatorConfig(dt=1e-3, mode="both")
     with pytest.raises(PropagationError):
         PropagatorConfig(dt=1e-3, snapshot_stride=0)
+    for bad in ({"dt": np.nan}, {"dt": np.inf}, {"dt": 0.0},
+                {"dt": 1e-3, "snapshot_stride": 2.5},
+                {"dt": 1e-3, "snapshot_stride": np.nan}):
+        with pytest.raises(PropagationError):
+            PropagatorConfig(**bad)
+
+
+@pytest.mark.parametrize("T", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("mode", propagation.MODES)
+def test_evolve_rejects_a_bad_horizon(morse, morse_run_grid, mode, T):
+    conf = PropagatorConfig(dt=1e-3, scheme="split-step", mode=mode)
+    pt = ClassicalPoint(0.0, 0.1)
+    with pytest.raises(PropagationError, match="T must be positive and finite"):
+        if mode == "feedback":
+            evolve_feedback(morse, pt, conf, T, morse_run_grid)
+        else:
+            evolve_static(gcs_from_model(morse, morse_run_grid, pt), morse, conf, T)
 
 
 def test_step_grid_mismatch():
@@ -331,7 +349,7 @@ def test_snapshot_cadence(morse, morse_run_grid):
 
 
 def test_unitarity_alarm_fires(morse, morse_run_grid):
-    tol = DEFAULT_TOLERANCES.replacing(unitarity_drift=1e-16)
+    tol = replace(DEFAULT_TOLERANCES, unitarity_drift=1e-16)
     conf = PropagatorConfig(dt=1e-3, scheme="split-step", mode="feedback")
     with pytest.raises(UnitarityError):
         evolve_feedback(morse, ClassicalPoint(0.0, 0.1), conf, 0.1,
@@ -379,7 +397,7 @@ def _assert_monitor_is_quadrature(nrm, bm, vals, g):
 def test_monitor_norm_and_edge_mass_match_quadrature(n):
     # trapezoid (even n) and Simpson (odd n) weights, in one product
     g, vals = _random_state(n, n)
-    loose = DEFAULT_TOLERANCES.replacing(boundary_mass=1.0)
+    loose = replace(DEFAULT_TOLERANCES, boundary_mass=1.0)
     _assert_monitor_is_quadrature(*_monitor(g, loose)(vals, 1), vals, g)
 
 
@@ -389,7 +407,7 @@ def test_monitor_raises_on_a_bad_sample_at_its_step(where, bad):
     # whose edge mass is within bounds; the norm check comes first, and
     # either sample makes the norm NaN or inf
     g, vals = _random_state(64, 3)
-    check = _monitor(g, DEFAULT_TOLERANCES.replacing(boundary_mass=1.0))
+    check = _monitor(g, replace(DEFAULT_TOLERANCES, boundary_mass=1.0))
     check(vals, 4)
     vals[where] = bad
     with pytest.raises(UnitarityError, match=f"at step {where + 5}$"):
@@ -409,8 +427,8 @@ def test_monitor_is_quadrature_and_raises_on_any_bad_sample(n, seed, data):
     # quadrature norm and boundary_mass of each state it is handed, and a
     # NaN or inf anywhere, real or imaginary part, raises at its step
     g, vals = _random_state(n, seed)
-    check = _monitor(g, DEFAULT_TOLERANCES.replacing(boundary_mass=10.0,
-                                                     unitarity_drift=10.0))
+    check = _monitor(g, replace(DEFAULT_TOLERANCES, boundary_mass=10.0,
+                                unitarity_drift=10.0))
     _assert_monitor_is_quadrature(*check(vals, 1), vals, g)
     shifted = np.roll(vals, n // 3)
     _assert_monitor_is_quadrature(*check(shifted, 2), shifted, g)
