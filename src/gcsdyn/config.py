@@ -22,7 +22,7 @@ from .displacement import ClassicalPoint
 from .errors import ConfigError, EscapeError, GcsdynError, PropagationError
 from .grids import Grid
 from .models import PotentialModel, suggest_grid
-from .propagation import PropagatorConfig
+from .propagation import PropagatorConfig, _step_count
 from .tolerances import Tolerances
 
 OUTPUT_DIR_ENV = "GCSDYN_OUTPUT_DIR"
@@ -141,7 +141,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     psec = _section(raw, "propagation", (*_field_names(PropagatorConfig), "T"))
     T = _number(psec, "T", period, "propagation")
     dt = _number(psec, "dt", T / 5000.0, "propagation")
-    scheme = psec.get("scheme", "crank-nicolson")
+    scheme = psec.get("scheme", "split-step")
     mode = psec.get("mode", "feedback")
     stride = _number(psec, "snapshot_stride", 10, "propagation", kind=int)
     try:
@@ -152,6 +152,10 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError("propagation.T must be positive")
     if dt > T:
         raise ConfigError("propagation.dt exceeds the horizon T")
+    try:
+        _step_count(T, dt)
+    except PropagationError as exc:
+        raise ConfigError(f"invalid propagation.T and propagation.dt: {exc}") from exc
 
     osec = _section(raw, "output", ("directory", "emit_fields", "emit_plots"))
     directory = osec.get("directory", "out")

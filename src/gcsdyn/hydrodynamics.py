@@ -164,9 +164,9 @@ def _stepping_basis(model: PotentialModel, grid: Grid):
     stays finite).
 
     Returns (rows, coefficients), the constant row last. coefficients(Q, P,
-    dPdt, shift, scale) takes arrays of classical states and returns a new
-    table of their coefficients for the affine map (V + shift) * scale, one
-    row per state: state s has (V + shift) * scale = table[s] @ rows. The
+    dPdt, scale) takes arrays of classical states and returns a new table of
+    their coefficients for V * scale, one row per state: state s has
+    V * scale = table[s] @ rows. The
     Morse expansion cancels large terms, so it matches _closed_form only
     relative to |V| (1e-4 absolute in the inner wall, where V ~ 1e10); below
     the kinetic ceiling, where the loop clamps V, the two agree to round-off.
@@ -181,7 +181,7 @@ def _stepping_basis(model: PotentialModel, grid: Grid):
         u = np.exp(np.minimum(-a * x, 0.5 * _EXP_CAP))
         rows = np.stack([u * u, u, x, np.ones_like(x)])
 
-    def coefficients(q, p, dPdt, shift, scale):
+    def coefficients(q, p, dPdt, scale):
         table = np.empty((len(q), len(rows)))  # not a column_stack: +0.08 MiB RSS
         # the x-free terms c = 0.5 (P/m P + dPdt Q) - P^2/2m - E0, in the last column
         table[:, -1] = (p / m * p + dPdt * q) * 0.5 - p * p / (2.0 * m) - e0
@@ -192,7 +192,6 @@ def _stepping_basis(model: PotentialModel, grid: Grid):
             g = np.exp(q * a)
             table[:, 0], table[:, 1], table[:, 2] = u0 * g * g, -2.0 * u0 * g, -dPdt
             table[:, 3] += u0
-        table[:, -1] += shift
         table *= scale
         return table
 

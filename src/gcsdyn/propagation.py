@@ -15,8 +15,6 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import import_module
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import find_spec, module_from_spec
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +49,10 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 MODES = ("feedback", "static")
 OPERAND_BLOCK = 8  # feedback steps whose operands are built in one pass
+SCHEMES = ("split-step",)
+# bytes a run holds per step: the orbit's t, Q, P and force, and one
+# coefficient row of up to four basis terms
+_STEP_BYTES = 8 * (4 + 4)
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,7 @@ class PropagatorConfig:
     """Time step, scheme, run mode, and snapshot cadence."""
 
     dt: float
-    scheme: str = "crank-nicolson"
+    scheme: str = "split-step"
     mode: str = "feedback"
     snapshot_stride: int = 1
 
@@ -66,14 +68,12 @@ class PropagatorConfig:
         if not 0.0 < self.dt < math.inf:
             raise PropagationError(f"dt must be positive and finite, got {self.dt!r}")
         if self.scheme not in SCHEMES:
-            raise PropagationError(f"scheme must be one of {SCHEMES}")
+            raise PropagationError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.mode not in MODES:
             raise PropagationError(f"mode must be one of {MODES}")
         stride = self.snapshot_stride
         if not (isinstance(stride, (int, np.integer)) and stride >= 1):
             raise PropagationError(f"snapshot_stride {stride!r} is not an integer >= 1")
-        if self.scheme == "crank-nicolson":
-            _lapack()  # the LAPACK import belongs to set-up, not the first step
 
 
 class Frame(NamedTuple):
@@ -126,20 +126,17 @@ def _pocketfft():
 
 
 class _Kernel(NamedTuple):
-    """One scheme's step at a grid and dt. Potentials enter it in its own
-    operand units, the affine map (V + shift) * scale of V; block is the
-    buffer for them, (n,) or (rows, n), allocated with the kernel's own
-    buffers. prepare(block) turns them into step operands (and may overwrite
-    them); advance(vals, operand) returns the stepped values and may
-    overwrite vals; fixed(operand) returns the advance of a run that takes
-    operand at every step. Every call reuses the buffers of one factory call."""
+    """The split step at a grid and dt. Potentials enter it in its operand
+    units, V * scale; block is the buffer for them, (n,) or (rows, n),
+    allocated with the kernel's own buffers. prepare(block) turns them into
+    step operands (and may overwrite them); advance(vals, operand) returns
+    the stepped values and may overwrite vals. Every call reuses the buffers
+    of one factory call."""
 
-    shift: float
     scale: float
     block: np.ndarray
     prepare: object
     advance: object
-    fixed: object
 
 
 def _split_step(n, dx, dt, m, hbar, rows=None):
@@ -178,128 +175,25 @@ def _split_step(n, dx, dt, m, hbar, rows=None):
         ifft(vals, inv_n, out=vals)
         return np.multiply(half, vals, out=vals)
 
-    # the phase holds all of a step's per-run work
-    return _Kernel(0.0, -0.25 * dt / hbar, block, prepare, advance, lambda _: advance)
-
-
-@lru_cache(maxsize=1)
-def _lapack():
-    """LAPACK's tridiagonal zgtsv, zgttrf and zgttrs, loaded on first use
-    from scipy/linalg/_flapack, the one scipy extension that holds them.
-    find_spec locates scipy without running its package start-up, and the
-    extension loads without the scipy.linalg package (about 300 more
-    modules, 0.17 s and 20 MiB). Where that direct load fails (no such
-    file, as in an editable install, or a file that needs scipy's start-up,
-    which may set the DLL search path) scipy.linalg.lapack is imported;
-    with no scipy the scheme is a PropagationError."""
-    try:
-        found = find_spec("scipy")
-        if found is None:
-            raise ImportError("No module named 'scipy'")
-        linalg = os.path.join(found.submodule_search_locations[0], "linalg")
-        finder = FileFinder(linalg, (ExtensionFileLoader, EXTENSION_SUFFIXES))
-        spec = finder.find_spec("scipy.linalg._flapack")
-        try:
-            if spec is None:
-                raise ImportError("no _flapack file beside scipy")
-            flapack = module_from_spec(spec)
-            spec.loader.exec_module(flapack)
-        except ImportError:
-            from scipy.linalg import lapack as flapack
-    except ImportError as exc:
-        raise PropagationError("scheme 'crank-nicolson' needs scipy; install "
-                               "it or use scheme 'split-step'") from exc
-    return flapack.zgtsv, flapack.zgttrf, flapack.zgttrs
-
-
-def _crank_nicolson(n, dx, dt, m, hbar, rows=None):
-    # Numerov (compact fourth-order) Crank-Nicolson: H = M^-1 T + V, with
-    # T = off d2 and M = 1 + d2/12 on the Dirichlet second difference d2
-    # (Lele 1992; van Dijk and Toyama 2007). M and T commute, so H is
-    # symmetric and its Cayley step 2 (1 + i theta H)^-1 psi - psi is
-    # unitary; times 6 M it is A^-1 (12 M psi) - psi with A = 6 M + 6 i
-    # theta (T + M V), one tridiagonal solve (A is half of 12 M (1 + i theta
-    # H), which spares doubling the solution). Operand units: e = theta (V +
-    # 12 off) / 2. A's lower band is 1/2 + i e[:-1], its upper band 1/2 + i
-    # e[1:] and its diagonal 5 + i (10 e - 72 theta off); an operand holds
-    # the one array of both bands and the diagonal, prepare writes their
-    # imaginary parts, the real parts are set once.
-    theta = dt / (2.0 * hbar)
-    off = -(hbar * hbar) / (2.0 * m * dx * dx)
-    zgtsv, zgttrf, zgttrs = _lapack()
-    shape = (n,) if rows is None else (rows, n)
-    block = np.zeros(shape)
-    bands = np.empty((*shape[:-1], 2, n), dtype=np.complex128)
-    outer, diag = np.moveaxis(bands, -2, 0)
-    outer.real, diag.real = 0.5, 5.0
-    outer_im, diag_im = outer.imag, diag.imag
-    rhs = np.empty(n, dtype=np.complex128)
-    r = rhs.view(np.float64)  # (re, im) pairs, so a neighbour is 2 floats away
-    r_lo, r_hi = r[2:], r[:-2]
-
-    def prepare(e):
-        np.copyto(outer_im, e)
-        np.multiply(e, 10.0, out=diag_im)
-        np.add(diag_im, -72.0 * theta * off, out=diag_im)
-        return bands
-
-    def twelve_m(vals):
-        # 12 M psi = psi[j-1] + 10 psi[j] + psi[j+1], zero past either end
-        v = vals.view(np.float64)
-        np.multiply(v, 10.0, out=r)
-        np.add(r_lo, v[:-2], out=r_lo)
-        np.add(r_hi, v[2:], out=r_hi)
-        return rhs
-
-    def cayley(vals, out, info, routine):
-        # A^-1 (12 M psi) - psi into vals; solve_banded calls zgtsv too,
-        # after finiteness scans the step monitors make moot
-        if info != 0:
-            raise PropagationError(f"tridiagonal solve failed ({routine} info {info})")
-        return np.subtract(out, vals, out=vals)
-
-    def advance(vals, operand):
-        c, d = operand  # zgtsv works on copies of the bands
-        return cayley(vals, *zgtsv(c[:-1], d, c[1:], twelve_m(vals),
-                                   overwrite_b=1)[-2:], "zgtsv")
-
-    def fixed(operand):
-        # zgttrf's factors, then per step only zgttrs: the same elimination
-        # as zgtsv's, so the same bits at about half the cost per step
-        c, d = operand
-        *lu, info = zgttrf(c[:-1], d, c[1:])
-        if info != 0:
-            raise PropagationError(f"singular tridiagonal system (zgttrf info {info})")
-        return lambda vals, _: cayley(vals, *zgttrs(*lu, twelve_m(vals), overwrite_b=1),
-                                      "zgttrs")
-
-    return _Kernel(12.0 * off, 0.5 * theta, block, prepare, advance, fixed)
-
-
-# scheme -> kernel factory (n, dx, dt, m, hbar, rows=None) -> _Kernel, for
-# one potential of n samples or, given rows, for a (rows, n) block of them
-_STEPPERS = {"crank-nicolson": _crank_nicolson, "split-step": _split_step}
-SCHEMES = tuple(_STEPPERS)
+    return _Kernel(-0.25 * dt / hbar, block, prepare, advance)
 
 
 def _in_units(kernel, v_vals):
     """v_vals mapped into kernel.block in the kernel's operand units."""
-    u = np.add(v_vals, kernel.shift, out=kernel.block)
-    return np.multiply(u, kernel.scale, out=u)
+    return np.multiply(v_vals, kernel.scale, out=kernel.block)
 
 
 def _clamp(kernel, u, cap):
     """Operand-unit values u clamped in place at the potential cap (the
-    map reverses the order of V where its scale is negative)."""
-    clip = np.minimum if kernel.scale > 0.0 else np.maximum
-    return clip(u, (cap + kernel.shift) * kernel.scale, out=u)
+    scale is negative, so the cap is a floor in operand units)."""
+    return np.maximum(u, cap * kernel.scale, out=u)
 
 
 def _constant(kernel, u, cap, nsteps):
     """Operands and advance of nsteps steps that all take the potential u
     (operand units, clamped in place at cap), prepared once."""
     operand = kernel.prepare(_clamp(kernel, u, cap))
-    return (operand for _ in range(nsteps)), kernel.fixed(operand)
+    return (operand for _ in range(nsteps)), kernel.advance
 
 
 def _is_constant(table):
@@ -310,25 +204,21 @@ def step(
     psi: ComplexField,
     V: RealField,
     dt: float,
-    scheme: str = "crank-nicolson",
+    scheme: str = "split-step",
     m: float = 1.0,
     hbar: float = 1.0,
 ) -> ComplexField:
     """One unitary step of i hbar d_t psi = -(hbar^2/2m) psi'' + V psi.
 
-    Crank-Nicolson: Cayley form as 2 (1 + i theta H)^-1 psi - psi, theta =
-    dt/2hbar, with the Numerov Hamiltonian H = M^-1 T + V (compact fourth
-    order, M = 1 + d2/12), one tridiagonal solve; unconditionally unitary to
-    round-off, second order in dt and fourth order in dx. Split-step: Strang
-    splitting, half-step phase from tan of its half angle, spectral in
-    space, second order in dt; in feedback mode the caller hands in V at
-    the step's midpoint time.
+    Split-step (the one scheme): Strang splitting, half-step phase from tan
+    of its half angle, spectral in space, second order in dt; in feedback
+    mode the caller hands in V at the step's midpoint time.
     """
     if psi.grid != V.grid:
         raise PropagationError("psi and V live on different grids")
-    if scheme not in _STEPPERS:
-        raise PropagationError(f"scheme must be one of {SCHEMES}")
-    kernel = _STEPPERS[scheme](psi.grid.n, psi.grid.dx, dt, m, hbar)
+    if scheme not in SCHEMES:
+        raise PropagationError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    kernel = _split_step(psi.grid.n, psi.grid.dx, dt, m, hbar)
     operand = kernel.prepare(_in_units(kernel, V.values))
     vals = psi.values.astype(np.complex128)  # a copy; advance writes into it
     return ComplexField(psi.grid, kernel.advance(vals, operand))
@@ -376,12 +266,31 @@ def _monitor(grid, tol):
     return check
 
 
+def _step_count(T: float, dt: float) -> int:
+    """round(T / dt), at least 1: the steps of a run over the horizon T.
+
+    Raises PropagationError when the ratio is not finite, or when the
+    arrays a run holds per step (_STEP_BYTES each) would need more bytes
+    than the machine's physical memory."""
+    ratio = T / dt
+    if not ratio < math.inf:
+        raise PropagationError(f"T / dt = {T!r} / {dt!r} is not finite")
+    nsteps = max(1, int(round(ratio)))
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nsteps * _STEP_BYTES > memory:
+        raise PropagationError(
+            f"T / dt = {T!r} / {dt!r} asks for {nsteps} steps, whose orbit and "
+            f"coefficient arrays need {nsteps * _STEP_BYTES} bytes, more than "
+            f"the machine's {memory} bytes of physical memory")
+    return nsteps
+
+
 def _orbit(model, point, config, T) -> Trajectory:
     """The Verlet orbit of the center from point over the horizon T, in
-    round(T / dt) steps of config.dt (at least one)."""
+    _step_count(T, dt) steps of config.dt."""
     if not 0.0 < T < math.inf:
         raise PropagationError(f"T must be positive and finite, got {T!r}")
-    nsteps = max(1, int(round(T / config.dt)))
+    nsteps = _step_count(T, config.dt)
     return Trajectory(*_verlet(model, point.Q, point.P, config.dt, nsteps), config.dt)
 
 
@@ -416,14 +325,12 @@ def evolve_feedback(
         )
 
     state0 = gcs_from_model(model, grid, point0, tol)
-    kernels = _STEPPERS[config.scheme]
-    kernel = kernels(grid.n, grid.dx, dt, m, hbar)
+    kernel = _split_step(grid.n, grid.dx, dt, m, hbar)
     # every step's basis coefficients, once per run, in the kernel's units
     rows, coefficients = _stepping_basis(model, grid)
     q_mid = 0.5 * (q[:-1] + q[1:])
     p_half = p[:-1] + 0.5 * dt * f[:-1]
-    table = coefficients(q_mid, p_half, classical_force(model, q_mid),
-                         kernel.shift, kernel.scale)
+    table = coefficients(q_mid, p_half, classical_force(model, q_mid), kernel.scale)
     del q_mid, p_half  # kept for the run, they cost harmonic_feedback 0.1 MiB RSS
     cap = _potential_cap(grid, m, hbar)
 
@@ -444,7 +351,7 @@ def evolve_feedback(
         steps, advance = _constant(kernel, u, cap, nsteps)
     else:
         del kernel  # freed before the block kernel: else +0.06 MiB Morse RSS
-        kernel = kernels(grid.n, grid.dx, dt, m, hbar, OPERAND_BLOCK)
+        kernel = _split_step(grid.n, grid.dx, dt, m, hbar, OPERAND_BLOCK)
         steps, advance = operands(kernel), kernel.advance
 
     def frame_at(s, vals):
@@ -476,8 +383,7 @@ def evolve_static(
     still integrated and returned for twin-run comparisons. The diagnostics
     potential carries the at-rest assembled convention (V_model - E0);
     propagation itself uses the plain model potential clamped at the grid's
-    kinetic ceiling (densities are offset-invariant), prepared (and
-    factored) once.
+    kinetic ceiling (densities are offset-invariant), prepared once.
     """
     grid = state0.psi.grid
     traj = _orbit(model, state0.point, config, T)
@@ -486,7 +392,7 @@ def evolve_static(
 
     v_model = potential_value(model, grid.points)
     v_diag = RealField(grid, v_model - ground_energy(model))
-    kernel = _STEPPERS[config.scheme](grid.n, grid.dx, dt, m, hbar)
+    kernel = _split_step(grid.n, grid.dx, dt, m, hbar)
     steps, advance = _constant(kernel, _in_units(kernel, v_model),
                                _potential_cap(grid, m, hbar), nsteps)
     q0 = ground_moments(model, grid, tol).q0

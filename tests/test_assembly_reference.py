@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from gcsdyn import Grid, PotentialModel, ground_energy, potential_value
 from gcsdyn.hydrodynamics import _closed_form, _stepping_basis
 from gcsdyn.models import _EXP_CAP
-from gcsdyn.propagation import _STEPPERS
+from gcsdyn.propagation import _split_step
 
 
 def _reference_potential_into(model, x, out):
@@ -143,20 +143,19 @@ def test_closed_form_is_the_reused_buffer_assembly_bit_for_bit(model, seed, n):
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(_models, st.integers(1, 5000), st.integers(0, 2**32 - 1),
-       st.sampled_from(sorted(_STEPPERS)), st.floats(1e-5, 0.1), st.integers(16, 4096))
-def test_coefficients_are_the_in_place_table_bit_for_bit(model, nsteps, seed, scheme,
-                                                         dt, n):
-    # whole-run tables of 1 to 5000 states, in either kernel's operand
-    # units (split-step: shift 0, scale -dt/4hbar; Crank-Nicolson: shift
-    # 12 off, scale theta/2, with off from the grid spacing)
+       st.floats(1e-5, 0.1))
+def test_coefficients_are_the_in_place_table_bit_for_bit(model, nsteps, seed, dt):
+    # whole-run tables of 1 to 5000 states, in the split step's operand
+    # units (scale -dt/4hbar; the reference adds a shift of 0)
     rng = np.random.default_rng(seed)
     reach = 3.0 * model.dq
     q = rng.uniform(-reach, reach, nsteps)
     p = rng.normal(size=nsteps) * 10.0 ** rng.uniform(-3.0, 1.0)
     f = rng.normal(size=nsteps) * 10.0 ** rng.uniform(-3.0, 1.0)
-    kernel = _STEPPERS[scheme](16, 40.0 / (n - 1), dt, model.mass, model.hbar)
-    _, coefficients = _stepping_basis(model, Grid(-10.0, 30.0, 16))
-    got = coefficients(q, p, f, kernel.shift, kernel.scale)
-    want = _reference_coefficients(model, q, p, f, kernel.shift, kernel.scale)
+    grid = Grid(-10.0, 30.0, 16)
+    kernel = _split_step(grid.n, grid.dx, dt, model.mass, model.hbar)
+    _, coefficients = _stepping_basis(model, grid)
+    got = coefficients(q, p, f, kernel.scale)
+    want = _reference_coefficients(model, q, p, f, 0.0, kernel.scale)
     assert got.shape == want.shape and got.flags.c_contiguous
     assert np.array_equal(_bits(got), _bits(want))

@@ -61,7 +61,7 @@ def test_defaults_applied(tmp_path):
     path.write_text(json.dumps({"model": {"kind": "harmonic"}}))
     cfg = load_config(path)
     assert cfg.model.omega == 1.0
-    assert cfg.propagation.scheme == "crank-nicolson"
+    assert cfg.propagation.scheme == "split-step"
     assert cfg.propagation.mode == "feedback"
     assert cfg.T == pytest.approx(2.0 * np.pi)
     assert cfg.grid.n == 2048
@@ -259,6 +259,27 @@ def test_non_positive_tolerances_rejected(key, value, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_crank_nicolson_config_exits_2_naming_split_step(tmp_path, capsys):
+    path = _write_config(tmp_path, propagation={"scheme": "crank-nicolson"})
+    assert main(["run", "--config", str(path)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith("config error: ") and "'split-step'" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("T, dt", [(1e300, 1e-300), (1e20, 1e-3)],
+                         ids=["ratio_not_finite", "beyond_physical_memory"])
+def test_step_count_out_of_reach_exits_2(T, dt, tmp_path, capsys):
+    # T / dt overflows, or asks for more orbit and coefficient bytes than
+    # the machine has: a config error naming both keys, with no traceback
+    path = _write_config(tmp_path, propagation={"T": T, "dt": dt})
+    assert main(["run", "--config", str(path)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith("config error: invalid propagation.T and propagation.dt: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_json_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -298,30 +319,15 @@ def scipy_modules():
 """
 
 _RUN_LISTING_SCIPY = """
-import json
 import sys
 if sys.argv[1] == "no-scipy":
     sys.modules["scipy"] = None  # any scipy import now raises ImportError
-from gcsdyn import propagation
 from gcsdyn.cli import main
-from gcsdyn.config import load_config
 """ + _LISTING_SCIPY + """
 for path in sys.argv[2:]:
-    if json.load(open(path))["propagation"]["scheme"] == "crank-nicolson":
-        if sys.argv[1] == "no-scipy":
-            assert main(["run", "--config", path]) == 2
-            continue
-        load_config(path)
-        assert propagation._lapack.cache_info().currsize == 1  # loaded here
-        # without scipy's package start-up: the extension is all there is
-        assert scipy_modules() == "scipy.linalg._flapack", scipy_modules()
     assert main(["run", "--config", path]) == 0
-    assert "scipy.linalg" not in sys.modules
-listing = scipy_modules()
-if propagation._lapack.cache_info().currsize:
-    from scipy.linalg import lapack  # a later import shares the routines
-    assert propagation._lapack() == (lapack.zgtsv, lapack.zgttrf, lapack.zgttrs)
-print(listing)
+    assert main(["verify", "--config", path]) == 0
+print(scipy_modules())
 """
 
 _COMMAND_LISTING_SCIPY = """
@@ -334,9 +340,9 @@ print(scipy_modules())
 
 
 def _run_shortened(tmp_path, scipy, names):
-    """Run shortened copies of shipped configs, every output on, in a fresh
-    interpreter (other tests import scipy); return the scipy modules it
-    loaded."""
+    """Run and verify shortened copies of shipped configs, every output on,
+    in a fresh interpreter (other tests import scipy); return the scipy
+    modules it loaded."""
     paths = []
     for name in names:
         raw = json.loads((CONFIGS / f"{name}.json").read_text())
@@ -384,38 +390,30 @@ def test_feedback_csvs_independent_of_blas_threads(tmp_path):
     assert written[0] == written[1]
 
 
+_SHIPPED = ("morse_feedback", "morse_static_twin", "harmonic_feedback")
+
+
 def test_run_loads_no_spline_module(tmp_path):
-    # split-step loads no scipy at all; Crank-Nicolson loads scipy's one
-    # LAPACK extension when its config is validated, neither the scipy
-    # package nor scipy.linalg, and neither scheme loads scipy.fft
-    names = ("morse_feedback", "morse_static_twin")
-    assert _run_shortened(tmp_path, "scipy", names) == []
-    for name in names:
+    # with scipy installed, no shipped config's run or verify loads any
+    # scipy module
+    assert _run_shortened(tmp_path, "scipy", _SHIPPED) == []
+    for name in _SHIPPED:
         assert (tmp_path / name / "diagnostics.csv").exists()
         assert (tmp_path / name / "fields" / "0000.csv").exists()
-    loaded = _run_shortened(tmp_path, "scipy", ["harmonic_feedback"])
-    assert loaded == ["scipy.linalg._flapack"]
-    for module in ("scipy", "scipy.fft", "scipy.interpolate", "scipy.optimize"):
-        assert module not in loaded
 
 
 @pytest.mark.parametrize("command", ["verify", "extract-vclass"])
 @pytest.mark.parametrize("name", ["morse_feedback", "harmonic_feedback"])
 def test_fitted_slope_loads_no_spline_module(command, name, tmp_path):
     # both commands read linear_coefficient(method="fit"), a dot with
-    # polynomial weights: in a fresh interpreter neither loads
-    # scipy.interpolate or scipy.optimize, and only the Crank-Nicolson
-    # config loads anything of scipy, its LAPACK extension
+    # polynomial weights: in a fresh interpreter neither loads any scipy
+    # module
     done = subprocess.run(
         [sys.executable, "-c", _COMMAND_LISTING_SCIPY, command, "--config",
          str(CONFIGS / f"{name}.json")],
         env=_subprocess_env(**{OUTPUT_DIR_ENV: str(tmp_path / "out")}),
         capture_output=True, text=True, check=True)
-    listing = done.stdout.splitlines()[-1].split()
-    for module in ("scipy.interpolate", "scipy.optimize"):
-        assert module not in listing
-    cn = load_config(CONFIGS / f"{name}.json").propagation.scheme == "crank-nicolson"
-    assert listing == (["scipy.linalg._flapack"] if cn else [])
+    assert done.stdout.splitlines()[-1].split() == []
 
 
 _SETUP_LISTING_NUMPY_FFT = """
@@ -442,13 +440,11 @@ def test_setup_loads_no_numpy_fft(tmp_path):
 
 
 def test_split_step_runs_without_scipy(tmp_path):
-    # and a Crank-Nicolson config is then a config error (exit 2)
-    names = ("morse_feedback", "morse_static_twin", "harmonic_feedback")
-    assert _run_shortened(tmp_path, "no-scipy", names) == []
-    for name in names[:2]:
+    # every shipped config runs and verifies with scipy unimportable
+    assert _run_shortened(tmp_path, "no-scipy", _SHIPPED) == []
+    for name in _SHIPPED:
         assert (tmp_path / name / "diagnostics.csv").exists()
         assert (tmp_path / name / "plots" / "overlap_t.csv").exists()
-    assert not (tmp_path / "harmonic_feedback").exists()
 
 
 def test_run_overlap_column_quality(tmp_path):
@@ -622,7 +618,7 @@ def test_non_finite_state_exits_with_the_error_alone(tmp_path, monkeypatch, caps
     # an inf placed into psi before step 3 spreads through the step and
     # reaches the check: the run leaves with the UnitarityError's one line,
     # and no numpy warning is printed (here: raised) next to it
-    kernels = propagation._STEPPERS["split-step"]
+    kernels = propagation._split_step
 
     def poisoning(*args):
         kernel = kernels(*args)
@@ -636,7 +632,7 @@ def test_non_finite_state_exits_with_the_error_alone(tmp_path, monkeypatch, caps
 
         return kernel._replace(advance=advance)
 
-    monkeypatch.setitem(propagation._STEPPERS, "split-step", poisoning)
+    monkeypatch.setattr(propagation, "_split_step", poisoning)
     path = _write_config(tmp_path, propagation={"T": 0.35})
     assert main(["run", "--config", str(path)]) == 4
     (err,) = capsys.readouterr().err.splitlines()
@@ -906,7 +902,7 @@ def test_verify_reports_every_check_when_the_grid_misses_the_orbit(
     assert summary == f"verification FAILED: {len(failed)} of 10 checks"
 
 
-@pytest.mark.parametrize("scheme", ["split-step", "crank-nicolson"])
+@pytest.mark.parametrize("scheme", propagation.SCHEMES)
 def test_config_tolerances_reach_ground_state_checks(tmp_path, capsys, scheme):
     # the ground state's edge mass on this grid (4.5e-7) passes only the
     # config's looser boundary_mass, not the default 1e-8

@@ -256,13 +256,11 @@ def test_feedback_frames_carry_the_assembled_potential_bitwise(kind, request):
 
 @pytest.mark.parametrize("kind", ["morse", "harmonic"])
 def test_stepping_assembler_matches_below_kinetic_ceiling(kind, request):
-    # the step loop's basis-form potential, in each kernel's operand units
+    # the step loop's basis-form potential, in the kernel's operand units
     # and clamped there at the kinetic ceiling as the loop clamps it, is the
-    # assembled potential to round-off once the units are undone; the
-    # Crank-Nicolson units carry hbar^2/(m dx^2) + V, so there the bound is
-    # relative to that
+    # assembled potential to round-off once the units are undone
     from gcsdyn.hydrodynamics import _stepping_basis
-    from gcsdyn.propagation import _STEPPERS, _clamp, _potential_cap
+    from gcsdyn.propagation import _clamp, _potential_cap, _split_step
 
     model = request.getfixturevalue(kind)
     grid = request.getfixturevalue(f"{kind}_grid")
@@ -275,10 +273,9 @@ def test_stepping_assembler_matches_below_kinetic_ceiling(kind, request):
                                            grid).V.values, cap)
              for q_s, p_s, f_s in zip(q, p, f)]
     rows, coefficients = _stepping_basis(model, grid)
-    for kernel_of in _STEPPERS.values():
-        kernel = kernel_of(grid.n, grid.dx, 1e-3, model.mass, model.hbar)
-        table = coefficients(q, p, f, kernel.shift, kernel.scale)
-        for coefs, v in zip(table, exact):
-            u = _clamp(kernel, np.dot(coefs, rows), cap)
-            dev = np.abs(u / kernel.scale - kernel.shift - v)
-            assert np.all(dev <= 1e-13 * np.maximum(1.0, np.abs(v + kernel.shift)))
+    kernel = _split_step(grid.n, grid.dx, 1e-3, model.mass, model.hbar)
+    table = coefficients(q, p, f, kernel.scale)
+    for coefs, v in zip(table, exact):
+        u = _clamp(kernel, np.dot(coefs, rows), cap)
+        dev = np.abs(u / kernel.scale - v)
+        assert np.all(dev <= 1e-13 * np.maximum(1.0, np.abs(v)))

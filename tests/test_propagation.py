@@ -1,8 +1,7 @@
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
-from importlib.machinery import ModuleSpec
-from importlib.util import module_from_spec
+from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -44,7 +43,10 @@ from gcsdyn.propagation import (
     _monitor,
     _potential_cap,
 )
+from gcsdyn.config import load_config
 from gcsdyn.tolerances import DEFAULT_TOLERANCES
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _free_gaussian(grid, sigma0):
@@ -147,17 +149,8 @@ def test_stationary_state_phase_advance(harmonic, harmonic_grid):
     assert advance == pytest.approx(-0.5 * dt, abs=1e-10)  # -E0 dt / hbar
     assert np.max(np.abs(np.abs(out.values) ** 2 - psi0.values**2)) < 1e-10
 
-    # Crank-Nicolson advances with the Numerov ground energy, a dx^4-shifted
-    # eigenvalue (1.5e-12 here, mostly the Cayley phase's (E0 dt)^3/12; the
-    # 3-point Laplacian's dx^2/32 shift gave 4.9e-9); density stays put
-    out_cn = step(psi, v, dt, scheme="crank-nicolson")
-    advance_cn = np.angle(np.dot(w, np.conj(psi.values) * out_cn.values))
-    dx4_shift = harmonic_grid.dx**4  # |E_N - E0| ~ 4e-3 hbar w (w dx)^4
-    assert advance_cn == pytest.approx(-0.5 * dt, abs=dx4_shift * dt)
-    assert np.max(np.abs(np.abs(out_cn.values) ** 2 - psi0.values**2)) < 1e-8
 
-
-@pytest.mark.parametrize("scheme", ["crank-nicolson", "split-step"])
+@pytest.mark.parametrize("scheme", propagation.SCHEMES)
 def test_self_convergence_second_order(harmonic, harmonic_grid, scheme):
     # Richardson: error against a dt/8 reference shrinks ~4x per halving
     psi0 = gcs_from_model(harmonic, harmonic_grid, ClassicalPoint(1.0, 0.0)).psi
@@ -178,42 +171,6 @@ def test_self_convergence_second_order(harmonic, harmonic_grid, scheme):
         errs.append(np.sqrt(float(np.dot(w, np.abs(diff) ** 2))))
     ratio = errs[0] / errs[1]
     assert 3.2 < ratio < 4.8
-
-
-def test_crank_nicolson_spatial_convergence_fourth_order(harmonic):
-    # Numerov's compact Laplacian: at one small dt, the error against an
-    # n = 1025 reference on nested grids falls ~16x per halving of dx (the
-    # 3-point Laplacian's fell 4x); measured 16.20 and 16.11
-    point0, dt, nsteps = ClassicalPoint(1.0, 0.0), 1e-3, 500
-
-    def run(n):
-        g = Grid(-8.0, 8.0, n)
-        psi = gcs_from_model(harmonic, g, point0).psi
-        v = RealField(g, potential_value(harmonic, g.points))
-        for _ in range(nsteps):
-            psi = step(psi, v, dt, scheme="crank-nicolson")
-        return g, psi.values
-
-    _, ref = run(1025)
-    errs = []
-    for n in (65, 129, 257):
-        g, vals = run(n)
-        diff = vals - ref[::1024 // (n - 1)]
-        errs.append(np.sqrt(float(np.dot(quadrature_weights(g), np.abs(diff) ** 2))))
-    assert errs[0] > 1e-5  # well above the reference's own error
-    for coarse, fine in zip(errs, errs[1:]):
-        assert 14.0 < coarse / fine < 18.0
-
-
-def test_crank_nicolson_unitarity_long_run(harmonic):
-    g = Grid(-12.0, 12.0, 512)
-    psi = gcs_from_model(harmonic, g, ClassicalPoint(1.0, 0.0)).psi
-    v = RealField(g, potential_value(harmonic, g.points))
-    w = quadrature_weights(g)
-    for _ in range(10000):
-        psi = step(psi, v, 2e-3, scheme="crank-nicolson")
-    drift = abs(float(np.dot(w, np.abs(psi.values) ** 2)) - 1.0)
-    assert drift < 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -338,8 +295,23 @@ def test_static_morse_spreads(morse):
     assert max(rel) > 0.05
 
 
+def test_shipped_harmonic_feedback_stays_coherent_for_20_periods():
+    # the paper's claim over a long horizon: the shipped config's Glauber
+    # state keeps its width and shape for 20 periods, and its norm drifts
+    # at most linearly in time
+    cfg = load_config(CONFIGS / "harmonic_feedback.json")
+    periods = 20
+    conf = replace(cfg.propagation, snapshot_stride=500)
+    run = evolve_feedback(cfg.model, cfg.initial_point, conf, periods * cfg.T,
+                          cfg.grid, cfg.tolerances)
+    dq2_0 = run.records[0].dq2
+    assert max(abs(r.dq2 - dq2_0) for r in run.records) <= 1e-6
+    assert max(1.0 - r.overlap for r in run.records) <= 1e-10
+    assert max(abs(r.norm - 1.0) for r in run.records) <= 2e-13 * periods
+
+
 def test_snapshot_cadence(morse, morse_run_grid):
-    conf = PropagatorConfig(dt=1e-3, scheme="crank-nicolson", mode="feedback",
+    conf = PropagatorConfig(dt=1e-3, scheme="split-step", mode="feedback",
                             snapshot_stride=7)
     run = evolve_feedback(morse, ClassicalPoint(0.0, 0.1), conf, 25e-3,
                           morse_run_grid)
@@ -467,7 +439,7 @@ def _reference_feedback(model, point0, grid, dt, nsteps, scheme):
 
 
 @pytest.mark.parametrize("kind, scheme", [("morse", "split-step"),
-                                          ("harmonic", "crank-nicolson")])
+                                          ("harmonic", "split-step")])
 def test_feedback_loop_matches_public_reference(kind, scheme, request):
     model = request.getfixturevalue(kind)
     grid = suggest_grid(model, q_reach_min=-1.5, q_reach_max=1.5, n=1024)
@@ -483,10 +455,10 @@ def test_feedback_loop_matches_public_reference(kind, scheme, request):
     assert np.max(np.abs(run.frames[-1].psi.values - ref)) <= 1e-12
 
 
-@pytest.mark.parametrize("scheme", ["split-step", "crank-nicolson"])
+@pytest.mark.parametrize("scheme", propagation.SCHEMES)
 def test_static_loop_matches_repeated_step(morse, scheme):
-    # static mode prepares its operand once (and Crank-Nicolson factors it
-    # once); every frame must still be the public step() loop's, bit for bit
+    # static mode prepares its operand once; every frame must still be the
+    # public step() loop's, bit for bit
     grid = suggest_grid(morse, q_reach_min=-1.5, q_reach_max=1.5, n=1024)
     dt, nsteps = 2e-3, 20
     state0 = gcs_from_model(morse, grid, ClassicalPoint(morse.dq, 0.0))
@@ -504,36 +476,32 @@ def test_orbit_coverage_fails_before_any_step(harmonic, monkeypatch):
     # A coarse Verlet step overshoots the exact turning points (+-2 here):
     # the orbit reaches |Q| = 2.8. The small grid holds the packet at the
     # turning points but not at the orbit's actual extreme, so the run must
-    # stop before its first quantum step; the wide grid holds both.
+    # stop before its first quantum step; the wide grid holds both, and the
+    # tail that the split step at omega dt = 1.4 throws out (on [-8, 8] it
+    # reached the edge strips at step 1).
     point0, dt, nsteps = ClassicalPoint(0.0, 2.0), 1.4, 20
     q_far = np.max(np.abs(integrate_trajectory(harmonic, 0.0, 2.0, dt, nsteps).q))
     assert q_far > 2.7
-    small, wide = Grid(-6.5, 6.5, 512), Grid(-8.0, 8.0, 512)
+    small, wide = Grid(-6.5, 6.5, 512), Grid(-10.0, 10.0, 640)
     gcs_from_model(harmonic, small, ClassicalPoint(2.0, 0.0))
     gcs_from_model(harmonic, small, ClassicalPoint(-2.0, 0.0))
     with pytest.raises(CoverageError):
         gcs_from_model(harmonic, small, ClassicalPoint(q_far, 0.0))
 
     calls = []
-    kernels = propagation._STEPPERS["crank-nicolson"]
-
-    def counted(advance):
-        def counting_advance(vals, operand):
-            calls.append(1)
-            return advance(vals, operand)
-
-        return counting_advance
+    kernels = propagation._split_step
 
     def counting(*args):
-        # step solves on both paths: the block loop's advance and the
-        # advance of a run with one operand
         kernel = kernels(*args)
-        return kernel._replace(
-            advance=counted(kernel.advance),
-            fixed=lambda operand: counted(kernel.fixed(operand)))
 
-    monkeypatch.setitem(propagation._STEPPERS, "crank-nicolson", counting)
-    conf = PropagatorConfig(dt=dt, scheme="crank-nicolson", mode="feedback",
+        def advance(vals, operand):
+            calls.append(1)
+            return kernel.advance(vals, operand)
+
+        return kernel._replace(advance=advance)
+
+    monkeypatch.setattr(propagation, "_split_step", counting)
+    conf = PropagatorConfig(dt=dt, scheme="split-step", mode="feedback",
                             snapshot_stride=nsteps)
     with pytest.raises(CoverageError, match="classical trajectory"):
         evolve_feedback(harmonic, point0, conf, nsteps * dt, small)
@@ -570,9 +538,10 @@ def test_static_reference_momentum_uses_sixth_order_stencil(morse):
     assert run.records[0].hjm_residual < 1e-6
 
 
-# The two kernels' Cayley forms, checked against their definitions over
-# random potentials up to the kinetic ceiling (the loops clamp V there),
-# each mapped into its kernel's operand units by _in_units, as step() does.
+# The split step's phase and product, checked against their definitions
+# over random potentials up to the kinetic ceiling (the loops clamp V
+# there), mapped into the kernel's operand units by _in_units, as step()
+# does.
 _KERNEL_GRID = Grid(-4.0, 4.0, 256)
 _CAP = _potential_cap(_KERNEL_GRID, 1.0, 1.0)
 # the step at which |a| = V dt / 2 hbar reaches 4 pi at the cap, as on the
@@ -596,50 +565,15 @@ def test_split_step_phase_is_exp_of_its_angle(v_random, offsets):
     assert np.max(np.abs(np.abs(half) - 1.0)) <= 1e-15
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(hnp.arrays(np.float64, _KERNEL_GRID.n,
-                  elements=st.one_of(st.just(_CAP), st.floats(-_CAP, _CAP))),
-       st.floats(1e-4, 1.0), st.integers(0, 2**32 - 1))
-def test_crank_nicolson_step_solves_its_cayley_system(v, dt_scale, seed):
-    # (1 + i theta H) psi' = (1 - i theta H) psi with H = M^-1 T + V the
-    # Numerov Dirichlet Hamiltonian, M = 1 + d2/12 and T = -d2/(2 dx^2) on
-    # the second difference d2, checked times M (M + i theta (T + M V), no
-    # inverse), to round-off, and |psi'| = |psi|
-    g, dt = _KERNEL_GRID, dt_scale * _DT_4PI
-    rng = np.random.default_rng(seed)
-    vals = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
-    vals /= np.linalg.norm(vals)
-    out = step(ComplexField(g, vals), RealField(g, v), dt, "crank-nicolson").values
-
-    def d2(f):
-        lap = -2.0 * f
-        lap[1:] += f[:-1]
-        lap[:-1] += f[1:]
-        return lap
-
-    def m(f):
-        return f + d2(f) / 12.0
-
-    def mh(f):  # M H f = T f + M (V f)
-        return -0.5 * d2(f) / g.dx**2 + m(v * f)
-
-    theta = 0.5 * dt
-    residual = (m(out) + 1j * theta * mh(out)) - (m(vals) - 1j * theta * mh(vals))
-    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(vals)
-    assert abs(np.linalg.norm(out) ** 2 - 1.0) <= 1e-13
-
-
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(hnp.arrays(np.float64, (propagation.OPERAND_BLOCK, _KERNEL_GRID.n),
                   elements=st.floats(-_CAP, _CAP)))
-@pytest.mark.parametrize("scheme", propagation.SCHEMES)
-def test_block_prepare_matches_row_by_row(scheme, v):
+def test_block_prepare_matches_row_by_row(v):
     # the feedback loop prepares OPERAND_BLOCK potentials in one pass; each
     # row must be the operand of that potential alone, bit for bit
     g, dt = _KERNEL_GRID, _DT_4PI
-    kernels = propagation._STEPPERS[scheme]
-    block_kernel = kernels(g.n, g.dx, dt, 1.0, 1.0, len(v))
-    row_kernel = kernels(g.n, g.dx, dt, 1.0, 1.0)
+    block_kernel = propagation._split_step(g.n, g.dx, dt, 1.0, 1.0, len(v))
+    row_kernel = propagation._split_step(g.n, g.dx, dt, 1.0, 1.0)
     block = block_kernel.prepare(_in_units(block_kernel, v))
     rows = np.array([row_kernel.prepare(_in_units(row_kernel, row)).copy()
                      for row in v])
@@ -647,92 +581,8 @@ def test_block_prepare_matches_row_by_row(scheme, v):
     assert np.array_equal(block.view(np.uint64), rows.view(np.uint64))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(hnp.arrays(np.float64, _KERNEL_GRID.n + 1,
-                  elements=st.one_of(st.just(_CAP), st.floats(-_CAP, _CAP))),
-       st.sampled_from([1e-4, 1e-2, 0.3, 1.0]), st.integers(0, 2**32 - 1))
-@pytest.mark.parametrize("scheme", propagation.SCHEMES)
-@pytest.mark.parametrize("n", [_KERNEL_GRID.n, _KERNEL_GRID.n + 1])
-def test_fixed_operand_advance_matches_advance(scheme, n, v, dt_scale, seed):
-    # a run with one operand factors it once (Crank-Nicolson: zgttrf, then
-    # zgttrs per step); each step must equal advance's (zgtsv) bit for bit
-    g = Grid(_KERNEL_GRID.x_min, _KERNEL_GRID.x_max, n)
-    dt = dt_scale * _DT_4PI
-    kernel = propagation._STEPPERS[scheme](g.n, g.dx, dt, 1.0, 1.0)
-    operand = kernel.prepare(_in_units(kernel, v[:n]))
-    rng = np.random.default_rng(seed)
-    vals = rng.normal(size=n) + 1j * rng.normal(size=n)
-    fixed = kernel.fixed(operand)
-    for _ in range(2):  # the factors are reused, not consumed
-        want = kernel.advance(vals.copy(), operand)
-        got = fixed(vals.copy(), operand)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        vals = want
-
-
-@pytest.mark.parametrize("n", [5, 257])
-def test_crank_nicolson_raises_on_a_singular_system(n):
-    # no real potential makes the Numerov matrix A = 6 M (1 + i theta H)
-    # singular (M is positive definite, H symmetric), so the operand (bands,
-    # diagonal) is built by hand: a zero diagonal between unit bands is
-    # singular for odd n; both the per-step solve and the factor-once path
-    # must raise, not step
-    kernel = propagation._crank_nicolson(n, 0.1, 0.01, 1.0, 1.0)
-    singular = np.array([np.ones(n), np.zeros(n)], dtype=complex)
-    assert singular.shape == kernel.prepare(_in_units(kernel, np.zeros(n))).shape
-    with pytest.raises(PropagationError, match="zgtsv info"):
-        kernel.advance(np.ones(n, dtype=complex), singular)
-    with pytest.raises(PropagationError, match="zgttrf info"):
-        kernel.fixed(singular)
-
-
-@pytest.mark.parametrize("kind, factorizations", [("harmonic", 1), ("morse", 0)])
-def test_crank_nicolson_feedback_factors_only_a_constant_potential(
-        kind, factorizations, request, monkeypatch):
-    # the harmonic feedback potential is the fixed well at every step, so
-    # its run factors once; a Morse run's potential moves and is solved by
-    # zgtsv step by step
-    model = request.getfixturevalue(kind)
-    grid = suggest_grid(model, q_reach_min=-1.5, q_reach_max=1.5, n=512)
-    zgtsv, zgttrf, zgttrs = propagation._lapack()
-    calls = []
-
-    def counting_zgttrf(*args):
-        calls.append(1)
-        return zgttrf(*args)
-
-    monkeypatch.setattr(propagation, "_lapack",
-                        lambda: (zgtsv, counting_zgttrf, zgttrs))
-    dt, nsteps = 2e-3, 20
-    conf = PropagatorConfig(dt=dt, scheme="crank-nicolson", mode="feedback",
-                            snapshot_stride=nsteps)
-    evolve_feedback(model, ClassicalPoint(0.3, 0.4), conf, nsteps * dt, grid)
-    assert len(calls) == factorizations
-
-
-def test_crank_nicolson_morse_feedback_agrees_with_split_step(morse):
-    # a Morse feedback run's potential moves every step, so Crank-Nicolson
-    # solves it by zgtsv step by step (no shipped config or benchmark run
-    # does); on morse_feedback's wide grid, where no tail is cut, it must
-    # follow the spectral split-step run. Measured max |dpsi| 2.6e-7 and
-    # max |d dq2| 2.7e-8 over the frames (dt^2 and Numerov dx^4 error; at
-    # dt = 2e-3 they read 6.6e-7 and 1.8e-7)
-    grid = Grid(-9.0, 40.0, 768)
-    dt, nsteps = 1e-3, 400
-    runs = [evolve_feedback(morse, ClassicalPoint(0.3, 0.4),
-                            PropagatorConfig(dt=dt, scheme=scheme, mode="feedback",
-                                             snapshot_stride=100),
-                            nsteps * dt, grid)
-            for scheme in ("crank-nicolson", "split-step")]
-    pairs = list(zip(*(run.frames for run in runs)))
-    assert len(pairs) == 5
-    for cn, ss in pairs:
-        assert np.max(np.abs(cn.psi.values - ss.psi.values)) <= 5e-7
-        assert abs(cn.diagnostics.dq2 - ss.diagnostics.dq2) <= 1e-7
-
-
 @pytest.mark.parametrize("kind, scheme", [("morse", "split-step"),
-                                          ("harmonic", "crank-nicolson")])
+                                          ("harmonic", "split-step")])
 def test_feedback_frames_do_not_depend_on_the_block_size(kind, scheme,
                                                          request, monkeypatch):
     # two full blocks and a partial one, against one step per block; the
@@ -775,107 +625,6 @@ def test_constant_feedback_run_matches_the_block_path(harmonic, scheme,
         assert np.array_equal(a.psi.values, b.psi.values)
         assert np.array_equal(a.V.values, b.V.values)
         assert a.diagnostics == b.diagnostics
-
-
-def _public_lapack():
-    from scipy.linalg import lapack
-
-    return lapack.zgtsv, lapack.zgttrf, lapack.zgttrs
-
-
-@pytest.fixture
-def fresh_lapack():
-    """_lapack's cache emptied before the test and after it."""
-    propagation._lapack.cache_clear()
-    yield
-    propagation._lapack.cache_clear()
-
-
-@pytest.mark.parametrize("kind", ["morse", "harmonic"])
-def test_loaded_lapack_matches_scipy_linalg_lapack(kind, request, monkeypatch):
-    # _lapack loads scipy's _flapack extension beside the scipy package. A
-    # Morse feedback run solves through its zgtsv step by step, a harmonic
-    # one through zgttrs on zgttrf's factors; each must give the frames of
-    # the routines the public scipy.linalg.lapack exposes, bit for bit
-    assert propagation._lapack() == _public_lapack()
-    model = request.getfixturevalue(kind)
-    grid = suggest_grid(model, q_reach_min=-1.5, q_reach_max=1.5, n=512)
-    dt, nsteps = 2e-3, 2 * propagation.OPERAND_BLOCK + 3
-    conf = PropagatorConfig(dt=dt, scheme="crank-nicolson", mode="feedback",
-                            snapshot_stride=4)
-    point0 = ClassicalPoint(0.3, 0.4)
-    loaded = evolve_feedback(model, point0, conf, nsteps * dt, grid)
-    monkeypatch.setattr(propagation, "_lapack", _public_lapack)
-    public = evolve_feedback(model, point0, conf, nsteps * dt, grid)
-    assert len(loaded.frames) == len(public.frames) == 6
-    for a, b in zip(loaded.frames, public.frames):
-        assert np.array_equal(a.psi.values.view(np.uint64),
-                              b.psi.values.view(np.uint64))
-        assert a.diagnostics == b.diagnostics
-
-
-def _crank_nicolson_step(harmonic, harmonic_grid):
-    """One Crank-Nicolson step of the harmonic ground state, as raw bits."""
-    psi = ground_state(harmonic, harmonic_grid)
-    V = RealField(harmonic_grid, 0.5 * harmonic_grid.points**2)
-    return step(psi, V, 1e-2, "crank-nicolson").values.view(np.uint64)
-
-
-def _spying_module_from_spec(monkeypatch, fail=False):
-    """propagation.module_from_spec, recording the spec of every direct load
-    and, with fail, raising ImportError as a DLL that does not load does."""
-    loads = []
-
-    def spy(spec):
-        loads.append(spec.name)
-        if fail:
-            raise ImportError("DLL load failed while importing _flapack")
-        return module_from_spec(spec)
-
-    monkeypatch.setattr(propagation, "module_from_spec", spy)
-    return loads
-
-
-def test_lapack_without_flapack_file_takes_the_public_import(
-        harmonic, harmonic_grid, tmp_path, monkeypatch, fresh_lapack):
-    # an install with no _flapack file beside the scipy package (an editable
-    # one, say) falls back to scipy.linalg.lapack, with the same steps; the
-    # install layout is faked where _lapack reads it, in scipy's spec
-    want = _crank_nicolson_step(harmonic, harmonic_grid)
-    propagation._lapack.cache_clear()
-    scipy_here = ModuleSpec("scipy", None, is_package=True)
-    scipy_here.submodule_search_locations.append(str(tmp_path))
-    monkeypatch.setattr(propagation, "find_spec",
-                        lambda name: scipy_here if name == "scipy" else None)
-    loads = _spying_module_from_spec(monkeypatch)
-    assert propagation._lapack() == _public_lapack()
-    assert loads == []  # no file, so no direct load was tried
-    got = _crank_nicolson_step(harmonic, harmonic_grid)
-    assert np.array_equal(got, want)
-
-
-def test_lapack_whose_direct_load_fails_takes_the_public_import(
-        harmonic, harmonic_grid, monkeypatch, fresh_lapack):
-    # a _flapack file that does not load without scipy's start-up (which
-    # may set the DLL search path) falls back to scipy.linalg.lapack, with
-    # the same steps
-    want = _crank_nicolson_step(harmonic, harmonic_grid)
-    propagation._lapack.cache_clear()
-    loads = _spying_module_from_spec(monkeypatch, fail=True)
-    assert propagation._lapack() == _public_lapack()
-    assert loads == ["scipy.linalg._flapack"]
-    got = _crank_nicolson_step(harmonic, harmonic_grid)
-    assert np.array_equal(got, want)
-
-
-def test_crank_nicolson_without_scipy_names_split_step(monkeypatch,
-                                                       fresh_lapack):
-    # find_spec finds no scipy package, and any scipy import fails
-    monkeypatch.setattr(propagation, "find_spec", lambda name: None)
-    monkeypatch.setitem(sys.modules, "scipy", None)
-    with pytest.raises(PropagationError, match="use scheme 'split-step'"):
-        PropagatorConfig(dt=1e-3, scheme="crank-nicolson")
-    PropagatorConfig(dt=1e-3, scheme="split-step")
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
