@@ -13,8 +13,8 @@ The center potential is the well seen from -Q, V_class(Q) = V(-Q): for the
 Morse well that is the mirror image U0 (1 - exp(+aQ))^2, for symmetric wells
 the original potential. v_class and classical_force are defined that way,
 from models.potential_value and models.potential_gradient; verify's
-vclass_mirror check and `gcsdyn extract-vclass` test the identity against
-the linear coefficient of the assembled potential.
+linear_coefficient_agreement check and `gcsdyn extract-vclass` test the
+identity against the linear coefficient of the assembled potential.
 """
 
 import math

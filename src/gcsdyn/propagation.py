@@ -12,7 +12,7 @@ numpy's pocketfft gufuncs directly (_pocketfft).
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import import_module
 from typing import NamedTuple
@@ -89,7 +89,8 @@ class Frame(NamedTuple):
 
 @dataclass(frozen=True)
 class RunResult:
-    """A propagation run: snapshot frames plus the full classical trajectory."""
+    """A propagation run: snapshot frames plus the full classical trajectory.
+    Its config is the one the run was given, with the mode that ran."""
 
     frames: tuple
     trajectory: Trajectory
@@ -361,7 +362,8 @@ def evolve_feedback(
         psi = ComplexField(grid, vals)
         return Frame(s, psi, V, pt, record(psi, model, pt, V, f_s, tol))
 
-    return _run(state0, steps, advance, frame_at, traj, model, config, tol)
+    return _run(state0, steps, advance, frame_at, traj, model,
+                replace(config, mode="feedback"), tol)
 
 
 def evolve_static(
@@ -408,7 +410,8 @@ def evolve_static(
         rec = _record(psi, measured, model, pt, v_diag, f_ref, tol)
         return Frame(s, psi, v_diag, pt, rec)
 
-    return _run(state0, steps, advance, frame_at, traj, model, config, tol)
+    return _run(state0, steps, advance, frame_at, traj, model,
+                replace(config, mode="static"), tol)
 
 
 def _run(state0, operands, advance, frame_at, traj, model, config, tol) -> RunResult:

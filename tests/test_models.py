@@ -50,7 +50,7 @@ def test_morse_constants(morse):
     assert morse.well_depth == pytest.approx(morse.energy_scale, rel=1e-15)  # lam = 1
 
 
-def test_morse_ground_state_normalized(morse):
+def test_morse_ground_state_normalized(morse, harmonic, harmonic_grid):
     grid = Grid(-8.0, 25.0, 2049)
     psi = ground_state(morse, grid)
     assert integrate(RealField(grid, psi.values**2)) == pytest.approx(1.0, abs=1e-8)
@@ -62,6 +62,12 @@ def test_morse_ground_state_normalized(morse):
     # unimodal: single sign change of the finite difference
     d = np.diff(psi.values)
     assert np.count_nonzero(np.diff(np.sign(d[np.abs(d) > 1e-30]))) <= 1
+    # the harmonic ground state, (m omega / pi hbar)^(1/4) exp(-x^2/2)
+    g = harmonic_grid
+    psi = ground_state(harmonic, g)
+    assert integrate(RealField(g, psi.values**2)) == pytest.approx(1.0, abs=1e-8)
+    raw = ground_state_values(harmonic, g.points)
+    assert integrate(RealField(g, raw**2)) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_harmonic_ground_variance(harmonic, harmonic_grid):

@@ -82,6 +82,18 @@ def test_evolve_rejects_a_bad_horizon(morse, morse_run_grid, mode, T):
             evolve_static(gcs_from_model(morse, morse_run_grid, pt), morse, conf, T)
 
 
+@pytest.mark.parametrize("given", propagation.MODES)
+def test_run_result_names_the_mode_that_ran(morse, morse_run_grid, given):
+    # each evolve_* stores its own mode, whatever mode its config named; the
+    # SVG output reads it to decide whether to draw potential profiles
+    conf = PropagatorConfig(dt=1e-3, mode=given, snapshot_stride=5)
+    pt = ClassicalPoint(0.0, 0.1)
+    fb = evolve_feedback(morse, pt, conf, 5e-3, morse_run_grid)
+    st = evolve_static(gcs_from_model(morse, morse_run_grid, pt), morse, conf, 5e-3)
+    assert (fb.config.mode, st.config.mode) == ("feedback", "static")
+    assert fb.config == replace(conf, mode="feedback")
+
+
 def test_step_grid_mismatch():
     g1 = Grid(-5.0, 5.0, 64)
     g2 = Grid(-5.0, 5.0, 128)
@@ -308,6 +320,22 @@ def test_shipped_harmonic_feedback_stays_coherent_for_20_periods():
     assert max(abs(r.dq2 - dq2_0) for r in run.records) <= 1e-6
     assert max(1.0 - r.overlap for r in run.records) <= 1e-10
     assert max(abs(r.norm - 1.0) for r in run.records) <= 2e-13 * periods
+
+
+def test_shipped_morse_feedback_stays_coherent_for_10_periods():
+    # the same claim on the anharmonic well, where only the self-adjusting
+    # potential keeps the shape: bounds at 2-4x the 10 T readings
+    # (max(1 - overlap) 5.7e-13, dq2 drift 3.3e-6, norm drift 8.6e-12,
+    # which is 8.6e-13 per period, the rate 20 and 50 T runs show too)
+    cfg = load_config(CONFIGS / "morse_feedback.json")
+    periods = 10
+    conf = replace(cfg.propagation, snapshot_stride=500)
+    run = evolve_feedback(cfg.model, cfg.initial_point, conf, periods * cfg.T,
+                          cfg.grid, cfg.tolerances)
+    dq2_0 = run.records[0].dq2
+    assert max(1.0 - r.overlap for r in run.records) <= 2e-12
+    assert max(abs(r.dq2 / dq2_0 - 1.0) for r in run.records) <= 1e-5
+    assert max(abs(r.norm - 1.0) for r in run.records) <= 2e-12 * periods
 
 
 def test_snapshot_cadence(morse, morse_run_grid):
