@@ -28,7 +28,6 @@ from .displacement import (
     PolarFields,
     alpha_label,
     density_phase,
-    displace,
     gcs_from_model,
 )
 from .errors import (
@@ -43,7 +42,6 @@ from .errors import (
     NodeError,
     NormalizationError,
     OptionalDependencyError,
-    PhaseUnwrapError,
     PropagationError,
     UnitarityError,
 )

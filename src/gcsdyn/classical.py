@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .displacement import ClassicalPoint
-from .errors import EscapeError, ExtractionError
+from .errors import EscapeError, ExtractionError, PropagationError
 from .grids import Grid, _fd_coefficients
 from .hydrodynamics import assemble_potential
 from .models import _EXP_CAP, PotentialModel, potential_gradient, potential_value
@@ -213,6 +213,12 @@ def _verlet(
     return np.arange(steps + 1) * dt, orbit[0], orbit[1], orbit[2]
 
 
+def _require_time_step(dt: float) -> None:
+    """Raise PropagationError unless 0 < dt < inf (NaN fails too)."""
+    if not 0.0 < dt < math.inf:
+        raise PropagationError(f"dt must be positive and finite, got {dt!r}")
+
+
 def integrate_trajectory(
     model: PotentialModel,
     q0: float,
@@ -223,13 +229,13 @@ def integrate_trajectory(
     """Velocity-Verlet integration of the center equation.
 
     Symplectic, second order; records the force at every stored point.
-    Raises EscapeError for unbounded Morse initial data (E >= U0) and for
-    an orbit that stops being finite (a time step past Verlet's stability
-    limit).
+    Raises PropagationError for a time step that is not positive and
+    finite or a step count that is not an integer >= 0, and EscapeError for
+    unbounded Morse initial data (E >= U0) and for an orbit that stops
+    being finite (a time step past Verlet's stability limit).
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    _require_time_step(dt)
+    if not (isinstance(steps, (int, np.integer)) and steps >= 0):
+        raise PropagationError(f"steps {steps!r} is not an integer >= 0")
     _require_bounded(model, classical_energy(model, q0, p0))
     return Trajectory(*_verlet(model, q0, p0, dt, steps), dt)

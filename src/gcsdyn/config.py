@@ -140,6 +140,8 @@ def config_from_dict(raw: dict) -> RunConfig:
 
     psec = _section(raw, "propagation", (*_field_names(PropagatorConfig), "T"))
     T = _number(psec, "T", period, "propagation")
+    if T <= 0.0:
+        raise ConfigError(f"propagation.T must be positive, got {T!r}")
     dt = _number(psec, "dt", T / 5000.0, "propagation")
     scheme = psec.get("scheme", "split-step")
     mode = psec.get("mode", "feedback")
@@ -148,8 +150,6 @@ def config_from_dict(raw: dict) -> RunConfig:
         prop = PropagatorConfig(dt=dt, scheme=scheme, mode=mode, snapshot_stride=stride)
     except PropagationError as exc:
         raise ConfigError(f"invalid propagation: {exc}") from exc
-    if T <= 0.0:
-        raise ConfigError("propagation.T must be positive")
     if dt > T:
         raise ConfigError("propagation.dt exceeds the horizon T")
     try:

@@ -177,7 +177,7 @@ def _record(psi, measured, model, point, V, dPdt, tol) -> DiagnosticsRecord:
     else:
         # the phase and the ansatz's d_t S only on the support
         vals = measured.vals_n[sl]
-        s, _, _ = _unwrapped_phase(vals, rho[sl], 0, len(vals) - 1, "mask")
+        s, _, _ = _unwrapped_phase(vals, rho[sl], 0, len(vals) - 1)
         dQdt = point.P / model.mass
         s_t = dPdt * grid.points[sl] - 0.5 * (dPdt * point.Q + point.P * dQdt)
         hjm = _phase_residual(s_t, hbar * s, rho[sl], V.values[sl], w[sl],

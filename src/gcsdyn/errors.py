@@ -32,17 +32,6 @@ class NodeError(GcsdynError):
     """Density has interior zeros; curvature is undefined across a node."""
 
 
-class PhaseUnwrapError(GcsdynError):
-    """Phase jump between adjacent valid samples too large to unwrap safely."""
-
-    def __init__(self, index: int, jump: float):
-        self.index = int(index)
-        self.jump = float(jump)
-        super().__init__(
-            f"ambiguous phase jump {jump:.6g} rad at sample {index}"
-        )
-
-
 class DisplacementError(GcsdynError):
     """A constructed displaced state is off its label point (Q, P)."""
 

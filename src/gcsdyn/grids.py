@@ -9,6 +9,7 @@ Derivatives are the 7-point stencils; they need no decay at the grid edges.
 """
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -18,6 +19,14 @@ from .errors import InvalidFieldError, NormalizationError
 
 BOUNDARY_POINTS = 5  # edge strip monitored by boundary_mass
 NORM_TOL = 1e-6  # |norm - 1| allowed where a normalized state or density is required
+# bytes a run holds per grid sample at least: its point and one complex
+# wavefunction sample
+_SAMPLE_BYTES = 8 + 16
+
+
+def _physical_memory() -> int:
+    """The machine's physical memory in bytes."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 @dataclass(frozen=True)
@@ -25,7 +34,9 @@ class Grid:
     """Uniform spatial lattice on [x_min, x_max] with n points.
 
     dx is derived: dx * (n - 1) == x_max - x_min to machine precision by
-    construction (points come from np.linspace).
+    construction (points come from np.linspace). A grid whose samples
+    (_SAMPLE_BYTES each) would need more than the machine's physical memory
+    is refused.
     """
 
     x_min: float
@@ -42,6 +53,12 @@ class Grid:
         if int(self.n) != self.n or self.n < 16:
             raise InvalidFieldError(f"grid needs n >= 16 points, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
+        memory = _physical_memory()
+        if self.n * _SAMPLE_BYTES > memory:
+            raise InvalidFieldError(
+                f"grid of {self.n} points needs at least "
+                f"{self.n * _SAMPLE_BYTES} bytes, more than the machine's "
+                f"{memory} bytes of physical memory")
 
     @property
     def dx(self) -> float:

@@ -89,7 +89,7 @@ def write_fields_csv(directory, result: RunResult) -> list[Path]:
     paths = []
     for i, frame in enumerate(result.frames):
         psi = frame.psi
-        polar = density_phase(psi, hbar=result.model.hbar, on_ambiguity="mask")
+        polar = density_phase(psi, hbar=result.model.hbar)
         columns = (
             psi.grid.points,
             psi.values.real,

@@ -11,7 +11,6 @@ numpy's pocketfft gufuncs directly (_pocketfft).
 """
 
 import math
-import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import import_module
@@ -21,6 +20,7 @@ import numpy as np
 
 from .classical import (
     Trajectory,
+    _require_time_step,
     _verlet,
     classical_energy,
     classical_force,
@@ -34,6 +34,7 @@ from .grids import (
     ComplexField,
     Grid,
     RealField,
+    _physical_memory,
     quadrature_weights,
 )
 from .hydrodynamics import _closed_form, _stepping_basis
@@ -65,8 +66,7 @@ class PropagatorConfig:
     snapshot_stride: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.dt < math.inf:
-            raise PropagationError(f"dt must be positive and finite, got {self.dt!r}")
+        _require_time_step(self.dt)
         if self.scheme not in SCHEMES:
             raise PropagationError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.mode not in MODES:
@@ -277,7 +277,7 @@ def _step_count(T: float, dt: float) -> int:
     if not ratio < math.inf:
         raise PropagationError(f"T / dt = {T!r} / {dt!r} is not finite")
     nsteps = max(1, int(round(ratio)))
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    memory = _physical_memory()
     if nsteps * _STEP_BYTES > memory:
         raise PropagationError(
             f"T / dt = {T!r} / {dt!r} asks for {nsteps} steps, whose orbit and "

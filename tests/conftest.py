@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from gcsdyn import PotentialModel, suggest_grid
@@ -25,6 +24,3 @@ def morse_grid(morse):
 def harmonic_grid(harmonic):
     return suggest_grid(harmonic, q_reach_min=-2.0, q_reach_max=2.0, n=1024)
 
-
-def bhattacharyya(w, rho_a, rho_b):
-    return float(np.dot(w, np.sqrt(np.maximum(rho_a, 0.0) * np.maximum(rho_b, 0.0))))

@@ -9,6 +9,7 @@ from gcsdyn import (
     ExtractionError,
     Grid,
     PotentialModel,
+    PropagationError,
     assemble_potential,
     classical_force,
     classical_period,
@@ -195,6 +196,17 @@ def test_escape_errors(morse):
         classical_period(morse, 2.0 * morse.well_depth)
     with pytest.raises(EscapeError):
         momentum_for_energy(morse, 0.1, q0=5.0)
+
+
+@pytest.mark.parametrize("dt, steps", [
+    (float("nan"), 10), (float("inf"), 10), (0.0, 10), (-1e-3, 10),
+    (1e-3, -1), (1e-3, 2.5),
+])
+def test_integrate_trajectory_rejects_bad_steps(morse, dt, steps):
+    # PropagatorConfig's time-step rule, and a step count that is an
+    # integer >= 0
+    with pytest.raises(PropagationError):
+        integrate_trajectory(morse, 0.5, 0.0, dt, steps)
 
 
 def test_period_scaling_with_units():

@@ -248,14 +248,23 @@ def test_null_and_non_finite_numbers_rejected(section, key, value, tmp_path, cap
     assert err.endswith(f"{section}.{key} must be a finite number, got {value!r}")
 
 
-@pytest.mark.parametrize("key, value", [
-    ("unitarity_drift", -1), ("boundary_mass", 0), ("boundary_mass", -1e-8),
+@pytest.mark.parametrize("section, key, value", [
+    pytest.param("tolerances", "unitarity_drift", -1, id="unitarity_drift--1"),
+    pytest.param("tolerances", "boundary_mass", 0, id="boundary_mass-0"),
+    pytest.param("tolerances", "boundary_mass", -1e-8, id="boundary_mass--1e-08"),
+    pytest.param("propagation", "T", -1, id="T--1"),
+    pytest.param("propagation", "T", 0, id="T-0"),
 ])
-def test_non_positive_tolerances_rejected(key, value, tmp_path, capsys):
-    path = _write_config(tmp_path, tolerances={key: value})
+def test_non_positive_tolerances_rejected(section, key, value, tmp_path, capsys):
+    # a propagation section of T alone: the default dt, T / 5000, is not
+    # positive either, and the error must name T
+    path = _write_config(tmp_path, propagation=None)
+    raw = json.loads(path.read_text())
+    raw[section] = {key: value}
+    path.write_text(json.dumps(raw))
     assert main(["run", "--config", str(path)]) == 2
     (err,) = capsys.readouterr().err.splitlines()
-    assert err == f"config error: tolerances.{key} must be positive, got {float(value)!r}"
+    assert err == f"config error: {section}.{key} must be positive, got {float(value)!r}"
     assert not (tmp_path / "out").exists()
 
 
@@ -277,6 +286,17 @@ def test_step_count_out_of_reach_exits_2(T, dt, tmp_path, capsys):
     assert main(["run", "--config", str(path)]) == 2
     (err,) = capsys.readouterr().err.splitlines()
     assert err.startswith("config error: invalid propagation.T and propagation.dt: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_grid_beyond_physical_memory_exits_2(tmp_path, capsys):
+    # 10**15 points are refused before any array is allocated
+    path = _write_config(tmp_path, grid={"x_min": -9.0, "x_max": 25.0, "n": 10**15})
+    assert main(["run", "--config", str(path)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith("config error: invalid grid: ")
+    assert "physical memory" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -566,8 +586,7 @@ def _error_classes(cls=errors.GcsdynError):
 
 
 # constructor arguments where a single message does not fit
-_ERROR_ARGS = {errors.NormalizationError: (1.5, 1e-8),
-               errors.PhaseUnwrapError: (3, 3.0)}
+_ERROR_ARGS = {errors.NormalizationError: (1.5, 1e-8)}
 _EXIT_CODES = {errors.ConfigError: 2, errors.CoverageError: 3,
                errors.EscapeError: 3, errors.UnitarityError: 4,
                errors.ExtractionError: 5}

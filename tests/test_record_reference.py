@@ -36,7 +36,7 @@ from gcsdyn import (
 )
 from gcsdyn.diagnostics import DiagnosticsRecord, potential_slope_at
 from gcsdyn.displacement import PHASE_FLOOR, PHASE_JUMP_FLOOR
-from gcsdyn.errors import InvalidFieldError, PhaseUnwrapError
+from gcsdyn.errors import InvalidFieldError
 from gcsdyn.grids import (
     _derivative_arrays,
     _moments,
@@ -63,7 +63,7 @@ BOUNDS = {
 
 
 def _reference_unwrap(vals, rho):
-    # the full-grid unwrap with "mask" truncation, as record used it
+    # the full-grid unwrap, truncated at ambiguous jumps, as record used it
     n = len(vals)
     peak = int(np.argmax(rho))
     left, right = _peak_segment(rho, PHASE_FLOOR * rho[peak])
@@ -221,9 +221,10 @@ def test_displaced_boosted_states_match_the_reference(kind, hbar, mass, u, v,
 @pytest.mark.parametrize("offset", [2, 25])
 def test_phase_jump_on_the_support_truncates_as_before(side, offset):
     # a sign flip beyond a sample on the support (left or right of the
-    # peak) is a jump of pi where the state carries amplitude: "mask"
-    # truncates the valid run there, and the chirped phase is extended
-    # linearly across the rest of the support, so the residual is large
+    # peak) is a jump of pi where the state carries amplitude:
+    # density_phase truncates the valid run there, and the chirped phase is
+    # extended linearly across the rest of the support, so the residual is
+    # large
     model, grid = _model_and_grid("morse", 1.0, 1.0)
     q, p = 0.7, 0.4
     psi = gcs_from_model(model, grid, ClassicalPoint(q, p)).psi.values
@@ -235,9 +236,7 @@ def test_phase_jump_on_the_support_truncates_as_before(side, offset):
     else:
         psi[:cut] *= -1.0
     args = _measured_args(model, grid, psi, q, p)
-    with pytest.raises(PhaseUnwrapError):
-        density_phase(args[0])
-    valid = density_phase(args[0], on_ambiguity="mask").valid
+    valid = density_phase(args[0]).valid
     assert valid[cut - 1] != valid[cut]
     rec = record(*args)
     assert 1e-3 < rec.hjm_residual < math.inf
