@@ -24,12 +24,15 @@ import numpy as np
 
 from .displacement import ClassicalPoint
 from .errors import EscapeError, ExtractionError, PropagationError
-from .grids import Grid, _fd_coefficients
+from .grids import Grid, _fd_coefficients, _physical_memory
 from .hydrodynamics import assemble_potential
 from .models import _EXP_CAP, PotentialModel, potential_gradient, potential_value
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 FIT_SAMPLES = 10  # samples nearest x = 0 that the fitted slope reads
+# bytes a run holds per step: the orbit's t, Q, P and force, and one
+# coefficient row of up to four basis terms
+_STEP_BYTES = 8 * (4 + 4)
 
 
 @dataclass(frozen=True)
@@ -73,44 +76,42 @@ def v_class(model: PotentialModel, q):
 
 
 def classical_energy(model: PotentialModel, q, p):
-    """Center-orbit energy P^2/2m + V_class(Q), for scalars or arrays."""
-    e = np.asarray(p, dtype=np.float64) ** 2 / (2.0 * model.mass) + v_class(model, q)
+    """Center-orbit energy P^2/2m + V_class(Q), for scalars or arrays; inf
+    where it overflows."""
+    with np.errstate(over="ignore"):
+        e = np.asarray(p, dtype=np.float64) ** 2 / (2.0 * model.mass) + v_class(model, q)
     return e if np.ndim(e) else float(e)
 
 
 def _require_bounded(model: PotentialModel, e_cl: float):
     """Raise EscapeError unless the center orbit at energy e_cl is bounded:
-    always for harmonic wells, 0 <= E < U0 for Morse."""
+    for any finite E in harmonic wells, 0 <= E < U0 for Morse."""
     if model.kind == "morse" and not 0.0 <= e_cl < model.well_depth:
         raise EscapeError(
             f"no bounded Morse orbit at E = {e_cl:g} (well depth "
             f"{model.well_depth:g})"
         )
+    if not e_cl < math.inf:
+        raise EscapeError(f"no bounded orbit at E = {e_cl:g}")
 
 
 def linear_coefficient(
     model: PotentialModel,
     point: ClassicalPoint,
     dPdt: float,
-    grid: Grid | None = None,
-    method: str = "analytic",
+    grid: Grid,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> float:
-    """Coefficient of the term linear in x of the assembled V(x, t).
+    """Coefficient of the term linear in x of the assembled V(x, t), read
+    off its samples on grid.
 
-    method="analytic" evaluates the closed form a(t) = F_cl(Q) - dP/dt.
-    method="fit" extracts it from the assembled potential samples: the
-    linear Taylor coefficient at the expansion point x = 0 is the slope
+    The linear Taylor coefficient at the expansion point x = 0 is the slope
     there, taken as the slope at 0 of the polynomial through the
     FIT_SAMPLES samples nearest 0 (one dot with its derivative weights).
-    Both evaluators agree to ~1e-10 relative on the shipped grids.
+    Its closed form is a(t) = F_cl(Q) - dP/dt, which it matches to ~1e-10
+    relative on the shipped grids. Raises ExtractionError when x = 0 lacks
+    FIT_SAMPLES // 2 samples on either side.
     """
-    if method == "analytic":
-        return float(classical_force(model, point.Q)) - dPdt
-    if method != "fit":
-        raise ValueError(f"unknown method {method!r}")
-    if grid is None:
-        raise ExtractionError("numeric extraction needs a grid")
     x, half = grid.points, FIT_SAMPLES // 2
     i = int(x.searchsorted(0.0))  # x[i - 1] < 0 <= x[i]
     if not half <= i <= grid.n - half:
@@ -219,6 +220,18 @@ def _require_time_step(dt: float) -> None:
         raise PropagationError(f"dt must be positive and finite, got {dt!r}")
 
 
+def _require_step_memory(steps: int, what: str) -> None:
+    """Raise PropagationError, naming what asked for the steps, when the
+    arrays a run holds per step (_STEP_BYTES each) would need more bytes
+    than the machine's physical memory."""
+    memory = _physical_memory()
+    if steps * _STEP_BYTES > memory:
+        raise PropagationError(
+            f"{what} asks for {steps} steps, whose orbit and coefficient "
+            f"arrays need {steps * _STEP_BYTES} bytes, more than the "
+            f"machine's {memory} bytes of physical memory")
+
+
 def integrate_trajectory(
     model: PotentialModel,
     q0: float,
@@ -230,12 +243,14 @@ def integrate_trajectory(
 
     Symplectic, second order; records the force at every stored point.
     Raises PropagationError for a time step that is not positive and
-    finite or a step count that is not an integer >= 0, and EscapeError for
+    finite, a step count that is not an integer >= 0 or whose arrays would
+    not fit in physical memory (_require_step_memory), and EscapeError for
     unbounded Morse initial data (E >= U0) and for an orbit that stops
     being finite (a time step past Verlet's stability limit).
     """
     _require_time_step(dt)
     if not (isinstance(steps, (int, np.integer)) and steps >= 0):
         raise PropagationError(f"steps {steps!r} is not an integer >= 0")
+    _require_step_memory(steps, "the trajectory")
     _require_bounded(model, classical_energy(model, q0, p0))
     return Trajectory(*_verlet(model, q0, p0, dt, steps), dt)

@@ -169,7 +169,7 @@ def cmd_extract_vclass(cfg: RunConfig) -> int:
                 forces = [
                     linear_coefficient(
                         model, ClassicalPoint(Q=float(xq), P=0.0, t=0.0),
-                        dPdt=0.0, grid=grid, method="fit", tol=cfg.tolerances,
+                        dPdt=0.0, grid=grid, tol=cfg.tolerances,
                     )
                     for xq in xg
                 ]

@@ -31,7 +31,7 @@ _SECTIONS = ("model", "grid", "initial", "propagation", "output", "tolerances")
 # model kind -> its parameters, in the order they are read; each defaults to 1
 _MODEL_PARAMS = {
     "harmonic": ("omega", "mass", "hbar"),
-    "morse": ("a", "lam", "mass", "hbar"),
+    "morse": ("a", "mass", "hbar"),
 }
 
 

@@ -50,6 +50,9 @@ class Grid:
             raise InvalidFieldError(
                 f"x_max ({self.x_max}) must exceed x_min ({self.x_min})"
             )
+        if not self.length < math.inf:
+            raise InvalidFieldError(
+                f"grid length {self.x_max} - ({self.x_min}) is not finite")
         if int(self.n) != self.n or self.n < 16:
             raise InvalidFieldError(f"grid needs n >= 16 points, got {self.n}")
         object.__setattr__(self, "n", int(self.n))

@@ -117,33 +117,19 @@ def assemble_potential(
     point: ClassicalPoint,
     dPdt: float,
     grid: Grid,
-    curvature: str = "analytic",
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> PotentialSnapshot:
     """Build V(x, t) for the classical state (Q, P, dP/dt).
 
-    curvature="analytic" evaluates the curvature term through the identity
-    (hbar^2/2m) F(xi) = V_model(xi) - E0; curvature="numeric" differentiates
-    the translated ground density instead and exists as a cross-check.
+    The curvature term is evaluated through the identity
+    (hbar^2/2m) F(xi) = V_model(xi) - E0; quantum_curvature of the
+    translated ground density gives the same term numerically. Raises
+    CoverageError when that density touches the grid edges.
     """
     rho_shift = reference_density(model, grid, point.Q)
     require_coverage(rho_shift, grid, tol, f"density shifted by Q = {point.Q:g}")
-
-    if curvature == "analytic":
-        v = _closed_form(model, grid, point.Q, point.P, dPdt)
-    elif curvature == "numeric":
-        res = quantum_curvature(RealField(grid, rho_shift))
-        v = _add_center_terms((model.hbar**2 / (2.0 * model.mass)) * res.F.values,
-                              grid.points, point.Q, point.P, dPdt, model.mass)
-    else:
-        raise ValueError(f"unknown curvature evaluation {curvature!r}")
-
+    v = _closed_form(model, grid, point.Q, point.P, dPdt)
     return PotentialSnapshot(V=RealField(grid, v))
-
-
-def _add_center_terms(v, x, q, p, dPdt, m):
-    """v - (dP/dt) x - P^2/2m + ((dQ/dt) P + (dP/dt) Q)/2, as a new array."""
-    return v - x * dPdt - p**2 / (2.0 * m) + 0.5 * (p / m * p + dPdt * q)
 
 
 def _closed_form(model: PotentialModel, grid: Grid, q, p, dPdt) -> np.ndarray:
@@ -151,9 +137,9 @@ def _closed_form(model: PotentialModel, grid: Grid, q, p, dPdt) -> np.ndarray:
     potential of assemble_potential and of the feedback frames (the V the
     diagnostics read and potential_snapshots.csv shows). The quantum step
     uses _stepping_basis instead."""
-    x = grid.points
+    x, m = grid.points, model.mass
     v = potential_value(model, x - q) - ground_energy(model)
-    return _add_center_terms(v, x, q, p, dPdt, model.mass)
+    return v - x * dPdt - p**2 / (2.0 * m) + 0.5 * (p / m * p + dPdt * q)
 
 
 def _stepping_basis(model: PotentialModel, grid: Grid):

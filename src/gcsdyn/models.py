@@ -3,10 +3,9 @@
 Two families are built in:
 
 * harmonic -- V(x) = (1/2) m omega^2 x^2, Gaussian ground state.
-* morse    -- V(x) = U0 (1 - exp(-a x))^2 with depth U0 = lam^2 * E_scale,
-  E_scale = (hbar a)^2 / (2 m). The closed-form ground state is wired for
-  the well-depth index lam = 1; other depths are rejected with
-  InvalidFieldError.
+* morse    -- V(x) = U0 (1 - exp(-a x))^2 with depth U0 = E_scale =
+  (hbar a)^2 / (2 m), the depth whose closed-form ground state is the one
+  wired here (well-depth index 1, one bound state).
 
 Natural units hbar = m = 1 are the defaults; both are configurable so unit
 scaling can be exercised. All models are immutable values and every
@@ -59,7 +58,6 @@ class PotentialModel:
     hbar: float = 1.0
     omega: float | None = None
     a: float | None = None
-    lam: float | None = None
 
     def __post_init__(self):
         if self.mass <= 0 or self.hbar <= 0:
@@ -70,25 +68,24 @@ class PotentialModel:
         elif self.kind == "morse":
             if self.a is None or self.a <= 0:
                 raise InvalidFieldError("morse model needs a > 0")
-            if self.lam is None or self.lam <= 0.5:
-                raise InvalidFieldError(
-                    "morse model needs lam > 1/2 for a bound state"
-                )
-            if self.lam != 1.0:
-                raise InvalidFieldError(
-                    "closed-form Morse ground state is wired for lam = 1; "
-                    f"got lam = {self.lam}"
-                )
         else:
             raise InvalidFieldError(f"unknown potential kind {self.kind!r}")
+        # the derived scales, in an order where none raises: the harmonic
+        # spread's denominator is positive once m omega0^2 = V''(0) is
+        k = (2.0 * self.a * self.a * self.energy_scale if self.kind == "morse"
+             else self.mass * self.omega * self.omega)
+        if not (0.0 < k < math.inf and 0.0 < self.energy_scale < math.inf
+                and 0.0 < self.dq < math.inf):
+            raise InvalidFieldError(f"{self} has an m omega0^2, energy scale or "
+                                    "spread that is not finite and positive")
 
     @classmethod
     def harmonic(cls, omega: float = 1.0, mass: float = 1.0, hbar: float = 1.0):
         return cls(kind="harmonic", mass=mass, hbar=hbar, omega=omega)
 
     @classmethod
-    def morse(cls, a: float = 1.0, lam: float = 1.0, mass: float = 1.0, hbar: float = 1.0):
-        return cls(kind="morse", mass=mass, hbar=hbar, a=a, lam=lam)
+    def morse(cls, a: float = 1.0, mass: float = 1.0, hbar: float = 1.0):
+        return cls(kind="morse", mass=mass, hbar=hbar, a=a)
 
     # -- derived scales ----------------------------------------------------
 
@@ -96,14 +93,14 @@ class PotentialModel:
     def energy_scale(self) -> float:
         """(hbar a)^2 / 2m for Morse; hbar omega for harmonic."""
         if self.kind == "morse":
-            return (self.hbar * self.a) ** 2 / (2.0 * self.mass)
+            return (self.hbar * self.a) * (self.hbar * self.a) / (2.0 * self.mass)
         return self.hbar * self.omega
 
     @property
     def well_depth(self) -> float:
         if self.kind != "morse":
             raise InvalidFieldError("well_depth is a Morse parameter")
-        return self.lam**2 * self.energy_scale
+        return self.energy_scale
 
     @property
     def dq(self) -> float:
@@ -159,7 +156,7 @@ def ground_state_values(model: PotentialModel, x) -> np.ndarray:
     if model.kind == "harmonic":
         s = model.mass * model.omega / (math.pi * model.hbar)
         return s**0.25 * np.exp(-model.mass * model.omega * x * x / (2.0 * model.hbar))
-    # Morse, lam = 1: exponent -a x / 2 - exp(-a x), constant (4 a^2)^(1/4)
+    # Morse: exponent -a x / 2 - exp(-a x), constant (4 a^2)^(1/4)
     a = model.a
     inner = np.exp(np.minimum(-a * x, 700.0))
     expo = -0.5 * a * x - inner
@@ -219,7 +216,7 @@ def _normalized_ground_state(model, grid, q, tol, what) -> np.ndarray:
 
 
 def ground_energy(model: PotentialModel) -> float:
-    """Exact ground energy: hbar omega / 2 (harmonic), 3/4 E_scale (Morse, lam=1)."""
+    """Exact ground energy: hbar omega / 2 (harmonic), 3/4 E_scale (Morse)."""
     if model.kind == "harmonic":
         return 0.5 * model.hbar * model.omega
     return 0.75 * model.energy_scale
@@ -247,7 +244,7 @@ def suggest_grid(
     """
     dq = model.dq
     if model.kind == "morse":
-        q0 = (np.euler_gamma + math.log(2.0)) / model.a  # mean of the lam=1 density
+        q0 = (np.euler_gamma + math.log(2.0)) / model.a  # mean of the Morse density
         lo = q0 - 8.0 * dq + min(0.0, q_reach_min)
         hi = q0 + 16.0 * dq + max(0.0, q_reach_max)
     else:

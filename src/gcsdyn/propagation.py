@@ -20,6 +20,7 @@ import numpy as np
 
 from .classical import (
     Trajectory,
+    _require_step_memory,
     _require_time_step,
     _verlet,
     classical_energy,
@@ -34,7 +35,6 @@ from .grids import (
     ComplexField,
     Grid,
     RealField,
-    _physical_memory,
     quadrature_weights,
 )
 from .hydrodynamics import _closed_form, _stepping_basis
@@ -51,9 +51,6 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 MODES = ("feedback", "static")
 OPERAND_BLOCK = 8  # feedback steps whose operands are built in one pass
 SCHEMES = ("split-step",)
-# bytes a run holds per step: the orbit's t, Q, P and force, and one
-# coefficient row of up to four basis terms
-_STEP_BYTES = 8 * (4 + 4)
 
 
 @dataclass(frozen=True)
@@ -271,18 +268,12 @@ def _step_count(T: float, dt: float) -> int:
     """round(T / dt), at least 1: the steps of a run over the horizon T.
 
     Raises PropagationError when the ratio is not finite, or when the
-    arrays a run holds per step (_STEP_BYTES each) would need more bytes
-    than the machine's physical memory."""
+    steps' arrays would not fit in physical memory (_require_step_memory)."""
     ratio = T / dt
     if not ratio < math.inf:
         raise PropagationError(f"T / dt = {T!r} / {dt!r} is not finite")
     nsteps = max(1, int(round(ratio)))
-    memory = _physical_memory()
-    if nsteps * _STEP_BYTES > memory:
-        raise PropagationError(
-            f"T / dt = {T!r} / {dt!r} asks for {nsteps} steps, whose orbit and "
-            f"coefficient arrays need {nsteps * _STEP_BYTES} bytes, more than "
-            f"the machine's {memory} bytes of physical memory")
+    _require_step_memory(nsteps, f"T / dt = {T!r} / {dt!r}")
     return nsteps
 
 

@@ -20,37 +20,59 @@ from gcsdyn import (
     turning_points,
     v_class,
 )
+from gcsdyn import classical
 from gcsdyn.classical import _scalar_force
 from gcsdyn.diagnostics import potential_slope_at
 
 
-def test_linear_coefficient_trivials(morse):
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["morse", "harmonic"]), st.floats(-1.0, 1.0),
+       st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+@example("morse", 0.0, 0.0, 0.0)
+def test_linear_coefficient_matches_closed_form(
+    morse, harmonic, morse_grid, harmonic_grid, kind, u, v, w
+):
+    # (Q, P, dP/dt) inside the band the fixture grid covers (2.5 spreads for
+    # Morse, 2 for harmonic): the slope read off the assembled samples is
+    # F_cl(Q) - dP/dt, and 0 when the center is driven at F_cl(Q), to a
+    # small fraction of the largest force in the band
+    model, grid, reach = ((morse, morse_grid, 2.5 * morse.dq) if kind == "morse"
+                          else (harmonic, harmonic_grid, 2.0))
+    scale = max(abs(classical_force(model, -reach)), abs(classical_force(model, reach)))
+    point = ClassicalPoint(u * reach, v * model.hbar / model.dq)
+    force = float(classical_force(model, point.Q))
+    fit = linear_coefficient(model, point, w * scale, grid)
+    assert abs(fit - (force - w * scale)) <= 1e-12 * scale
+    assert abs(linear_coefficient(model, point, force, grid)) <= 1e-12 * scale
+
+
+def test_linear_coefficient_trivials(morse, morse_grid):
+    # the fitted slope is exact up to rounding in the largest force it sees
+    scale = abs(classical_force(morse, -2.5 * morse.dq))
     # Q = 0 with no drive: the two exponentials cancel
-    assert linear_coefficient(morse, ClassicalPoint(0.0, 0.0), 0.0) == 0.0
+    assert abs(linear_coefficient(morse, ClassicalPoint(0.0, 0.0), 0.0, morse_grid)) <= 1e-12 * scale
     # half a spread to the right: restoring, negative
     q = 0.5 * morse.dq
-    val = linear_coefficient(morse, ClassicalPoint(q, 0.0), 0.0)
+    val = linear_coefficient(morse, ClassicalPoint(q, 0.0), 0.0, morse_grid)
     expected = 2.0 * morse.a * morse.well_depth * (np.exp(morse.a * q) - np.exp(2.0 * morse.a * q))
-    assert val == pytest.approx(expected, rel=1e-15)
+    assert abs(val - expected) <= 1e-12 * scale
     assert val < 0.0
     # driving at the classical force zeroes the leftover linear term
     dpdt = float(classical_force(morse, 1.1))
-    assert linear_coefficient(morse, ClassicalPoint(1.1, 0.3), dpdt) == pytest.approx(
-        0.0, abs=1e-15
-    )
+    assert abs(linear_coefficient(morse, ClassicalPoint(1.1, 0.3), dpdt, morse_grid)) <= 1e-12 * scale
 
 
-def test_linear_coefficient_harmonic(harmonic):
+def test_linear_coefficient_harmonic(harmonic, harmonic_grid):
     q, dpdt = 0.8, 0.25
-    val = linear_coefficient(harmonic, ClassicalPoint(q, 0.0), dpdt)
-    assert val == pytest.approx(-dpdt - harmonic.mass * harmonic.omega**2 * q, rel=1e-15)
+    val = linear_coefficient(harmonic, ClassicalPoint(q, 0.0), dpdt, harmonic_grid)
+    assert val == pytest.approx(-dpdt - harmonic.mass * harmonic.omega**2 * q, rel=1e-12)
 
 
 def test_linear_coefficient_fit_agrees(morse, morse_grid):
     for q in np.linspace(-2.5 * morse.dq, 2.5 * morse.dq, 10):
         pt = ClassicalPoint(float(q), 0.45, 0.0)
-        ana = linear_coefficient(morse, pt, 0.12)
-        fit = linear_coefficient(morse, pt, 0.12, grid=morse_grid, method="fit")
+        ana = float(classical_force(morse, pt.Q)) - 0.12
+        fit = linear_coefficient(morse, pt, 0.12, morse_grid)
         assert fit == pytest.approx(ana, rel=1e-6)
 
 
@@ -58,24 +80,26 @@ def test_linear_coefficient_fit_degenerate_grid(morse):
     # grid that covers the displaced packet but misses the expansion point
     grid = Grid(3.0, 32.0, 1024)
     with pytest.raises(ExtractionError):
-        linear_coefficient(
-            morse, ClassicalPoint(14.0, 0.0), 0.0, grid=grid, method="fit"
-        )
-    with pytest.raises(ExtractionError):
-        linear_coefficient(morse, ClassicalPoint(0.2, 0.0), 0.0, method="fit")
+        linear_coefficient(morse, ClassicalPoint(14.0, 0.0), 0.0, grid)
     # x = 0 three and a half samples inside the left edge: the 10 samples
     # nearest it would run off the grid
     grid = Grid(-3.5 * 32.0 / 1019.5, 32.0, 1024)
     with pytest.raises(ExtractionError, match="5 grid samples on either side"):
-        linear_coefficient(morse, ClassicalPoint(0.2, 0.0), 0.0, grid=grid,
-                           method="fit")
+        linear_coefficient(morse, ClassicalPoint(0.2, 0.0), 0.0, grid)
 
 
 def test_classical_force_signs(morse, harmonic):
     assert classical_force(morse, 0.0) == 0.0
     for q in (-0.5, -0.1):
         assert classical_force(morse, q) > 0.0  # restoring toward 0 from the left
+    # half a spread to the right: restoring, negative, 2 a U0 (e^{aq} - e^{2aq})
+    q = 0.5 * morse.dq
+    expected = 2.0 * morse.a * morse.well_depth * (np.exp(morse.a * q) - np.exp(2.0 * morse.a * q))
+    assert classical_force(morse, q) == pytest.approx(expected, rel=1e-15)
+    assert classical_force(morse, q) < 0.0
     assert classical_force(harmonic, 1.0) == pytest.approx(-1.0, abs=0.0)
+    assert classical_force(harmonic, 0.8) == pytest.approx(
+        -harmonic.mass * harmonic.omega**2 * 0.8, rel=1e-15)
 
 
 def test_classical_force_is_minus_gradient(morse, harmonic):
@@ -207,6 +231,18 @@ def test_integrate_trajectory_rejects_bad_steps(morse, dt, steps):
     # integer >= 0
     with pytest.raises(PropagationError):
         integrate_trajectory(morse, 0.5, 0.0, dt, steps)
+
+
+def test_integrate_trajectory_bounded_by_memory(morse, monkeypatch):
+    # 10**15 steps need more bytes than physical memory: refused before the
+    # orbit arrays are allocated
+    monkeypatch.setattr(classical, "_verlet", _not_called)
+    with pytest.raises(PropagationError, match="physical memory"):
+        integrate_trajectory(morse, 0.5, 0.0, 1e-3, 10**15)
+
+
+def _not_called(*args):
+    raise AssertionError("_verlet was called")
 
 
 def test_period_scaling_with_units():

@@ -99,7 +99,7 @@ _KNOWN_KEYS = {
     "tolerances": ("boundary_mass", "unitarity_drift"),
 }
 _MODEL_KEYS = {"harmonic": ("kind", "omega", "mass", "hbar"),
-               "morse": ("kind", "a", "lam", "mass", "hbar")}
+               "morse": ("kind", "a", "mass", "hbar")}
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -300,6 +300,40 @@ def test_grid_beyond_physical_memory_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("raw, prefix", [
+    ({"model": {"kind": "harmonic", "omega": 1e200}}, "invalid model: "),
+    ({"model": {"kind": "harmonic", "omega": 1e-200}}, "invalid model: "),
+    ({"model": {"kind": "morse", "a": 1e200}}, "invalid model: "),
+    ({"model": {"kind": "harmonic"}, "initial": {"P0": 1e200}},
+     "invalid initial point: "),
+    ({"model": {"kind": "harmonic"},
+      "grid": {"x_min": -1.7e308, "x_max": 1.7e308, "n": 1024}}, "invalid grid: "),
+], ids=["omega_overflows", "omega_underflows", "morse_a_overflows",
+        "orbit_energy_overflows", "grid_length_overflows"])
+def test_out_of_range_scales_exit_2(raw, prefix, command, tmp_path, capsys):
+    # a model scale (energy scale, spread, m omega0^2), an orbit energy or a
+    # grid length that overflows or vanishes is a config error with one
+    # stderr line, before any warning or arithmetic error
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**raw, "output": {"directory": str(tmp_path / "out")}}))
+    assert main([command, "--config", str(path)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith("config error: " + prefix)
+    assert not (tmp_path / "out").exists()
+
+
+def test_morse_lam_key_exits_2(tmp_path, capsys):
+    # the Morse depth index is no parameter: a config that names it, such
+    # as the echo of an older version, fails at load naming the key
+    path = _write_config(tmp_path, model={"lam": 1.0})
+    assert main(["run", "--config", str(path)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err == "config error: unknown key(s) in model: lam"
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_json_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -425,9 +459,8 @@ def test_run_loads_no_spline_module(tmp_path):
 @pytest.mark.parametrize("command", ["verify", "extract-vclass"])
 @pytest.mark.parametrize("name", ["morse_feedback", "harmonic_feedback"])
 def test_fitted_slope_loads_no_spline_module(command, name, tmp_path):
-    # both commands read linear_coefficient(method="fit"), a dot with
-    # polynomial weights: in a fresh interpreter neither loads any scipy
-    # module
+    # both commands read linear_coefficient, a dot with polynomial weights:
+    # in a fresh interpreter neither loads any scipy module
     done = subprocess.run(
         [sys.executable, "-c", _COMMAND_LISTING_SCIPY, command, "--config",
          str(CONFIGS / f"{name}.json")],

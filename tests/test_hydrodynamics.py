@@ -23,6 +23,7 @@ from gcsdyn import (
     quantum_curvature,
     step,
 )
+from gcsdyn.models import reference_density
 
 HBAR = 1.0
 MASS = 1.0
@@ -50,7 +51,7 @@ def test_curvature_gaussian_closed_form(harmonic, harmonic_grid):
 
 
 def test_curvature_morse_identity(morse, morse_grid):
-    # oracle: symbolic differentiation of the lam = 1 ground state gives
+    # oracle: symbolic differentiation of the Morse ground state gives
     # (hbar^2/2m) F(x) = U0 (1 - e^{-ax})^2 - (3/4) E_scale
     rho = _normalized_density(
         morse_grid, ground_density_values(morse, morse_grid.points)
@@ -127,14 +128,17 @@ def test_assemble_matches_morse_closed_form(morse, morse_grid):
 
 
 def test_assemble_numeric_curvature_cross_check(morse, morse_grid):
+    # the assembled V against the one built from the quantum curvature of
+    # the translated ground density, differentiated on the grid
     q, p, dpdt = 0.5, 0.3, 0.1
+    x = morse_grid.points
     ana = assemble_potential(morse, ClassicalPoint(q, p), dpdt, morse_grid)
-    num = assemble_potential(
-        morse, ClassicalPoint(q, p), dpdt, morse_grid, curvature="numeric"
-    )
-    rho = ground_density_values(morse, morse_grid.points - q)
+    rho = reference_density(morse, morse_grid, q)
+    curv = quantum_curvature(RealField(morse_grid, rho))
+    num = ((HBAR**2 / (2.0 * MASS)) * curv.F.values - x * dpdt
+           - p * p / (2.0 * MASS) + 0.5 * ((p / MASS) * p + dpdt * q))
     good = rho > 1e-8 * rho.max()
-    dev = np.abs(ana.V.values - num.V.values)[good].max()
+    dev = np.abs(ana.V.values - num)[good].max()
     assert dev < 1e-5 * morse.well_depth
 
 

@@ -26,10 +26,6 @@ def test_morse_parameter_validation():
     with pytest.raises(InvalidFieldError):
         PotentialModel.morse(a=-1.0)
     with pytest.raises(InvalidFieldError):
-        PotentialModel.morse(a=1.0, lam=0.4)
-    with pytest.raises(InvalidFieldError):
-        PotentialModel.morse(a=1.0, lam=2.0)
-    with pytest.raises(InvalidFieldError):
         PotentialModel.harmonic(omega=0.0)
 
 
@@ -47,7 +43,7 @@ def test_morse_constants(morse):
     assert MORSE_GAMMA == pytest.approx(0.641274, abs=1e-6)
     assert morse.dq2 == pytest.approx(4.0 * MORSE_GAMMA**2 / morse.a**2, rel=1e-15)
     assert morse.dq2 == pytest.approx(np.pi**2 / 6.0, rel=1e-15)
-    assert morse.well_depth == pytest.approx(morse.energy_scale, rel=1e-15)  # lam = 1
+    assert morse.well_depth == pytest.approx(morse.energy_scale, rel=1e-15)
 
 
 def test_morse_ground_state_normalized(morse, harmonic, harmonic_grid):
