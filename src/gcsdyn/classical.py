@@ -134,9 +134,9 @@ def classical_period(model: PotentialModel, e_cl: float = 0.0) -> float:
     _require_bounded(model, e_cl)
     if model.kind == "harmonic":
         return 2.0 * math.pi / model.omega
-    u0 = model.well_depth
-    omega0 = model.a * math.sqrt(2.0 * u0 / model.mass)
-    return 2.0 * math.pi / (omega0 * math.sqrt(1.0 - e_cl / u0))
+    # a sqrt(2 U0 / m), without the 2 U0 / m that overflows or vanishes
+    omega0 = model.hbar * model.a * model.a / model.mass
+    return 2.0 * math.pi / (omega0 * math.sqrt(1.0 - e_cl / model.well_depth))
 
 
 def momentum_for_energy(model: PotentialModel, e_cl: float, q0: float = 0.0) -> float:

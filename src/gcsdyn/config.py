@@ -2,12 +2,13 @@
 
 Configs are JSON with flat key-value sections. Unknown keys anywhere are
 rejected, the parameters of the other model kind included. What can be
-checked from the config alone (model parameters, grid size, a bounded
-classical orbit, the propagation settings) is checked at load time. Packet
-coverage needs the trajectory: evolve_feedback checks it before its first
-step, and `gcsdyn verify` reports it as grid_coverage. The effective
-configuration, with all defaults materialized, is echoed into the output
-directory; re-running from the echo reproduces the outputs byte for byte.
+checked from the config alone (model parameters, grid size, a potential
+finite on the grid, a bounded classical orbit, the propagation settings) is
+checked at load time. Packet coverage needs the trajectory: evolve_feedback
+checks it before its first step, and `gcsdyn verify` reports it as
+grid_coverage. The effective configuration, with all defaults materialized,
+is echoed into the output directory; re-running from the echo reproduces the
+outputs byte for byte.
 """
 
 import dataclasses
@@ -17,11 +18,13 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .classical import classical_energy, classical_period
 from .displacement import ClassicalPoint
 from .errors import ConfigError, EscapeError, GcsdynError, PropagationError
 from .grids import Grid
-from .models import PotentialModel, suggest_grid
+from .models import PotentialModel, potential_value, suggest_grid
 from .propagation import PropagatorConfig, _step_count
 from .tolerances import Tolerances
 
@@ -137,6 +140,11 @@ def config_from_dict(raw: dict) -> RunConfig:
             grid = suggest_grid(model, q_reach_min=-reach, q_reach_max=reach)
     except GcsdynError as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
+    with np.errstate(over="ignore"):
+        v_max = potential_value(model, grid.points).max()
+    if not v_max < np.inf:
+        raise ConfigError(f"invalid model: the potential of {model} is not finite "
+                          f"on {grid}")
 
     psec = _section(raw, "propagation", (*_field_names(PropagatorConfig), "T"))
     T = _number(psec, "T", period, "propagation")

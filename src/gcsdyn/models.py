@@ -255,7 +255,8 @@ def suggest_grid(
 
 def stationary_residual(model: PotentialModel, grid: Grid,
                         tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """max |H psi0 - E0 psi0| / max |psi0| on the interior of the grid."""
+    """max |H psi0 - E0 psi0| / (max |psi0| energy_scale) on the interior of
+    the grid: dimensionless, so one bound holds at every energy scale."""
     psi = ground_state(model, grid, tol)
     d2 = second_derivative(psi).values
     h = (
@@ -264,4 +265,5 @@ def stationary_residual(model: PotentialModel, grid: Grid,
     )
     res = h - ground_energy(model) * psi.values
     sl = slice(BOUNDARY_POINTS, -BOUNDARY_POINTS)
-    return float(np.max(np.abs(res[sl])) / np.max(np.abs(psi.values)))
+    return float(np.max(np.abs(res[sl])) / np.max(np.abs(psi.values))
+                 / model.energy_scale)

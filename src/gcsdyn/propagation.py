@@ -194,10 +194,6 @@ def _constant(kernel, u, cap, nsteps):
     return (operand for _ in range(nsteps)), kernel.advance
 
 
-def _is_constant(table):
-    """Whether every step's coefficient row equals the first."""
-    return (table == table[0]).all()
-
 def step(
     psi: ComplexField,
     V: RealField,
@@ -317,7 +313,7 @@ def evolve_feedback(
         )
 
     state0 = gcs_from_model(model, grid, point0, tol)
-    kernel = _split_step(grid.n, grid.dx, dt, m, hbar)
+    kernel = _split_step(grid.n, grid.dx, dt, m, hbar, OPERAND_BLOCK)
     # every step's basis coefficients, once per run, in the kernel's units
     rows, coefficients = _stepping_basis(model, grid)
     q_mid = 0.5 * (q[:-1] + q[1:])
@@ -326,7 +322,7 @@ def evolve_feedback(
     del q_mid, p_half  # kept for the run, they cost harmonic_feedback 0.1 MiB RSS
     cap = _potential_cap(grid, m, hbar)
 
-    def operands(kernel):
+    def operands():
         # the potentials of up to len(block) steps, one product per step as
         # one row each, then one clamp and one prepare over the whole block;
         # in the last block the rows past the final step are not used
@@ -337,15 +333,6 @@ def evolve_feedback(
                 np.dot(coefs, rows, out=row)
             yield from kernel.prepare(_clamp(kernel, block, cap))[:k]
 
-    if _is_constant(table):  # the harmonic well: stepped as in static mode
-        u = np.dot(table[0], rows, out=kernel.block)
-        del table
-        steps, advance = _constant(kernel, u, cap, nsteps)
-    else:
-        del kernel  # freed before the block kernel: else +0.06 MiB Morse RSS
-        kernel = _split_step(grid.n, grid.dx, dt, m, hbar, OPERAND_BLOCK)
-        steps, advance = operands(kernel), kernel.advance
-
     def frame_at(s, vals):
         pt = traj.point(s)
         f_s = float(f[s])
@@ -353,7 +340,7 @@ def evolve_feedback(
         psi = ComplexField(grid, vals)
         return Frame(s, psi, V, pt, record(psi, model, pt, V, f_s, tol))
 
-    return _run(state0, steps, advance, frame_at, traj, model,
+    return _run(state0, operands(), kernel.advance, frame_at, traj, model,
                 replace(config, mode="feedback"), tol)
 
 

@@ -306,22 +306,49 @@ def test_grid_beyond_physical_memory_exits_2(tmp_path, capsys):
     ({"model": {"kind": "harmonic", "omega": 1e200}}, "invalid model: "),
     ({"model": {"kind": "harmonic", "omega": 1e-200}}, "invalid model: "),
     ({"model": {"kind": "morse", "a": 1e200}}, "invalid model: "),
+    # U0 = 5e299: V overflows on the default grid's inner wall
+    ({"model": {"kind": "morse", "mass": 1e-300}},
+     "invalid model: the potential of PotentialModel(kind='morse', mass=1e-300, "
+     "hbar=1.0, omega=None, a=1.0) is not finite on Grid(x_min=-10.913860541076232, "
+     "x_max=23.7149848732941, n=2048)"),
     ({"model": {"kind": "harmonic"}, "initial": {"P0": 1e200}},
      "invalid initial point: "),
     ({"model": {"kind": "harmonic"},
       "grid": {"x_min": -1.7e308, "x_max": 1.7e308, "n": 1024}}, "invalid grid: "),
 ], ids=["omega_overflows", "omega_underflows", "morse_a_overflows",
-        "orbit_energy_overflows", "grid_length_overflows"])
+        "morse_potential_overflows", "orbit_energy_overflows",
+        "grid_length_overflows"])
 def test_out_of_range_scales_exit_2(raw, prefix, command, tmp_path, capsys):
-    # a model scale (energy scale, spread, m omega0^2), an orbit energy or a
-    # grid length that overflows or vanishes is a config error with one
-    # stderr line, before any warning or arithmetic error
+    # a model scale (energy scale, spread, m omega0^2), a potential on the
+    # grid, an orbit energy or a grid length that overflows or vanishes is a
+    # config error with one stderr line, before any warning or arithmetic
+    # error
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**raw, "output": {"directory": str(tmp_path / "out")}}))
     assert main([command, "--config", str(path)]) == 2
     (err,) = capsys.readouterr().err.splitlines()
     assert err.startswith("config error: " + prefix)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model", [{"kind": "morse", "mass": 1e300},
+                                   {"kind": "harmonic", "omega": 1e100}],
+                         ids=["heavy_morse", "stiff_harmonic"])
+def test_extreme_finite_scales_run_and_verify(model, tmp_path, capsys):
+    # mass 1e300: 2 U0 / m = 1e-600 underflows, while omega0 = hbar a^2 / m
+    # = 1e-300 gives a finite default horizon (one period). omega 1e100: the
+    # stationary residual in energy units read 1.57e89; divided by the
+    # energy scale it reads 1.6e-11, as the Morse one reads 4.9e-11
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": model,
+                                "output": {"directory": str(tmp_path / "out")}}))
+    assert main(["run", "--config", str(path)]) == 0
+    assert main(["verify", "--config", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = dict(r.split(",", 1) for r in out.splitlines() if "," in r)
+    assert float(rows["stationary_residual"].split(",")[0]) <= 1e-9
 
 
 def test_morse_lam_key_exits_2(tmp_path, capsys):
