@@ -16,17 +16,15 @@ from .classical import (
     classical_period,
     integrate_trajectory,
     linear_coefficient,
-    momentum_for_energy,
     turning_points,
     v_class,
 )
 from .config import RunConfig, config_from_dict, echo_config, load_config
-from .diagnostics import DiagnosticsRecord, coherence_overlap, record
+from .diagnostics import DiagnosticsRecord, record
 from .displacement import (
     ClassicalPoint,
     GCSState,
     PolarFields,
-    alpha_label,
     density_phase,
     gcs_from_model,
 )
@@ -50,7 +48,6 @@ from .grids import (
     Grid,
     RealField,
     boundary_mass,
-    first_derivative,
     integrate,
     moments,
     normalized,
@@ -58,7 +55,6 @@ from .grids import (
     second_derivative,
 )
 from .hydrodynamics import (
-    CurvatureResult,
     PotentialSnapshot,
     assemble_potential,
     continuity_residual,

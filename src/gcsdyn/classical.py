@@ -48,7 +48,6 @@ class Trajectory:
     q: np.ndarray
     p: np.ndarray
     forces: np.ndarray
-    dt: float
 
     def __post_init__(self):
         for arr in (self.t, self.q, self.p, self.forces):
@@ -137,16 +136,6 @@ def classical_period(model: PotentialModel, e_cl: float = 0.0) -> float:
     # a sqrt(2 U0 / m), without the 2 U0 / m that overflows or vanishes
     omega0 = model.hbar * model.a * model.a / model.mass
     return 2.0 * math.pi / (omega0 * math.sqrt(1.0 - e_cl / model.well_depth))
-
-
-def momentum_for_energy(model: PotentialModel, e_cl: float, q0: float = 0.0) -> float:
-    """P0 >= 0 such that P0^2/2m + V_class(q0) = e_cl."""
-    kin = e_cl - float(v_class(model, q0))
-    if kin < 0.0:
-        raise EscapeError(
-            f"V_class({q0:g}) = {float(v_class(model, q0)):g} exceeds E = {e_cl:g}"
-        )
-    return math.sqrt(2.0 * model.mass * kin)
 
 
 def turning_points(model: PotentialModel, e_cl: float) -> tuple[float, float]:
@@ -253,4 +242,4 @@ def integrate_trajectory(
         raise PropagationError(f"steps {steps!r} is not an integer >= 0")
     _require_step_memory(steps, "the trajectory")
     _require_bounded(model, classical_energy(model, q0, p0))
-    return Trajectory(*_verlet(model, q0, p0, dt, steps), dt)
+    return Trajectory(*_verlet(model, q0, p0, dt, steps))

@@ -87,8 +87,11 @@ def _staged(outdir: Path, outputs):
     """A new sibling of outdir to write a command's outputs into. When the
     block succeeds, they replace those of an earlier call in outdir; when it
     fails, outdir is not touched, and when a move fails, the moves made are
-    undone."""
+    undone. A directory with no name (a filesystem root) has no sibling
+    and is refused."""
     outdir = Path(os.path.abspath(outdir))
+    if not outdir.name:
+        raise ConfigError(f"output directory {outdir} has no name; name one below it")
     stage = outdir.with_name(f".{outdir.name}.{os.getpid()}.partial")
     old = stage.with_suffix(".old")
     try:

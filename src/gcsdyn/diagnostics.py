@@ -50,23 +50,6 @@ class DiagnosticsRecord:
     l2_distance: float
 
 
-def coherence_overlap(
-    rho: RealField,
-    model: PotentialModel,
-    q: float,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> float:
-    """Bhattacharyya overlap of rho with the ground density translated by q.
-
-    Both densities are renormalized on the grid, so the overlap is exactly 1
-    iff rho coincides with the translated reference there. Dimensionless and
-    bounded by 1.
-    """
-    ref = _checked_reference(model, rho.grid, q, tol)
-    w = quadrature_weights(rho.grid)
-    return _bhattacharyya(w, np.maximum(rho.values, 0.0), ref)
-
-
 def _checked_reference(model, grid, q, tol) -> np.ndarray:
     ref = reference_density(model, grid, q)
     require_coverage(ref, grid, tol, f"translated reference (Q = {q:g})")
@@ -177,7 +160,7 @@ def _record(psi, measured, model, point, V, dPdt, tol) -> DiagnosticsRecord:
     else:
         # the phase and the ansatz's d_t S only on the support
         vals = measured.vals_n[sl]
-        s, _, _ = _unwrapped_phase(vals, rho[sl], 0, len(vals) - 1)
+        s = _unwrapped_phase(vals, rho[sl], 0, len(vals) - 1)
         dQdt = point.P / model.mass
         s_t = dPdt * grid.points[sl] - 0.5 * (dPdt * point.Q + point.P * dQdt)
         hjm = _phase_residual(s_t, hbar * s, rho[sl], V.values[sl], w[sl],

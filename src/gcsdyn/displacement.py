@@ -48,11 +48,6 @@ class GCSState:
     point: ClassicalPoint
 
 
-def alpha_label(point: ClassicalPoint, hbar: float = 1.0) -> complex:
-    """Bookkeeping label sqrt(2 hbar) (Q + i P); never used in numerics."""
-    return math.sqrt(2.0 * hbar) * complex(point.Q, point.P)
-
-
 def gcs_from_model(
     model: PotentialModel,
     grid: Grid,
@@ -85,45 +80,35 @@ def gcs_from_model(
 
 @dataclass(frozen=True)
 class PolarFields:
-    """Density and unwrapped phase of a wavefunction.
-
-    valid marks samples whose density exceeds PHASE_FLOOR times its peak;
-    outside it the phase is a linear extrapolation and carries no
-    information.
-    """
+    """Density and unwrapped phase of a wavefunction (see density_phase)."""
 
     rho: RealField
     S: RealField
-    valid: np.ndarray
 
 
 def density_phase(psi: ComplexField, hbar: float = 1.0) -> PolarFields:
     """Polar decomposition psi = sqrt(rho) exp(i S / hbar).
 
     The phase is unwrapped from the density peak outward over the region
-    where rho exceeds PHASE_FLOOR times its peak; below that it is extended
-    linearly and flagged invalid. S is defined up to a global multiple of
-    2 pi hbar, anchored to the principal value at the peak. Jumps close to
-    pi between adjacent valid samples where rho is at least
-    PHASE_JUMP_FLOOR times its peak are ambiguous: the valid region ends
-    at the nearest one on each side of the peak. Jumps in thinner tails are
-    unwrapped best effort.
+    where rho exceeds PHASE_FLOOR times its peak (the valid region); beyond
+    it, S is extended linearly and carries no information. S is defined up
+    to a global multiple of 2 pi hbar, anchored to the principal value at
+    the peak. Jumps close to pi between adjacent samples where rho is at
+    least PHASE_JUMP_FLOOR times its peak are ambiguous: the valid region
+    ends at the nearest one on each side of the peak. Jumps in thinner
+    tails are unwrapped best effort.
     """
     rho = np.abs(psi.values) ** 2
     left, right = _peak_segment(rho, PHASE_FLOOR * rho.max())
-    s, lo, hi = _unwrapped_phase(psi.values, rho, left, right)
-    valid = np.zeros(psi.grid.n, dtype=bool)
-    valid[lo : hi + 1] = True
-    return PolarFields(
-        rho=RealField(psi.grid, rho), S=RealField(psi.grid, hbar * s), valid=valid
-    )
+    s = _unwrapped_phase(psi.values, rho, left, right)
+    return PolarFields(rho=RealField(psi.grid, rho), S=RealField(psi.grid, hbar * s))
 
 
 def _unwrapped_phase(vals, rho, left, right):
     """Unwrap a run: the phase S / hbar of the complex samples vals over
     the run [left, right] around the peak of rho = |vals|^2, as
     density_phase describes, extended linearly from its valid part [lo, hi]
-    to both ends of vals; returns s, lo, hi. record hands in only the
+    to both ends of vals; returns s. record hands in only the
     residual's support, inside the PHASE_FLOOR run: no jump out of it
     reaches PHASE_JUMP_FLOOR, so there S is density_phase's up to a
     constant and round-off."""
@@ -161,4 +146,4 @@ def _unwrapped_phase(vals, rho, left, right):
         slope = s[hi] - s[hi - 1] if hi > lo else 0.0
         s[hi + 1 :] = s[hi] + slope * np.arange(1, n - hi)
 
-    return s, lo, hi
+    return s

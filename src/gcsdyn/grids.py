@@ -24,9 +24,13 @@ NORM_TOL = 1e-6  # |norm - 1| allowed where a normalized state or density is req
 _SAMPLE_BYTES = 8 + 16
 
 
-def _physical_memory() -> int:
-    """The machine's physical memory in bytes."""
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+def _physical_memory() -> float:
+    """The machine's physical memory in bytes; inf (no bound) where the
+    platform does not report it, as without os.sysconf on Windows."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError):
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -181,11 +185,6 @@ def _differentiate(fld, order: int):
 def second_derivative(fld):
     """d^2 f / dx^2 on the same grid (sixth order, one-sided closures)."""
     return _differentiate(fld, 2)
-
-
-def first_derivative(fld):
-    """d f / dx on the same grid (sixth order, one-sided closures)."""
-    return _differentiate(fld, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -53,32 +53,21 @@ RESIDUAL_FLOOR = 1e-7  # bounds the support of the phase-equation residual
 
 
 @dataclass(frozen=True)
-class CurvatureResult:
-    """Quantum curvature F with its evaluation mask.
-
-    Outside `valid` (density at or below CURVATURE_FLOOR times its peak) F
-    is clamped to its last evaluated value; those samples carry no
-    information.
-    """
-
-    F: RealField
-    valid: np.ndarray
-
-
-@dataclass(frozen=True)
 class PotentialSnapshot:
     """The reconstructed potential at one instant of the classical motion."""
 
     V: RealField
 
 
-def quantum_curvature(rho: RealField) -> CurvatureResult:
+def quantum_curvature(rho: RealField) -> RealField:
     """F = (sqrt(rho))'' / sqrt(rho), clamped where the density underflows.
 
     Evaluated in log space, F = g'' + (g')^2 with g = ln(rho) / 2, which is
     the same quantity but does not amplify the tail where rho spans many
-    decades. Densities with interior zeros (nodes) are rejected; displaced
-    ground densities are nodeless.
+    decades. Where the density is at or below CURVATURE_FLOOR times its
+    peak, F is clamped to its last evaluated value; those samples carry no
+    information. Densities with interior zeros (nodes) are rejected;
+    displaced ground densities are nodeless.
     """
     vals = rho.values
     if np.any(vals < 0.0):
@@ -102,7 +91,7 @@ def quantum_curvature(rho: RealField) -> CurvatureResult:
 
     f_seg = _log_curvature(vals[i0 : i1 + 1], rho.grid.dx)
     f = np.pad(f_seg, (i0, rho.grid.n - 1 - i1), mode="edge")  # clamped outside
-    return CurvatureResult(F=RealField(rho.grid, f), valid=mask)  # True on i0..i1 alone
+    return RealField(rho.grid, f)
 
 
 def _log_curvature(rho: np.ndarray, dx: float) -> np.ndarray:

@@ -279,7 +279,7 @@ def _orbit(model, point, config, T) -> Trajectory:
     if not 0.0 < T < math.inf:
         raise PropagationError(f"T must be positive and finite, got {T!r}")
     nsteps = _step_count(T, config.dt)
-    return Trajectory(*_verlet(model, point.Q, point.P, config.dt, nsteps), config.dt)
+    return Trajectory(*_verlet(model, point.Q, point.P, config.dt, nsteps))
 
 
 def evolve_feedback(

@@ -103,7 +103,7 @@ def run_verification(cfg: RunConfig) -> list[CheckResult]:
         curv = quantum_curvature(rho0)
         target = potential_value(model, x) - ground_energy(model)
         good = rho0.values > 1e-8 * float(rho0.values.max())
-        dev = np.abs((hbar**2 / (2.0 * m)) * curv.F.values - target)[good].max()
+        dev = np.abs((hbar**2 / (2.0 * m)) * curv.values - target)[good].max()
         yield "curvature_identity", dev / model.energy_scale
         info = ground_moments(model, grid, tol)
         yield "ground_spread", abs(info.dq2 / model.dq2 - 1.0)

@@ -6,6 +6,7 @@ fixtures. Grids stay at or below 4096 points and every run finishes in
 seconds.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,6 @@ from gcsdyn import (
     hjm_residual,
     integrate,
     linear_coefficient,
-    momentum_for_energy,
     potential_value,
     quadrature_weights,
     quantum_curvature,
@@ -74,7 +74,7 @@ def run_grid():
 
 def _run_feedback(morse, grid, nsteps, stride):
     e_cl = 0.2 * morse.well_depth
-    p0 = momentum_for_energy(morse, e_cl, 0.0)
+    p0 = math.sqrt(2.0 * morse.mass * e_cl)
     period = classical_period(morse, e_cl)
     conf = PropagatorConfig(dt=period / nsteps, scheme="split-step",
                             mode="feedback", snapshot_stride=stride)
@@ -148,7 +148,7 @@ def test_criterion_2_curvature_identity(morse, harmonic, wide_grid):
     good = rho_vals > 1e-8 * rho_vals.max()
     dev_m = float(
         np.abs(
-            (HBAR**2 / (2.0 * MASS)) * res.F.values - target
+            (HBAR**2 / (2.0 * MASS)) * res.values - target
         )[good].max()
     ) / morse.well_depth
     _report(2, "Morse curvature identity", dev_m, 1e-5, dev_m < 1e-5, " U0")
@@ -160,7 +160,7 @@ def test_criterion_2_curvature_identity(morse, harmonic, wide_grid):
     target_h = potential_value(harmonic, hgrid.points) - 0.5 * HBAR * harmonic.omega
     good_h = rho_h > 1e-8 * rho_h.max()
     dev_h = float(
-        np.abs((HBAR**2 / (2.0 * MASS)) * res_h.F.values - target_h)[good_h].max()
+        np.abs((HBAR**2 / (2.0 * MASS)) * res_h.values - target_h)[good_h].max()
     ) / (HBAR * harmonic.omega)
     _report(2, "harmonic curvature identity", dev_h, 1e-6, dev_h < 1e-6,
             " hbar*omega")
@@ -234,7 +234,7 @@ def test_criterion_5_spreading_baseline(morse, feedback_run):
     # (stray mass ~1e-5 biases the overlap by < 1e-3 against a 0.1 signal)
     grid = Grid(-10.0, 86.0, 4096)
     e_cl = 0.2 * morse.well_depth
-    p0 = momentum_for_energy(morse, e_cl, 0.0)
+    p0 = math.sqrt(2.0 * morse.mass * e_cl)
     period = classical_period(morse, e_cl)
     tol = replace(DEFAULT_TOLERANCES, boundary_mass=1e-5, unitarity_drift=1e-4)
     conf = PropagatorConfig(dt=period / 1000, scheme="split-step", mode="static",
@@ -313,7 +313,7 @@ def test_criterion_9_unit_scaling(run_grid):
     def run(hbar, mass):
         model = PotentialModel.morse(a=1.0, mass=mass, hbar=hbar)
         e_cl = 0.2 * model.well_depth
-        p0 = momentum_for_energy(model, e_cl, 0.0)
+        p0 = math.sqrt(2.0 * model.mass * e_cl)
         period = classical_period(model, e_cl)
         conf = PropagatorConfig(dt=period / 2000, scheme="split-step",
                                 mode="feedback", snapshot_stride=100)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +17,6 @@ from gcsdyn import (
     classical_period,
     integrate_trajectory,
     linear_coefficient,
-    momentum_for_energy,
     potential_value,
     turning_points,
     v_class,
@@ -139,7 +140,7 @@ def test_fixed_point_stays(morse):
 def test_morse_bounded_orbit(morse):
     # oracle: turning points solve U0 (1 - e^{aQ})^2 = E; energy conserved
     e_cl = 0.3 * morse.well_depth
-    p0 = momentum_for_energy(morse, e_cl, 0.0)
+    p0 = math.sqrt(2.0 * morse.mass * e_cl)
     period = classical_period(morse, e_cl)
     dt = 1e-3
     traj = integrate_trajectory(morse, 0.0, p0, dt, int(round(period / dt)))
@@ -163,7 +164,7 @@ def test_morse_bounded_orbit(morse):
 
 def test_symplectic_energy_drift_100_periods(morse, harmonic):
     for model, e_cl in ((harmonic, 0.5), (morse, 0.2 * morse.well_depth)):
-        p0 = momentum_for_energy(model, e_cl, 0.0)
+        p0 = math.sqrt(2.0 * model.mass * e_cl)
         period = classical_period(model, e_cl)
         dt = period / 1000.0
         traj = integrate_trajectory(model, 0.0, p0, dt, 100 * 1000)
@@ -174,7 +175,7 @@ def test_symplectic_energy_drift_100_periods(morse, harmonic):
 def test_ehrenfest_closure_along_trajectory(morse, morse_grid):
     # gradient of the assembled potential at the center balances the force
     e_cl = 0.2 * morse.well_depth
-    p0 = momentum_for_energy(morse, e_cl, 0.0)
+    p0 = math.sqrt(2.0 * morse.mass * e_cl)
     period = classical_period(morse, e_cl)
     traj = integrate_trajectory(morse, 0.0, p0, period / 500.0, 500)
     scale = float(np.max(np.abs(traj.forces)))
@@ -189,7 +190,7 @@ def test_mirror_trajectory_property(morse):
     # motion in the mirrored well equals the reflected motion in the well
     # itself; the original-well force is the reflected center force
     e_cl = 0.25 * morse.well_depth
-    p0 = momentum_for_energy(morse, e_cl, 0.0)
+    p0 = math.sqrt(2.0 * morse.mass * e_cl)
     dt = 1e-3
     steps = 4000
     traj = integrate_trajectory(morse, 0.0, p0, dt, steps)
@@ -218,8 +219,6 @@ def test_escape_errors(morse):
     assert err.value.step is not None
     with pytest.raises(EscapeError):
         classical_period(morse, 2.0 * morse.well_depth)
-    with pytest.raises(EscapeError):
-        momentum_for_energy(morse, 0.1, q0=5.0)
 
 
 @pytest.mark.parametrize("dt, steps", [

@@ -361,6 +361,21 @@ def test_morse_lam_key_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, via_env", [("run", False), ("extract-vclass", True)])
+def test_root_output_directory_exits_2(command, via_env, tmp_path, capsys,
+                                       monkeypatch):
+    # a filesystem root has no name, so no sibling can stage the outputs:
+    # refused before anything is written, by the config or the environment
+    if via_env:
+        path = _write_config(tmp_path)
+        monkeypatch.setenv(OUTPUT_DIR_ENV, "/")
+    else:
+        path = _write_config(tmp_path, output={"directory": "/"})
+    assert main([command, "--config", str(path)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err == "config error: output directory / has no name; name one below it"
+
+
 def test_malformed_json_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -13,7 +13,6 @@ from gcsdyn import (
     assemble_potential,
     classical_force,
     classical_period,
-    coherence_overlap,
     evolve_feedback,
     evolve_static,
     gcs_from_model,
@@ -21,7 +20,6 @@ from gcsdyn import (
     ground_moments,
     ground_state,
     integrate,
-    momentum_for_energy,
     potential_gradient,
     record,
     suggest_grid,
@@ -36,15 +34,24 @@ def _unit_density(model, grid, q=0.0):
     return RealField(grid, rho / integrate(RealField(grid, rho)))
 
 
+def _overlap(rho, model, q):
+    # record's overlap column for the state sqrt(rho), measured against
+    # the ground density translated by q
+    point = ClassicalPoint(q, 0.0)
+    V = assemble_potential(model, point, 0.0, rho.grid).V
+    psi = ComplexField(rho.grid, np.sqrt(rho.values))
+    return record(psi, model, point, V, 0.0).overlap
+
+
 def test_overlap_identity(morse, morse_grid):
     rho = _unit_density(morse, morse_grid)
-    assert coherence_overlap(rho, morse, 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert _overlap(rho, morse, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_overlap_translated_reference(morse, morse_grid):
     for q in (0.5, -1.0, 2.0):
         rho = _unit_density(morse, morse_grid, q)
-        assert coherence_overlap(rho, morse, q) == pytest.approx(1.0, abs=1e-10)
+        assert _overlap(rho, morse, q) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_overlap_gaussian_width_mismatch(harmonic, harmonic_grid):
@@ -54,13 +61,13 @@ def test_overlap_gaussian_width_mismatch(harmonic, harmonic_grid):
     x = harmonic_grid.points
     wide = np.exp(-x * x / (2.0 * (2.0 * v)))
     rho = RealField(harmonic_grid, wide / integrate(RealField(harmonic_grid, wide)))
-    got = coherence_overlap(rho, harmonic, 0.0)
+    got = _overlap(rho, harmonic, 0.0)
     assert got == pytest.approx((8.0 / 9.0) ** 0.25, abs=1e-10)
 
 
 def test_overlap_bounded(morse, morse_grid):
     rho = _unit_density(morse, morse_grid, 1.0)
-    val = coherence_overlap(rho, morse, -1.0)
+    val = _overlap(rho, morse, -1.0)
     assert 0.0 <= val <= 1.0 + 1e-12
     assert val < 0.9  # two spreads apart
 
@@ -73,7 +80,7 @@ def test_overlap_grid_refinement_invariance(morse):
         x = grid.points
         wide = ground_density_values(morse, (x - 0.4) / 1.1) / 1.1  # stretched
         rho = RealField(grid, wide / integrate(RealField(grid, wide)))
-        vals.append(coherence_overlap(rho, morse, 0.4))
+        vals.append(_overlap(rho, morse, 0.4))
     assert abs(vals[0] - vals[1]) < 1e-8
 
 
@@ -201,7 +208,7 @@ def test_record_rejects_a_zero_state(morse, morse_grid):
 def test_feedback_run_tracks_trajectory(morse):
     grid = suggest_grid(morse, q_reach_min=-1.0, q_reach_max=1.0, n=2048)
     e_cl = 0.2 * morse.well_depth
-    p0 = momentum_for_energy(morse, e_cl, 0.0)
+    p0 = math.sqrt(2.0 * morse.mass * e_cl)
     period = classical_period(morse, e_cl)
     conf = PropagatorConfig(dt=period / 2000, scheme="split-step",
                             mode="feedback", snapshot_stride=500)
@@ -218,7 +225,7 @@ def test_static_run_shows_degradation(morse):
     # feedback run's, far beyond 10x its worst deviation
     grid = suggest_grid(morse, q_reach_min=-3.0, q_reach_max=12.0, n=2560)
     e_cl = 0.2 * morse.well_depth
-    p0 = momentum_for_energy(morse, e_cl, 0.0)
+    p0 = math.sqrt(2.0 * morse.mass * e_cl)
     period = classical_period(morse, e_cl)
     conf_fb = PropagatorConfig(dt=period / 1000, scheme="split-step",
                                mode="feedback", snapshot_stride=250)

@@ -10,7 +10,6 @@ from gcsdyn import (
     Grid,
     PotentialModel,
     RealField,
-    alpha_label,
     density_phase,
     gcs_from_model,
     ground_moments,
@@ -21,15 +20,18 @@ from gcsdyn import (
     normalized,
     quadrature_weights,
 )
-from gcsdyn.grids import boundary_mass
+from gcsdyn.displacement import PHASE_FLOOR
+from gcsdyn.grids import _peak_segment, boundary_mass
 from gcsdyn.models import reference_density
 from gcsdyn.tolerances import DEFAULT_TOLERANCES
 
 
-def test_alpha_label():
-    assert alpha_label(ClassicalPoint(0.0, 0.0)) == 0.0
-    assert alpha_label(ClassicalPoint(1.0, 0.0), hbar=1.0) == pytest.approx(np.sqrt(2.0))
-    assert alpha_label(ClassicalPoint(0.0, 1.0), hbar=1.0) == pytest.approx(np.sqrt(2.0) * 1j)
+def _phase_run(polar):
+    # the PHASE_FLOOR run around the peak, over which density_phase
+    # unwraps; these smooth states have no ambiguous jump on it
+    rho = polar.rho.values
+    left, right = _peak_segment(rho, PHASE_FLOOR * rho.max())
+    return slice(left, right + 1)
 
 
 def test_identity_displacement(morse, morse_grid):
@@ -43,12 +45,13 @@ def test_pure_translation_density_and_zero_phase(morse, morse_grid):
     q = 0.8
     st = gcs_from_model(morse, morse_grid, ClassicalPoint(q, 0.0))
     polar = density_phase(st.psi)
+    valid = _phase_run(polar)
     # density is the translated ground density
     ref = ground_state_values(morse, morse_grid.points - q) ** 2
     ref /= integrate(RealField(morse_grid, ref))
-    assert np.max(np.abs(polar.rho.values - ref)[polar.valid]) < 1e-10
+    assert np.max(np.abs(polar.rho.values - ref)[valid]) < 1e-10
     # phase identically zero on the valid region
-    assert np.max(np.abs(polar.S.values[polar.valid])) < 1e-12
+    assert np.max(np.abs(polar.S.values[valid])) < 1e-12
 
 
 def test_displaced_harmonic_matches_glauber(harmonic, harmonic_grid):
@@ -78,12 +81,13 @@ def test_linear_phase_profile(morse, morse_grid):
     q, p = 0.5, 0.8
     st = gcs_from_model(morse, morse_grid, ClassicalPoint(q, p))
     polar = density_phase(st.psi)
+    valid = _phase_run(polar)
     x = morse_grid.points
     expected = p * x - 0.5 * p * q
     dev = polar.S.values - expected
     # allow the global 2 pi hbar branch of the measured phase
-    branch = 2.0 * np.pi * np.round(np.median(dev[polar.valid]) / (2.0 * np.pi))
-    worst = np.max(np.abs(dev - branch) [polar.valid])
+    branch = 2.0 * np.pi * np.round(np.median(dev[valid]) / (2.0 * np.pi))
+    worst = np.max(np.abs(dev - branch)[valid])
     assert worst < 1e-8 * abs(p) * morse_grid.length
 
 
@@ -119,12 +123,14 @@ def test_coverage_error_on_large_shift(morse, morse_grid):
 
 def test_phase_unwrap_ambiguity_detected():
     # momentum so large the phase advances ~ pi per sample at the peak:
-    # every jump there is ambiguous, so the valid run shrinks to the peak
+    # every jump there is ambiguous, so the valid run shrinks to the peak,
+    # and S is extended from it with slope 0
     g = Grid(-10.0, 10.0, 64)
     k = 0.98 * np.pi / g.dx
     psi = np.exp(-0.5 * g.points**2) * np.exp(1j * k * g.points)
     polar = density_phase(normalized(ComplexField(g, psi)))
-    assert np.flatnonzero(polar.valid).tolist() == [int(np.argmax(polar.rho.values))]
+    S = polar.S.values
+    assert np.all(S == S[int(np.argmax(polar.rho.values))])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

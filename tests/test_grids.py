@@ -1,3 +1,5 @@
+import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,6 @@ from gcsdyn import (
     NormalizationError,
     RealField,
     boundary_mass,
-    first_derivative,
     gcs_from_model,
     integrate,
     load_config,
@@ -20,6 +21,7 @@ from gcsdyn import (
     normalized,
     second_derivative,
 )
+from gcsdyn import grids
 from gcsdyn.displacement import PHASE_FLOOR
 from gcsdyn.grids import _STENCILS_7, _derivative_arrays, _fd_coefficients, _peak_segment
 from gcsdyn.hydrodynamics import RESIDUAL_FLOOR
@@ -35,6 +37,22 @@ def test_grid_invariants():
         Grid(1.0, -1.0, 33)
     with pytest.raises(InvalidFieldError):
         Grid(-1.0, 1.0, 8)
+
+
+def _no_sysconf(name):
+    raise ValueError(f"unrecognized configuration name {name!r}")
+
+
+@pytest.mark.parametrize("patch", ["missing", "unknown_name"])
+def test_grid_without_a_memory_report_is_unbounded(patch, monkeypatch):
+    # where os.sysconf is missing (Windows) or does not know the name,
+    # grids are built with no memory bound
+    if patch == "missing":
+        monkeypatch.delattr(os, "sysconf")
+    else:
+        monkeypatch.setattr(os, "sysconf", _no_sysconf)
+    assert grids._physical_memory() == math.inf
+    assert Grid(-1.0, 1.0, 33).n == 33
 
 
 def test_field_validation():
@@ -69,22 +87,23 @@ def test_second_derivative_gaussian_closed_form():
     assert np.max(np.abs(d2.values - expected)) < 10.0 * g.dx**6
 
 
-def test_first_derivative_of_complex_field_is_complex():
+def test_order_one_stencil_of_complex_samples_is_complex():
+    # the order-1 stencil that moments, the residuals and the slope read;
     # oracle: d/dx exp(-x^2/2 + i k x) = (i k - x) exp(-x^2/2 + i k x);
     # measured error 1.7 dx^6
     g = Grid(-12.0, 12.0, 1024)
     x = g.points
     k = 1.0
     f = np.exp(-0.5 * x * x + 1j * k * x)
-    d1 = first_derivative(ComplexField(g, f))
-    assert isinstance(d1, ComplexField)
-    assert np.max(np.abs(d1.values - (1j * k - x) * f)) < 10.0 * g.dx**6
+    d1 = _derivative_arrays(f, g.dx, 1)
+    assert d1.dtype == np.complex128
+    assert np.max(np.abs(d1 - (1j * k - x) * f)) < 10.0 * g.dx**6
 
 
-def test_first_derivative_linear_exact():
+def test_order_one_stencil_linear_exact():
     g = Grid(-2.0, 5.0, 64)
-    d1 = first_derivative(RealField(g, 3.0 * g.points - 1.0))
-    assert np.max(np.abs(d1.values - 3.0)) < 1e-11
+    d1 = _derivative_arrays(3.0 * g.points - 1.0, g.dx, 1)
+    assert np.max(np.abs(d1 - 3.0)) < 1e-11
 
 
 def test_integrate_constant_exact():

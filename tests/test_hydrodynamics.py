@@ -23,6 +23,7 @@ from gcsdyn import (
     quantum_curvature,
     step,
 )
+from gcsdyn.hydrodynamics import CURVATURE_FLOOR
 from gcsdyn.models import reference_density
 
 HBAR = 1.0
@@ -43,7 +44,7 @@ def test_curvature_gaussian_closed_form(harmonic, harmonic_grid):
     res = quantum_curvature(rho)
     x = harmonic_grid.points
     target = 0.5 * x * x - 0.5
-    got = 0.5 * res.F.values
+    got = 0.5 * res.values
     sel = np.abs(x) < 4.0 * np.sqrt(0.5)
     dev = np.abs(got - target)[sel]
     floor = np.maximum(np.abs(target), 1.0)[sel]  # relative with hbar*omega floor
@@ -59,7 +60,7 @@ def test_curvature_morse_identity(morse, morse_grid):
     res = quantum_curvature(rho)
     target = potential_value(morse, morse_grid.points) - 0.75 * morse.energy_scale
     good = rho.values > 1e-8 * rho.values.max()
-    dev = np.abs(0.5 * res.F.values - target)[good].max()
+    dev = np.abs(0.5 * res.values - target)[good].max()
     assert dev < 1e-5 * morse.well_depth
 
 
@@ -67,8 +68,8 @@ def test_curvature_uniform_density_is_zero():
     g = Grid(0.0, 1.0, 64)
     rho = RealField(g, np.ones(g.n))
     res = quantum_curvature(rho)
-    assert np.max(np.abs(res.F.values)) < 1e-12
-    assert res.valid.all()
+    assert np.max(np.abs(res.values)) < 1e-12
+    assert (rho.values > CURVATURE_FLOOR * rho.values.max()).all()
 
 
 def test_curvature_clamps_tails(morse, morse_grid):
@@ -76,13 +77,12 @@ def test_curvature_clamps_tails(morse, morse_grid):
         morse_grid, ground_density_values(morse, morse_grid.points)
     )
     res = quantum_curvature(rho)
-    assert not res.valid.all()
-    outside = ~res.valid
+    valid = rho.values > CURVATURE_FLOOR * rho.values.max()
+    assert not valid.all()
     # clamped samples repeat the last evaluated edge value
-    edges = np.flatnonzero(res.valid)
-    assert np.all(res.F.values[: edges[0]] == res.F.values[edges[0]])
-    assert np.all(res.F.values[edges[-1] :] == res.F.values[edges[-1]])
-    assert outside.sum() > 0
+    edges = np.flatnonzero(valid)
+    assert np.all(res.values[: edges[0]] == res.values[edges[0]])
+    assert np.all(res.values[edges[-1] :] == res.values[edges[-1]])
 
 
 def test_curvature_rejects_nodes():
@@ -135,7 +135,7 @@ def test_assemble_numeric_curvature_cross_check(morse, morse_grid):
     ana = assemble_potential(morse, ClassicalPoint(q, p), dpdt, morse_grid)
     rho = reference_density(morse, morse_grid, q)
     curv = quantum_curvature(RealField(morse_grid, rho))
-    num = ((HBAR**2 / (2.0 * MASS)) * curv.F.values - x * dpdt
+    num = ((HBAR**2 / (2.0 * MASS)) * curv.values - x * dpdt
            - p * p / (2.0 * MASS) + 0.5 * ((p / MASS) * p + dpdt * q))
     good = rho > 1e-8 * rho.max()
     dev = np.abs(ana.V.values - num)[good].max()

@@ -1,3 +1,4 @@
+import math
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
@@ -29,7 +30,6 @@ from gcsdyn import (
     ground_moments,
     ground_state,
     moments,
-    momentum_for_energy,
     normalized,
     potential_value,
     quadrature_weights,
@@ -273,7 +273,7 @@ def test_harmonic_static_stays_coherent(harmonic):
 
 def test_feedback_morse_short_run(morse, morse_run_grid):
     e_cl = 0.2 * morse.well_depth
-    p0 = momentum_for_energy(morse, e_cl, 0.0)
+    p0 = math.sqrt(2.0 * morse.mass * e_cl)
     period = classical_period(morse, e_cl)
     conf = PropagatorConfig(dt=period / 2000, scheme="split-step",
                             mode="feedback", snapshot_stride=100)
@@ -393,7 +393,7 @@ def test_coverage_precheck_fails_before_stepping(morse):
     # trajectory reaches beyond what this grid can hold: fail fast
     small = Grid(-2.0, 6.0, 256)
     e_cl = 0.9 * morse.well_depth
-    p0 = momentum_for_energy(morse, e_cl, 0.0)
+    p0 = math.sqrt(2.0 * morse.mass * e_cl)
     conf = PropagatorConfig(dt=1e-3, scheme="split-step", mode="feedback")
     with pytest.raises(CoverageError):
         evolve_feedback(morse, ClassicalPoint(0.0, p0), conf, 1.0, small)

@@ -26,7 +26,6 @@ from gcsdyn import (
     RealField,
     assemble_potential,
     classical_force,
-    density_phase,
     evolve_feedback,
     evolve_static,
     gcs_from_model,
@@ -221,10 +220,10 @@ def test_displaced_boosted_states_match_the_reference(kind, hbar, mass, u, v,
 @pytest.mark.parametrize("offset", [2, 25])
 def test_phase_jump_on_the_support_truncates_as_before(side, offset):
     # a sign flip beyond a sample on the support (left or right of the
-    # peak) is a jump of pi where the state carries amplitude:
-    # density_phase truncates the valid run there, and the chirped phase is
-    # extended linearly across the rest of the support, so the residual is
-    # large
+    # peak) is a jump of pi where the state carries amplitude (both
+    # samples at least PHASE_JUMP_FLOOR times the peak): the unwrap
+    # truncates the valid run there, and the chirped phase is extended
+    # linearly across the rest of the support, so the residual is large
     model, grid = _model_and_grid("morse", 1.0, 1.0)
     q, p = 0.7, 0.4
     psi = gcs_from_model(model, grid, ClassicalPoint(q, p)).psi.values
@@ -235,9 +234,11 @@ def test_phase_jump_on_the_support_truncates_as_before(side, offset):
         psi[cut:] *= -1.0
     else:
         psi[:cut] *= -1.0
+    jump = np.angle(psi[cut] / psi[cut - 1])
+    rho = np.abs(psi) ** 2
+    assert abs(jump) > 0.9 * np.pi
+    assert min(rho[cut - 1], rho[cut]) >= PHASE_JUMP_FLOOR * rho.max()
     args = _measured_args(model, grid, psi, q, p)
-    valid = density_phase(args[0]).valid
-    assert valid[cut - 1] != valid[cut]
     rec = record(*args)
     assert 1e-3 < rec.hjm_residual < math.inf
     _assert_matches_reference(rec, *args)
