@@ -75,7 +75,6 @@ from .models import (
     suggest_grid,
 )
 from .propagation import (
-    Frame,
     PropagatorConfig,
     RunResult,
     evolve_feedback,

@@ -14,6 +14,7 @@ other gcsdyn error.
 """
 
 import argparse
+import errno
 import os
 import shutil
 import sys
@@ -36,9 +37,9 @@ from .errors import (
 )
 from .models import suggest_grid
 from .output import (
+    fields_sink,
     render_plots,
     write_diagnostics_csv,
-    write_fields_csv,
     write_plot_data,
     write_trajectory_csv,
     write_vclass_csv,
@@ -88,13 +89,16 @@ def _staged(outdir: Path, outputs):
     block succeeds, they replace those of an earlier call in outdir; when it
     fails, outdir is not touched, and when a move fails, the moves made are
     undone. A directory with no name (a filesystem root) has no sibling
-    and is refused."""
+    and is refused, and so is a path that exists and is not a directory,
+    both before the block runs."""
     outdir = Path(os.path.abspath(outdir))
     if not outdir.name:
         raise ConfigError(f"output directory {outdir} has no name; name one below it")
     stage = outdir.with_name(f".{outdir.name}.{os.getpid()}.partial")
     old = stage.with_suffix(".old")
     try:
+        if os.path.lexists(outdir) and not outdir.is_dir():
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(outdir))
         shutil.rmtree(stage, ignore_errors=True)
         stage.mkdir(parents=True)
         yield stage
@@ -120,19 +124,18 @@ def _staged(outdir: Path, outputs):
 def cmd_run(cfg: RunConfig) -> int:
     with _staged(cfg.output_dir, RUN_OUTPUTS) as outdir:
         echo_config(cfg, outdir)
+        sink = fields_sink(outdir / "fields", cfg.model.hbar) if cfg.emit_fields else None
         if cfg.propagation.mode == "feedback":
             result = evolve_feedback(cfg.model, cfg.initial_point, cfg.propagation,
-                                     cfg.T, cfg.grid, cfg.tolerances)
+                                     cfg.T, cfg.grid, cfg.tolerances, sink=sink)
         else:
             state0 = gcs_from_model(cfg.model, cfg.grid, cfg.initial_point,
                                     cfg.tolerances)
             result = evolve_static(state0, cfg.model, cfg.propagation, cfg.T,
-                                   cfg.tolerances)
+                                   cfg.tolerances, sink=sink)
 
         write_diagnostics_csv(outdir / "diagnostics.csv", result.records)
         write_trajectory_csv(outdir / "trajectory.csv", result.trajectory, cfg.model)
-        if cfg.emit_fields:
-            write_fields_csv(outdir / "fields", result)
         if cfg.emit_plots:
             write_plot_data(outdir, result)
             try:

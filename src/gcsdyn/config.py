@@ -167,9 +167,11 @@ def config_from_dict(raw: dict) -> RunConfig:
 
     osec = _section(raw, "output", ("directory", "emit_fields", "emit_plots"))
     directory = osec.get("directory", "out")
-    if not isinstance(directory, str):
-        raise ConfigError("output.directory must be a string")
+    if not isinstance(directory, str) or not directory:
+        raise ConfigError(f"output.directory must be a non-empty string, got {directory!r}")
     directory = os.environ.get(OUTPUT_DIR_ENV, directory)
+    if not directory:  # an empty path is the working directory
+        raise ConfigError(f"{OUTPUT_DIR_ENV} is set but empty; unset it or name a directory")
     emit_fields = osec.get("emit_fields", False)
     emit_plots = osec.get("emit_plots", False)
     if not isinstance(emit_fields, bool) or not isinstance(emit_plots, bool):

@@ -123,8 +123,8 @@ def assemble_potential(
 
 def _closed_form(model: PotentialModel, grid: Grid, q, p, dPdt) -> np.ndarray:
     """V(x, t) in closed form, without the coverage check: the snapshot
-    potential of assemble_potential and of the feedback frames (the V the
-    diagnostics read and potential_snapshots.csv shows). The quantum step
+    potential of assemble_potential and of propagation's snapshots (the V
+    the diagnostics read and potential_snapshots.csv shows). The quantum step
     uses _stepping_basis instead."""
     x, m = grid.points, model.mass
     v = potential_value(model, x - q) - ground_energy(model)

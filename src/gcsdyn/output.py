@@ -17,10 +17,12 @@ depend on the block size. Column names and order are part of the contract:
 * plots/potential_snapshots.csv: x, then one V_<t> column per sampled
   snapshot
 
-Feedback and static runs write the same files from the same Frame fields;
-fields/ and potential_snapshots.csv take V from each frame (the assembled
-potential, or the at-rest V_model - E0 of a static run), and
-center_tracking.csv reads Q from the trajectory at each frame's step.
+Feedback and static runs write the same files from the same run records
+and snapshot steps. fields/ is written by a run sink as each snapshot
+arrives; it and potential_snapshots.csv take V from the one definition the
+records were measured against (RunResult.potential: the assembled potential,
+or the at-rest V_model - E0 of a static run), and center_tracking.csv reads
+Q from the trajectory at each snapshot's step.
 
 The plot CSVs need only numpy. The SVG figures rendered from the same
 series need the optional matplotlib ('plots' extra).
@@ -28,7 +30,7 @@ series need the optional matplotlib ('plots' extra).
 
 import csv
 import dataclasses
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
 
 import numpy as np
@@ -83,25 +85,27 @@ def write_trajectory_csv(path, trajectory: Trajectory, model: PotentialModel) ->
     return _write_rows(Path(path), ("t", "Q", "P", "dPdt", "E_cl"), columns)
 
 
-def write_fields_csv(directory, result: RunResult) -> list[Path]:
-    """One x, re_psi, im_psi, rho, S, V file per snapshot frame."""
+def fields_sink(directory, hbar: float):
+    """A run's sink(step, psi, V) that writes each snapshot as it arrives,
+    the i-th (from 0) as directory/NNNN.csv with columns x, re_psi, im_psi,
+    rho, S, V."""
     directory = Path(directory)
-    paths = []
-    for i, frame in enumerate(result.frames):
-        psi = frame.psi
-        polar = density_phase(psi, hbar=result.model.hbar)
+    index = count()
+
+    def sink(step, psi, V):
+        polar = density_phase(psi, hbar=hbar)
         columns = (
             psi.grid.points,
             psi.values.real,
             psi.values.imag,
             polar.rho.values,
             polar.S.values,
-            frame.V.values,
+            V.values,
         )
-        path = directory / f"{i:04d}.csv"
+        path = directory / f"{next(index):04d}.csv"
         _write_rows(path, ("x", "re_psi", "im_psi", "rho", "S", "V"), columns)
-        paths.append(path)
-    return paths
+
+    return sink
 
 
 def write_vclass_csv(path, rows) -> Path:
@@ -121,15 +125,15 @@ def write_plot_data(outdir, result: RunResult) -> list[Path]:
             outdir / "overlap_t.csv", ("t", "overlap"), (t, [r.overlap for r in records])
         ),
     ]
-    q = result.trajectory.q[[f.step for f in result.frames]]
+    steps = result.steps
+    q = result.trajectory.q[list(steps)]
     columns = (t, q, [r.q_mean for r in records])
     paths.append(_write_rows(outdir / "center_tracking.csv", ("t", "Q", "q_mean"), columns))
 
     # a handful of potential profiles across the run
-    frames = result.frames
-    picks = sorted({0, len(frames) // 4, len(frames) // 2, (3 * len(frames)) // 4, len(frames) - 1})
-    header = ["x"] + [f"V_{frames[i].diagnostics.t:.6g}" for i in picks]
-    columns = [result.grid.points] + [frames[i].V.values for i in picks]
+    picks = sorted({0, len(steps) // 4, len(steps) // 2, (3 * len(steps)) // 4, len(steps) - 1})
+    header = ["x"] + [f"V_{records[i].t:.6g}" for i in picks]
+    columns = [result.grid.points] + [result.potential(steps[i]).values for i in picks]
     paths.append(_write_rows(outdir / "potential_snapshots.csv", header, columns))
     return paths
 
@@ -176,14 +180,14 @@ def render_plots(outdir, result: RunResult) -> list[Path]:
     save(fig, "overlap_t.svg")
 
     fig, ax = plt.subplots()
-    ax.plot(t, result.trajectory.q[[f.step for f in result.frames]], label="Q")
+    ax.plot(t, result.trajectory.q[list(result.steps)], label="Q")
     ax.plot(t, [r.q_mean for r in records], "--", label="q_mean")
     ax.set_xlabel("t")
     ax.legend()
     save(fig, "center_tracking.svg")
 
     fig, ax = plt.subplots()
-    picks = sorted({0, len(result.frames) // 2, len(result.frames) - 1})
+    picks = sorted({0, len(records) // 2, len(records) - 1})
     lo = min(r.q_mean for r in records)
     hi = max(r.q_mean for r in records)
     span = 6.0 * result.model.dq
@@ -194,9 +198,8 @@ def render_plots(outdir, result: RunResult) -> list[Path]:
     plotted = result.config.mode == "feedback"
     if plotted:
         for i in picks:
-            frame = result.frames[i]
-            v = frame.V.values
-            ax.plot(x, v, label=f"t = {frame.diagnostics.t:.3g}")
+            v = result.potential(result.steps[i]).values
+            ax.plot(x, v, label=f"t = {records[i].t:.3g}")
             v_lo = min(v_lo, float(v[window].min()))
             v_hi = max(v_hi, float(v[window].max()))
     ax.set_xlabel("x")

@@ -27,7 +27,7 @@ from .classical import (
     classical_force,
     turning_points,
 )
-from .diagnostics import DiagnosticsRecord, _measure, _record, record
+from .diagnostics import _measure, _record, record
 from .displacement import ClassicalPoint, GCSState, gcs_from_model
 from .errors import CoverageError, PropagationError, UnitarityError
 from .grids import (
@@ -40,7 +40,6 @@ from .grids import (
 from .hydrodynamics import _closed_form, _stepping_basis
 from .models import (
     PotentialModel,
-    ground_energy,
     ground_moments,
     potential_value,
     reference_density,
@@ -73,31 +72,36 @@ class PropagatorConfig:
             raise PropagationError(f"snapshot_stride {stride!r} is not an integer >= 1")
 
 
-class Frame(NamedTuple):
-    """One snapshot of a run: step index, state, and what it was measured
-    against (the potential and classical point handed to record)."""
-
-    step: int
-    psi: ComplexField
-    V: RealField
-    point: ClassicalPoint
-    diagnostics: DiagnosticsRecord
-
-
 @dataclass(frozen=True)
 class RunResult:
-    """A propagation run: snapshot frames plus the full classical trajectory.
-    Its config is the one the run was given, with the mode that ran."""
+    """A propagation run: the diagnostics record of each snapshot, the
+    snapshot steps, and the full classical trajectory. It keeps no state;
+    potential(step) is the V a snapshot was measured against. Its config is
+    the one the run was given, with the mode that ran."""
 
-    frames: tuple
+    records: tuple
+    steps: tuple
     trajectory: Trajectory
     grid: Grid
     model: PotentialModel
     config: PropagatorConfig
 
-    @property
-    def records(self) -> tuple:
-        return tuple(f.diagnostics for f in self.frames)
+    def potential(self, step: int) -> RealField:
+        """The V that the snapshot at step was measured against."""
+        if step not in self.steps:
+            raise PropagationError(f"step {step!r} is not a snapshot of this run")
+        return _snapshot_potential(self.model, self.grid, self.trajectory,
+                                   self.config.mode, step)
+
+
+def _snapshot_potential(model, grid, traj, mode, s) -> RealField:
+    """The V that snapshot s is measured against: the closed-form assembled
+    potential at trajectory point s (feedback), or at rest, Q = P = dP/dt = 0
+    (static: the frozen well less E0; densities are offset-invariant)."""
+    if mode == "static":
+        return RealField(grid, _closed_form(model, grid, 0.0, 0.0, 0.0))
+    pt = traj.point(s)
+    return RealField(grid, _closed_form(model, grid, pt.Q, pt.P, float(traj.forces[s])))
 
 
 @lru_cache(maxsize=16)
@@ -289,15 +293,17 @@ def evolve_feedback(
     T: float,
     grid: Grid,
     tol: Tolerances = DEFAULT_TOLERANCES,
+    *,
+    sink=None,
 ) -> RunResult:
     """Propagate the displaced ground state with the self-adjusting potential.
 
     The Verlet orbit of (Q, P) is integrated first; every quantum step then
     rebuilds V(x, t) at the time-centered classical state of its Verlet step
-    and advances psi in it. A Frame (psi, the potential assembled at the
-    trajectory point, diagnostics) is emitted every snapshot_stride steps,
-    always including the initial and final ones. Cheap monitors (norm
-    drift, boundary mass) run every step.
+    and advances psi in it. Every snapshot_stride steps, always including
+    the initial and final ones, psi is recorded against the potential
+    assembled at the trajectory point (RunResult.potential) and handed to
+    sink (see _run). Cheap monitors (norm drift, boundary mass) run every step.
     """
     q_lo, q_hi = turning_points(model, classical_energy(model, point0.Q, point0.P))
     traj = _orbit(model, point0, config, T)
@@ -333,15 +339,13 @@ def evolve_feedback(
                 np.dot(coefs, rows, out=row)
             yield from kernel.prepare(_clamp(kernel, block, cap))[:k]
 
-    def frame_at(s, vals):
-        pt = traj.point(s)
-        f_s = float(f[s])
-        V = RealField(grid, _closed_form(model, grid, pt.Q, pt.P, f_s))
+    def measure(s, vals):
+        V = _snapshot_potential(model, grid, traj, "feedback", s)
         psi = ComplexField(grid, vals)
-        return Frame(s, psi, V, pt, record(psi, model, pt, V, f_s, tol))
+        return psi, V, record(psi, model, traj.point(s), V, float(f[s]), tol)
 
-    return _run(state0, operands(), kernel.advance, frame_at, traj, model,
-                replace(config, mode="feedback"), tol)
+    return _run(state0, operands(), kernel.advance, measure, traj, model,
+                replace(config, mode="feedback"), tol, sink)
 
 
 def evolve_static(
@@ -350,6 +354,8 @@ def evolve_static(
     config: PropagatorConfig,
     T: float,
     tol: Tolerances = DEFAULT_TOLERANCES,
+    *,
+    sink=None,
 ) -> RunResult:
     """Propagate a displaced state in the frozen original potential.
 
@@ -360,10 +366,11 @@ def evolve_static(
     ln2/a, so it can leave any finite grid, and the shape-anchored
     comparison is the conservative baseline (static runs degrade only
     through true shape distortion). The autonomous center trajectory is
-    still integrated and returned for twin-run comparisons. The diagnostics
-    potential carries the at-rest assembled convention (V_model - E0);
-    propagation itself uses the plain model potential clamped at the grid's
-    kinetic ceiling (densities are offset-invariant), prepared once.
+    still integrated and returned for twin-run comparisons. Snapshots are
+    recorded against the potential assembled at rest (RunResult.potential,
+    V_model - E0); propagation itself uses the plain model potential
+    clamped at the grid's kinetic ceiling (densities are offset-invariant),
+    prepared once.
     """
     grid = state0.psi.grid
     traj = _orbit(model, state0.point, config, T)
@@ -371,13 +378,13 @@ def evolve_static(
     m, hbar = model.mass, model.hbar
 
     v_model = potential_value(model, grid.points)
-    v_diag = RealField(grid, v_model - ground_energy(model))
+    v_rest = _snapshot_potential(model, grid, traj, "static", 0)
     kernel = _split_step(grid.n, grid.dx, dt, m, hbar)
     steps, advance = _constant(kernel, _in_units(kernel, v_model),
                                _potential_cap(grid, m, hbar), nsteps)
     q0 = ground_moments(model, grid, tol).q0
 
-    def frame_at(s, vals):
+    def measure(s, vals):
         # reference point anchored at the measured center, from the one
         # measurement record reads too
         psi = ComplexField(grid, vals)
@@ -385,26 +392,36 @@ def evolve_static(
         q_meas = measured.q_mean - q0
         pt = ClassicalPoint(Q=q_meas, P=measured.p_mean, t=s * dt)
         f_ref = float(classical_force(model, q_meas))
-        rec = _record(psi, measured, model, pt, v_diag, f_ref, tol)
-        return Frame(s, psi, v_diag, pt, rec)
+        return psi, v_rest, _record(psi, measured, model, pt, v_rest, f_ref, tol)
 
-    return _run(state0, steps, advance, frame_at, traj, model,
-                replace(config, mode="static"), tol)
+    return _run(state0, steps, advance, measure, traj, model,
+                replace(config, mode="static"), tol, sink)
 
 
-def _run(state0, operands, advance, frame_at, traj, model, config, tol) -> RunResult:
+def _run(state0, operands, advance, measure, traj, model, config, tol, sink) -> RunResult:
     """The step loop of both modes: advance psi by one operand per step,
-    check it with the run's _monitor, and collect frame_at(step, values) at
-    the snapshot steps (the first and last step included).
+    check it with the run's _monitor, and at the snapshot steps (the first
+    and last step included) keep the step and the record of measure(step,
+    values) -> (psi, V, record), handing psi and V to sink(step, psi, V)
+    when one is given; no state outlives its snapshot.
 
     Steps and checks run without numpy's invalid and overflow warnings: a
     state that turns non-finite is reported by the check's own error alone.
-    Frames are measured under the caller's numpy error handling."""
+    Snapshots are measured under the caller's numpy error handling."""
     grid = state0.psi.grid
     nsteps = len(traj) - 1
     check = _monitor(grid, tol)
+    steps, records = [], []
+
+    def snapshot(s, vals):
+        psi, V, rec = measure(s, vals)
+        steps.append(s)
+        records.append(rec)
+        if sink is not None:
+            sink(s, psi, V)
+
     vals = state0.psi.values.copy()
-    frames = [frame_at(0, vals)]
+    snapshot(0, vals)
     caller = np.geterr()
     with np.errstate(invalid="ignore", over="ignore"):
         for s, operand in enumerate(operands, start=1):
@@ -412,7 +429,6 @@ def _run(state0, operands, advance, frame_at, traj, model, config, tol) -> RunRe
             check(vals, s)
             if s % config.snapshot_stride == 0 or s == nsteps:
                 with np.errstate(**caller):
-                    frames.append(frame_at(s, vals))
-    return RunResult(
-        frames=tuple(frames), trajectory=traj, grid=grid, model=model, config=config
-    )
+                    snapshot(s, vals)
+    return RunResult(records=tuple(records), steps=tuple(steps), trajectory=traj,
+                     grid=grid, model=model, config=config)

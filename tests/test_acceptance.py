@@ -263,7 +263,7 @@ def test_criterion_7_static_limit(morse, run_grid):
     _report(7, "frozen density", worst, 1e-8, worst < 1e-8)
 
     # assembled potential profile == the well, up to a spatial constant
-    v_run = run.frames[-1].V.values
+    v_run = run.potential(run.steps[-1]).values
     v_model = potential_value(morse, run_grid.points)
     profile_dev = float(np.max(np.abs((v_run - v_run[0]) - (v_model - v_model[0]))))
     ok = profile_dev < 1e-8 * morse.well_depth
@@ -276,29 +276,33 @@ def test_criterion_8_harmonic_cross_checks(harmonic):
     point = ClassicalPoint(1.0, 0.0)
     conf = PropagatorConfig(dt=period / 10000, scheme="split-step",
                             mode="feedback", snapshot_stride=250)
-    fb = evolve_feedback(harmonic, point, conf, period, grid)
+    seen_fb = []
+    fb = evolve_feedback(harmonic, point, conf, period, grid,
+                         sink=lambda *snap: seen_fb.append(snap))
 
     # oracle: Glauber coherent state, rigid Gaussian riding cos(t)
     w = quadrature_weights(grid)
     x = grid.points
     worst = 0.0
-    for frame in fb.frames:
-        center = np.cos(frame.diagnostics.t)
+    for (_, psi, _), rec in zip(seen_fb, fb.records, strict=True):
+        center = np.cos(rec.t)
         ref = np.exp(-((x - center) ** 2))
         ref /= float(np.dot(w, ref))
-        rho = np.abs(frame.psi.values) ** 2
+        rho = np.abs(psi.values) ** 2
         rho /= float(np.dot(w, rho))
         worst = max(worst, 1.0 - float(np.dot(w, np.sqrt(rho * ref))))
     _report(8, "Glauber fidelity", worst, 1e-6, worst < 1e-6)
 
     conf_st = PropagatorConfig(dt=period / 10000, scheme="split-step",
                                mode="static", snapshot_stride=250)
+    seen_st = []
     st = evolve_static(gcs_from_model(harmonic, grid, point), harmonic,
-                       conf_st, period)
+                       conf_st, period, sink=lambda *snap: seen_st.append(snap))
+    assert st.steps == fb.steps
     worst_pair = 0.0
-    for fa, fs in zip(fb.frames, st.frames):
-        rho_a = np.abs(fa.psi.values) ** 2
-        rho_b = np.abs(fs.psi.values) ** 2
+    for (_, psi_a, _), (_, psi_b, _) in zip(seen_fb, seen_st, strict=True):
+        rho_a = np.abs(psi_a.values) ** 2
+        rho_b = np.abs(psi_b.values) ** 2
         worst_pair = max(worst_pair, float(np.max(np.abs(rho_a - rho_b))))
     _report(8, "mode equivalence", worst_pair, 1e-6, worst_pair < 1e-6)
 

@@ -637,7 +637,7 @@ def test_plots_without_matplotlib(tmp_path, monkeypatch, capsys):
 
 
 def test_static_center_tracking_reads_trajectory(tmp_path, morse):
-    # Q at each snapshot is the trajectory entry at that frame's step, bit
+    # Q at each snapshot is the trajectory entry at that snapshot's step, bit
     # for bit; no time-keyed lookup that could miss and write NaN
     grid = suggest_grid(morse, q_reach_min=-1.5, q_reach_max=1.5, n=1024)
     state0 = gcs_from_model(morse, grid, ClassicalPoint(morse.dq, 0.0))
@@ -648,7 +648,7 @@ def test_static_center_tracking_reads_trajectory(tmp_path, morse):
     rows = (tmp_path / "plots" / "center_tracking.csv").read_text().splitlines()
     assert rows[0] == "t,Q,q_mean"
     q_col = np.array([float(r.split(",")[1]) for r in rows[1:]])
-    steps = [f.step for f in run.frames]
+    steps = list(run.steps)
     assert steps == [0, 7, 14, 21, 25]
     assert np.all(np.isfinite(q_col))
     assert np.array_equal(q_col, run.trajectory.q[steps])
@@ -788,6 +788,32 @@ def test_failed_run_leaves_the_output_directory_as_it_was(tmp_path, monkeypatch)
     assert later[Path("diagnostics.csv")] != earlier[Path("diagnostics.csv")]
 
 
+def test_failed_run_leaves_no_streamed_fields(tmp_path, monkeypatch):
+    # fields/ is written into the stage as the snapshots arrive: a run that
+    # fails after three of them (stride 2, alarm at step 5) leaves neither
+    # fields/ nor the stage behind
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    path = _write_config(tmp_path, propagation={"T": 0.35, "snapshot_stride": 2},
+                         output={"emit_fields": True})
+    streamed = []
+    sinks = cli.fields_sink
+
+    def listing(directory, hbar):
+        sink = sinks(directory, hbar)
+
+        def listed(step, psi, V):
+            sink(step, psi, V)
+            streamed.append((step, sorted(p.name for p in directory.iterdir())))
+
+        return listed
+
+    monkeypatch.setattr(cli, "fields_sink", listing)
+    _fail_at_step_5(monkeypatch)
+    assert main(["run", "--config", str(path)]) == 4
+    assert streamed[-1] == (4, ["0000.csv", "0001.csv", "0002.csv"])
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_rerun_replaces_only_the_run_outputs(tmp_path, monkeypatch):
     # extract-vclass and a run share one directory: the run keeps vclass.csv
     # and a file of the user's beside its outputs, and a re-run whose moves
@@ -838,6 +864,48 @@ def test_unusable_output_directory_is_a_config_error(
     assert main([command, "--config", str(path)]) == 2
     (err,) = capsys.readouterr().err.splitlines()
     assert err.startswith("config error: ") and str(outdir) in err
+
+
+@pytest.mark.parametrize("command", ["run", "extract-vclass"])
+def test_output_directory_naming_a_file_is_refused_before_the_run(
+    command, tmp_path, monkeypatch, capsys
+):
+    # an existing file cannot become the output directory: refused with
+    # exit 2 and one stderr line before any computation, not after it
+    outdir = tmp_path / "afile"
+    outdir.write_text("kept")
+    path = _write_config(tmp_path, output={"directory": str(outdir)})
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    monkeypatch.setattr(cli, "evolve_feedback", _not_called)
+    monkeypatch.setattr(cli, "linear_coefficient", _not_called)
+    assert main([command, "--config", str(path)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err == (f"config error: cannot write to output directory {outdir}: "
+                   f"[Errno 17] File exists: '{outdir}'")
+    assert outdir.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cfg.json"]
+
+
+@pytest.mark.parametrize("via_env", [False, True])
+def test_empty_output_directory_exits_2(via_env, tmp_path, monkeypatch, capsys):
+    # an empty path is the working directory, whose stage would be a
+    # sibling outside it: refused from the config key or the environment
+    # variable, naming it, before anything is written
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    if via_env:
+        path = _write_config(tmp_path)
+        monkeypatch.setenv(OUTPUT_DIR_ENV, "")
+    else:
+        path = _write_config(tmp_path, output={"directory": ""})
+        monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    assert main(["run", "--config", str(path)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith("config error: ")
+    assert (OUTPUT_DIR_ENV if via_env else "output.directory") in err
+    assert list(work.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "work"]
 
 
 def test_run_coverage_exit_code(tmp_path):

@@ -214,9 +214,9 @@ def test_feedback_run_tracks_trajectory(morse):
                             mode="feedback", snapshot_stride=500)
     run = evolve_feedback(morse, ClassicalPoint(0.0, p0), conf, period, grid)
     info = ground_moments(morse, grid)
-    mid = run.frames[len(run.frames) // 2]
+    mid = len(run.steps) // 2
     assert abs(
-        mid.diagnostics.q_mean - info.q0 - mid.point.Q
+        run.records[mid].q_mean - info.q0 - run.trajectory.q[run.steps[mid]]
     ) < 1e-4 * morse.dq
 
 

@@ -244,18 +244,22 @@ def test_constant_offset_leaves_density_invariant(morse, morse_grid):
 
 @pytest.mark.parametrize("kind", ["morse", "harmonic"])
 def test_feedback_frames_carry_the_assembled_potential_bitwise(kind, request):
-    # feedback frames hand their V to the diagnostics and to
-    # potential_snapshots.csv, so each must be the public assembled
-    # potential at the frame's trajectory point and force, bit for bit
+    # feedback snapshots hand their V to the diagnostics, the sink (fields/)
+    # and potential_snapshots.csv, so each must be the public assembled
+    # potential at the snapshot's trajectory point and force, bit for bit
     model = request.getfixturevalue(kind)
     grid = request.getfixturevalue(f"{kind}_grid")
     conf = PropagatorConfig(dt=2e-3, scheme="split-step", snapshot_stride=7)
-    run = evolve_feedback(model, ClassicalPoint(0.4, -0.3), conf, 40 * 2e-3, grid)
-    assert [fr.step for fr in run.frames] == [0, 7, 14, 21, 28, 35, 40]
-    for frame in run.frames:
-        f = float(run.trajectory.forces[frame.step])
-        snap = assemble_potential(model, frame.point, f, grid)
-        assert np.array_equal(frame.V.values, snap.V.values)
+    seen = []
+    run = evolve_feedback(model, ClassicalPoint(0.4, -0.3), conf, 40 * 2e-3, grid,
+                          sink=lambda *snap: seen.append(snap))
+    assert run.steps == (0, 7, 14, 21, 28, 35, 40)
+    assert [s for s, _, _ in seen] == list(run.steps)
+    for s, _, V in seen:
+        f = float(run.trajectory.forces[s])
+        snap = assemble_potential(model, run.trajectory.point(s), f, grid)
+        assert np.array_equal(V.values, snap.V.values)
+        assert np.array_equal(run.potential(s).values, snap.V.values)
 
 
 @pytest.mark.parametrize("kind", ["morse", "harmonic"])

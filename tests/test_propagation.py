@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
@@ -27,12 +28,14 @@ from gcsdyn import (
     evolve_feedback,
     evolve_static,
     gcs_from_model,
+    ground_energy,
     ground_moments,
     ground_state,
     moments,
     normalized,
     potential_value,
     quadrature_weights,
+    record,
     step,
     suggest_grid,
 )
@@ -224,20 +227,22 @@ def test_feedback_harmonic_matches_glauber(harmonic):
     period = 2.0 * np.pi
     conf = PropagatorConfig(dt=period / 16000, scheme="split-step",
                             mode="feedback", snapshot_stride=800)
-    run = evolve_feedback(harmonic, ClassicalPoint(1.0, 0.0), conf, period, grid)
+    seen = []
+    run = evolve_feedback(harmonic, ClassicalPoint(1.0, 0.0), conf, period, grid,
+                          sink=lambda *snap: seen.append(snap))
     w = quadrature_weights(grid)
     x = grid.points
     dq2_0 = run.records[0].dq2
-    for frame in run.frames:
-        t = frame.diagnostics.t
-        center = np.cos(t)
+    assert len(seen) == len(run.records)
+    for (_, psi, _), rec in zip(seen, run.records):
+        center = np.cos(rec.t)
         ref = np.exp(-((x - center) ** 2))  # variance 1/2 Gaussian density
         ref /= float(np.dot(w, ref))
-        rho = np.abs(frame.psi.values) ** 2
+        rho = np.abs(psi.values) ** 2
         rho /= float(np.dot(w, rho))
         overlap = float(np.dot(w, np.sqrt(rho * ref)))
         assert 1.0 - overlap < 1e-6
-        assert abs(frame.diagnostics.dq2 / dq2_0 - 1.0) < 1e-7
+        assert abs(rec.dq2 / dq2_0 - 1.0) < 1e-7
 
 
 def test_harmonic_mode_equivalence(harmonic):
@@ -249,12 +254,16 @@ def test_harmonic_mode_equivalence(harmonic):
     conf_st = PropagatorConfig(dt=period / 2000, scheme="split-step",
                                mode="static", snapshot_stride=100)
     point = ClassicalPoint(1.0, 0.0)
-    fb = evolve_feedback(harmonic, point, conf_fb, period, grid)
+    seen_fb, seen_st = [], []
+    fb = evolve_feedback(harmonic, point, conf_fb, period, grid,
+                         sink=lambda *snap: seen_fb.append(snap))
     st0 = gcs_from_model(harmonic, grid, point)
-    st = evolve_static(st0, harmonic, conf_st, period)
-    for fa, fs in zip(fb.frames, st.frames):
-        rho_a = np.abs(fa.psi.values) ** 2
-        rho_b = np.abs(fs.psi.values) ** 2
+    st = evolve_static(st0, harmonic, conf_st, period,
+                       sink=lambda *snap: seen_st.append(snap))
+    assert fb.steps == st.steps and len(seen_fb) == len(seen_st) == len(fb.steps)
+    for (_, psi_a, _), (_, psi_b, _) in zip(seen_fb, seen_st):
+        rho_a = np.abs(psi_a.values) ** 2
+        rho_b = np.abs(psi_b.values) ** 2
         assert np.max(np.abs(rho_a - rho_b)) < 1e-6
 
 
@@ -376,9 +385,63 @@ def test_snapshot_cadence(morse, morse_run_grid):
                             snapshot_stride=7)
     run = evolve_feedback(morse, ClassicalPoint(0.0, 0.1), conf, 25e-3,
                           morse_run_grid)
-    steps = [int(round(f.diagnostics.t / 1e-3)) for f in run.frames]
+    steps = [int(round(r.t / 1e-3)) for r in run.records]
     assert steps == [0, 7, 14, 21, 25]  # stride plus the forced final step
+    assert run.steps == (0, 7, 14, 21, 25)
     assert len(run.trajectory) == 26
+
+
+@pytest.mark.parametrize("mode", propagation.MODES)
+def test_sink_sees_each_snapshot_with_the_runs_potential(morse, mode):
+    # the sink is handed exactly the run's snapshot steps, in order, with
+    # the V that RunResult.potential gives for that step, bit for bit; a
+    # static run's is the frozen well less E0
+    grid = suggest_grid(morse, q_reach_min=-1.5, q_reach_max=1.5, n=512)
+    conf = PropagatorConfig(dt=2e-3, mode=mode, snapshot_stride=3)
+    point, T = ClassicalPoint(0.3, 0.4), 20 * 2e-3
+    seen = []
+    if mode == "feedback":
+        run = evolve_feedback(morse, point, conf, T, grid,
+                              sink=lambda *snap: seen.append(snap))
+    else:
+        run = evolve_static(gcs_from_model(morse, grid, point), morse, conf, T,
+                            sink=lambda *snap: seen.append(snap))
+        rest = potential_value(morse, grid.points) - ground_energy(morse)
+        assert np.array_equal(run.potential(0).values, rest)
+    assert run.steps == (0, 3, 6, 9, 12, 15, 18, 20)
+    assert [s for s, _, _ in seen] == list(run.steps)
+    assert len(run.records) == len(run.steps)
+    for s, psi, V in seen:
+        assert psi.grid == V.grid == grid
+        assert np.array_equal(V.values, run.potential(s).values)
+    for s in (1, -1, 21):  # not a snapshot step
+        with pytest.raises(PropagationError, match="not a snapshot"):
+            run.potential(s)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_memory_does_not_grow_with_its_snapshots():
+    # a run keeps records, not states: at stride 1 its traced peak grows by
+    # less than 2 KiB per snapshot, where a kept copy of psi and V on the
+    # shipped harmonic grid (n = 320) would be 7.5 KiB
+    cfg = load_config(CONFIGS / "harmonic_feedback.json")
+    conf = replace(cfg.propagation, snapshot_stride=1)
+
+    def run(nsteps):
+        evolve_feedback(cfg.model, cfg.initial_point, conf, nsteps * conf.dt,
+                        cfg.grid, cfg.tolerances)
+
+    run(10)  # the kernel's cached phase and the imports, outside the trace
+    small, large = _traced_peak(lambda: run(500)), _traced_peak(lambda: run(2000))
+    assert (large - small) / 1500 < 2048
 
 
 def test_unitarity_alarm_fires(morse, morse_run_grid):
@@ -508,28 +571,34 @@ def test_feedback_loop_matches_public_reference(kind, scheme, request):
     dt, nsteps = 2e-3, 20
     conf = PropagatorConfig(dt=dt, scheme=scheme, mode="feedback",
                             snapshot_stride=nsteps)
-    run = evolve_feedback(model, point0, conf, nsteps * dt, grid)
+    seen = []
+    run = evolve_feedback(model, point0, conf, nsteps * dt, grid,
+                          sink=lambda *snap: seen.append(snap))
     traj, ref = _reference_feedback(model, point0, grid, dt, nsteps, scheme)
     for name in ("t", "q", "p"):
         assert np.array_equal(getattr(run.trajectory, name), getattr(traj, name))
     assert np.array_equal(run.trajectory.forces, traj.forces)
-    assert np.max(np.abs(run.frames[-1].psi.values - ref)) <= 1e-12
+    last_step, last_psi, _ = seen[-1]
+    assert last_step == nsteps
+    assert np.max(np.abs(last_psi.values - ref)) <= 1e-12
 
 
 @pytest.mark.parametrize("scheme", propagation.SCHEMES)
 def test_static_loop_matches_repeated_step(morse, scheme):
-    # static mode prepares its operand once; every frame must still be the
-    # public step() loop's, bit for bit
+    # static mode prepares its operand once; every snapshot must still be
+    # the public step() loop's, bit for bit
     grid = suggest_grid(morse, q_reach_min=-1.5, q_reach_max=1.5, n=1024)
     dt, nsteps = 2e-3, 20
     state0 = gcs_from_model(morse, grid, ClassicalPoint(morse.dq, 0.0))
     conf = PropagatorConfig(dt=dt, scheme=scheme, mode="static")
-    run = evolve_static(state0, morse, conf, nsteps * dt)
+    seen = []
+    evolve_static(state0, morse, conf, nsteps * dt,
+                  sink=lambda *snap: seen.append(snap))
     V = _clamped(morse, grid, potential_value(morse, grid.points))
     psi = state0.psi
-    assert len(run.frames) == nsteps + 1
-    for frame in run.frames:
-        assert np.array_equal(frame.psi.values, psi.values)
+    assert [s for s, _, _ in seen] == list(range(nsteps + 1))
+    for _, psi_run, _ in seen:
+        assert np.array_equal(psi_run.values, psi.values)
         psi = step(psi, V, dt, scheme)
 
 
@@ -572,19 +641,26 @@ def test_orbit_coverage_fails_before_any_step(harmonic, monkeypatch):
 
 
 def test_static_frame_anchor_is_the_moments_of_the_normalized_state(morse):
-    # the static frame measures its state once for the anchor and for
-    # record; the anchor must still be moments(normalized(psi)), bit for bit
+    # the static snapshot measures its state once for the anchor and for
+    # record; the anchor must still be moments(normalized(psi)), bit for
+    # bit, and so the point that record was measured against: its force is
+    # the record's ehrenfest reference
     grid = suggest_grid(morse, q_reach_min=-1.5, q_reach_max=1.5, n=1024)
     state0 = gcs_from_model(morse, grid, ClassicalPoint(morse.dq, 0.3))
     q0 = ground_moments(morse, grid).q0
     conf = PropagatorConfig(dt=2e-3, scheme="split-step", mode="static",
                             snapshot_stride=5)
-    run = evolve_static(state0, morse, conf, 20 * 2e-3)
-    for frame in run.frames:
-        x_mean, _, p_mean = moments(normalized(frame.psi), morse.hbar)
-        assert (frame.point.Q, frame.point.P) == (x_mean - q0, p_mean)
-        assert frame.diagnostics.q_mean == x_mean
-        assert frame.diagnostics.p_mean == p_mean
+    seen = []
+    run = evolve_static(state0, morse, conf, 20 * 2e-3,
+                        sink=lambda *snap: seen.append(snap))
+    assert len(seen) == len(run.records) == 5
+    for (s, psi, V), rec in zip(seen, run.records):
+        x_mean, _, p_mean = moments(normalized(psi), morse.hbar)
+        assert rec.q_mean == x_mean
+        assert rec.p_mean == p_mean
+        point = ClassicalPoint(rec.q_mean - q0, rec.p_mean, s * conf.dt)
+        f = float(classical_force(morse, point.Q))
+        assert record(psi, morse, point, V, f) == rec
 
 
 def test_static_reference_momentum_uses_sixth_order_stencil(morse):
@@ -655,15 +731,19 @@ def test_feedback_frames_do_not_depend_on_the_block_size(kind, scheme,
     dt = 2e-3
     conf = PropagatorConfig(dt=dt, scheme=scheme, mode="feedback")
     point0 = ClassicalPoint(0.3, 0.4)
-    blocked = evolve_feedback(model, point0, conf, nsteps * dt, grid)
+    seen_blocked, seen_single = [], []
+    blocked = evolve_feedback(model, point0, conf, nsteps * dt, grid,
+                              sink=lambda *snap: seen_blocked.append(snap))
     monkeypatch.setattr(propagation, "OPERAND_BLOCK", 1)
-    single = evolve_feedback(model, point0, conf, nsteps * dt, grid)
-    assert len(blocked.frames) == len(single.frames) == nsteps + 1
-    for a, b in zip(blocked.frames, single.frames):
-        assert np.array_equal(a.psi.values, b.psi.values)
-        assert np.array_equal(a.V.values, b.V.values)
-        assert a.point == b.point
-        assert a.diagnostics == b.diagnostics
+    single = evolve_feedback(model, point0, conf, nsteps * dt, grid,
+                             sink=lambda *snap: seen_single.append(snap))
+    assert len(seen_blocked) == len(seen_single) == nsteps + 1
+    for (sa, psi_a, va), (sb, psi_b, vb) in zip(seen_blocked, seen_single):
+        assert sa == sb
+        assert np.array_equal(psi_a.values, psi_b.values)
+        assert np.array_equal(va.values, vb.values)
+    assert blocked.steps == single.steps
+    assert blocked.records == single.records
 
 
 @pytest.mark.parametrize("kind", ["morse", "harmonic"])

@@ -162,24 +162,32 @@ def _assert_matches_reference(rec, psi, model, point, V, dPdt):
 @pytest.mark.parametrize("name", ["morse_feedback", "harmonic_feedback",
                                   "morse_static_twin"])
 def test_shipped_frames_match_the_reference(name):
-    # every frame of a shortened shipped run, measured in the run and again
-    # by the reference from the same state, potential and classical point
+    # every snapshot of a shortened shipped run, measured in the run and
+    # again by the reference from the same state, potential and classical
+    # point: the trajectory's (feedback), or the measured center's, from
+    # the record (static: Q = q_mean - q0, P = p_mean)
     cfg = load_config(CONFIGS / f"{name}.json")
     model, grid, conf = cfg.model, cfg.grid, cfg.propagation
     conf = dataclasses.replace(conf, snapshot_stride=40)
     T = 400 * conf.dt
+    seen = []
     if conf.mode == "feedback":
-        run = evolve_feedback(model, cfg.initial_point, conf, T, grid)
+        run = evolve_feedback(model, cfg.initial_point, conf, T, grid,
+                              sink=lambda *snap: seen.append(snap))
     else:
         state0 = gcs_from_model(model, grid, cfg.initial_point)
-        run = evolve_static(state0, model, conf, T)
-    for frame in run.frames:
+        run = evolve_static(state0, model, conf, T,
+                            sink=lambda *snap: seen.append(snap))
+        q0 = ground_moments(model, grid).q0
+    assert [s for s, _, _ in seen] == list(run.steps)
+    for (s, psi, V), rec in zip(seen, run.records):
         if conf.mode == "feedback":
-            dPdt = float(run.trajectory.forces[frame.step])
+            point = run.trajectory.point(s)
+            dPdt = float(run.trajectory.forces[s])
         else:
-            dPdt = float(classical_force(model, frame.point.Q))
-        _assert_matches_reference(frame.diagnostics, frame.psi, model,
-                                  frame.point, frame.V, dPdt)
+            point = ClassicalPoint(rec.q_mean - q0, rec.p_mean, rec.t)
+            dPdt = float(classical_force(model, point.Q))
+        _assert_matches_reference(rec, psi, model, point, V, dPdt)
 
 
 def _model_and_grid(kind, hbar, mass):
