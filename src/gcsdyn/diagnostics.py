@@ -33,10 +33,11 @@ from .models import (
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiagnosticsRecord:
     """Per-snapshot observables of a run; the fields, in order, are the
-    columns of diagnostics.csv."""
+    columns of diagnostics.csv. A run keeps one per snapshot, so it is
+    slotted: no per-record __dict__."""
 
     t: float
     norm: float

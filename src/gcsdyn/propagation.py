@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import import_module
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -48,7 +49,6 @@ from .models import (
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 MODES = ("feedback", "static")
-OPERAND_BLOCK = 8  # feedback steps whose operands are built in one pass
 SCHEMES = ("split-step",)
 
 
@@ -104,12 +104,29 @@ def _snapshot_potential(model, grid, traj, mode, s) -> RealField:
     return RealField(grid, _closed_form(model, grid, pt.Q, pt.P, float(traj.forces[s])))
 
 
+def _aligned(shape, dtype=np.float64) -> np.ndarray:
+    """An uninitialised array whose data begins on a 64-byte boundary:
+    over-allocated by 64 bytes, then sliced."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + 64, np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + nbytes].view(dtype).reshape(shape)
+
+
 @lru_cache(maxsize=16)
 def _kinetic_phase(n: int, dx: float, dt: float, m: float, hbar: float) -> np.ndarray:
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-    ph = np.exp(-1j * hbar * k * k * dt / (2.0 * m))
+    ph = np.exp(-1j * hbar * k * k * dt / (2.0 * m), out=_aligned((n,), np.complex128))
     ph.setflags(write=False)
     return ph
+
+
+def _operand_rows(n: int) -> int:
+    """Feedback steps whose operands are built in one pass: as many as fill
+    a slab of 5120 samples per buffer, and at least 8. A larger slab costs
+    peak RSS (16 rows at n = 768, +0.12 MiB); a smaller one, a Python pass
+    per few steps."""
+    return max(8, 5120 // n)
 
 
 def _pocketfft():
@@ -131,9 +148,9 @@ class _Kernel(NamedTuple):
     """The split step at a grid and dt. Potentials enter it in its operand
     units, V * scale; block is the buffer for them, (n,) or (rows, n),
     allocated with the kernel's own buffers. prepare(block) turns them into
-    step operands (and may overwrite them); advance(vals, operand) returns
-    the stepped values and may overwrite vals. Every call reuses the buffers
-    of one factory call."""
+    step operands (and may overwrite them); advance(vals, operand) steps
+    vals in place and returns it: the one spelling of the Strang sequence.
+    Every call reuses the buffers of one factory call."""
 
     scale: float
     block: np.ndarray
@@ -146,12 +163,19 @@ def _split_step(n, dx, dt, m, hbar, rows=None):
     # exp(ia). block, s and half are contiguous slabs of one allocation: as
     # separate buffers, glibc's malloc kept part of them resident after the
     # run (morse_feedback peak RSS +0.14 MiB); as column ranges of shared
-    # rows, block-wide ufuncs ran up to 3x slower
+    # rows, block-wide ufuncs ran up to 3x slower. It begins on a 64-byte
+    # boundary, as kin does: at the heap's alignment, the step's speed moved
+    # with the allocations made before it
     kin = _kinetic_phase(n, dx, dt, m, hbar)
     fft, ifft = _pocketfft()
-    inv_n = 1.0 / n  # ifft's scale, as numpy.fft.ifft computes it
+    multiply = np.multiply
+    # the transforms' scales as read-only 0-d arrays, so that no call
+    # converts a float; ifft's is 1/n, as numpy.fft.ifft computes it
+    one, inv_n = np.array(1.0), np.array(1.0 / n)
+    one.setflags(write=False)
+    inv_n.setflags(write=False)
     shape = (n,) if rows is None else (rows, n)
-    work = np.empty((4, *shape))
+    work = _aligned((4, *shape))
     block, s = work[0], work[1]
     block[...] = 0.0  # rows a short run leaves unwritten are prepared too
     half = work[2:].reshape(-1).view(np.complex128).reshape(shape)
@@ -171,11 +195,11 @@ def _split_step(n, dx, dt, m, hbar, rows=None):
     def advance(vals, half):
         # factor order as in half * ifft(kin * fft(half * vals)): complex
         # products are not bitwise commutative
-        np.multiply(half, vals, out=vals)
-        fft(vals, 1.0, out=vals)
-        np.multiply(kin, vals, out=vals)
+        multiply(half, vals, out=vals)
+        fft(vals, one, out=vals)
+        multiply(kin, vals, out=vals)
         ifft(vals, inv_n, out=vals)
-        return np.multiply(half, vals, out=vals)
+        return multiply(half, vals, out=vals)
 
     return _Kernel(-0.25 * dt / hbar, block, prepare, advance)
 
@@ -192,10 +216,9 @@ def _clamp(kernel, u, cap):
 
 
 def _constant(kernel, u, cap, nsteps):
-    """Operands and advance of nsteps steps that all take the potential u
-    (operand units, clamped in place at cap), prepared once."""
-    operand = kernel.prepare(_clamp(kernel, u, cap))
-    return (operand for _ in range(nsteps)), kernel.advance
+    """Operands of nsteps steps that all take the potential u (operand
+    units, clamped in place at cap), prepared once."""
+    return repeat(kernel.prepare(_clamp(kernel, u, cap)), nsteps)
 
 
 def step(
@@ -235,33 +258,17 @@ def _potential_cap(grid: Grid, m: float, hbar: float) -> float:
     return hbar**2 * k_max**2 / (2.0 * m)
 
 
-def _monitor(grid, tol):
-    """check(vals, step) of one run: the norm and edge mass of the complex
-    values vals, as one product of their squared (re, im) floats with two
-    weight rows (quadrature weights; dx on the edge strips), raising on
-    either beyond tol; returns (norm, edge mass)."""
+def _monitor(grid, vals):
+    """The per-step monitor of one run over its complex state buffer vals:
+    (weights, view, squares, out), with which _run reads (norm, edge mass)
+    as one product, np.dot(weights, np.multiply(view, view, out=squares),
+    out=out). view is the buffer's (re, im) float view, made once; the two
+    weight rows are the quadrature weights, and dx on the edge strips."""
     edge = 2 * BOUNDARY_POINTS
     weights = np.zeros((2, 2 * grid.n))
     weights[0] = np.repeat(quadrature_weights(grid), 2)
     weights[1, :edge] = weights[1, -edge:] = grid.dx
-    squares = np.empty(2 * grid.n)
-    out = np.empty(2)
-    drift, edge_max = tol.unitarity_drift, tol.boundary_mass
-
-    def check(vals, step):
-        v = vals.view(np.float64)
-        nrm, bm = np.dot(weights, np.multiply(v, v, out=squares), out=out).tolist()
-        # written as "not <=" so that a NaN raises at the step it appears
-        if not abs(nrm - 1.0) <= drift:
-            raise UnitarityError(f"norm drifted to {nrm:.12g} at step {step}")
-        if not bm <= edge_max:
-            raise CoverageError(
-                f"packet reached the grid boundary at step {step} "
-                f"(edge mass {bm:.3e})"
-            )
-        return nrm, bm
-
-    return check
+    return weights, vals.view(np.float64), np.empty(2 * grid.n), np.empty(2)
 
 
 def _step_count(T: float, dt: float) -> int:
@@ -319,7 +326,7 @@ def evolve_feedback(
         )
 
     state0 = gcs_from_model(model, grid, point0, tol)
-    kernel = _split_step(grid.n, grid.dx, dt, m, hbar, OPERAND_BLOCK)
+    kernel = _split_step(grid.n, grid.dx, dt, m, hbar, _operand_rows(grid.n))
     # every step's basis coefficients, once per run, in the kernel's units
     rows, coefficients = _stepping_basis(model, grid)
     q_mid = 0.5 * (q[:-1] + q[1:])
@@ -328,7 +335,7 @@ def evolve_feedback(
     del q_mid, p_half  # kept for the run, they cost harmonic_feedback 0.1 MiB RSS
     cap = _potential_cap(grid, m, hbar)
 
-    def operands():
+    def blocks():
         # the potentials of up to len(block) steps, one product per step as
         # one row each, then one clamp and one prepare over the whole block;
         # in the last block the rows past the final step are not used
@@ -337,15 +344,15 @@ def evolve_feedback(
             k = min(len(block), nsteps - s0)
             for row, coefs in zip(block, table[s0:s0 + k]):
                 np.dot(coefs, rows, out=row)
-            yield from kernel.prepare(_clamp(kernel, block, cap))[:k]
+            yield kernel.prepare(_clamp(kernel, block, cap))[:k]
 
     def measure(s, vals):
         V = _snapshot_potential(model, grid, traj, "feedback", s)
         psi = ComplexField(grid, vals)
         return psi, V, record(psi, model, traj.point(s), V, float(f[s]), tol)
 
-    return _run(state0, operands(), kernel.advance, measure, traj, model,
-                replace(config, mode="feedback"), tol, sink)
+    return _run(state0, chain.from_iterable(blocks()), kernel.advance, measure,
+                traj, model, replace(config, mode="feedback"), tol, sink)
 
 
 def evolve_static(
@@ -380,8 +387,8 @@ def evolve_static(
     v_model = potential_value(model, grid.points)
     v_rest = _snapshot_potential(model, grid, traj, "static", 0)
     kernel = _split_step(grid.n, grid.dx, dt, m, hbar)
-    steps, advance = _constant(kernel, _in_units(kernel, v_model),
-                               _potential_cap(grid, m, hbar), nsteps)
+    operands = _constant(kernel, _in_units(kernel, v_model),
+                         _potential_cap(grid, m, hbar), nsteps)
     q0 = ground_moments(model, grid, tol).q0
 
     def measure(s, vals):
@@ -394,23 +401,24 @@ def evolve_static(
         f_ref = float(classical_force(model, q_meas))
         return psi, v_rest, _record(psi, measured, model, pt, v_rest, f_ref, tol)
 
-    return _run(state0, steps, advance, measure, traj, model,
+    return _run(state0, operands, kernel.advance, measure, traj, model,
                 replace(config, mode="static"), tol, sink)
 
 
 def _run(state0, operands, advance, measure, traj, model, config, tol, sink) -> RunResult:
-    """The step loop of both modes: advance psi by one operand per step,
-    check it with the run's _monitor, and at the snapshot steps (the first
-    and last step included) keep the step and the record of measure(step,
-    values) -> (psi, V, record), handing psi and V to sink(step, psi, V)
-    when one is given; no state outlives its snapshot.
+    """The step loop of both modes: advance one state buffer in place by one
+    operand per step, read its _monitor, and at the snapshot steps (the
+    first and last step included) keep the step and the record of
+    measure(step, values) -> (psi, V, record), handing psi and V to
+    sink(step, psi, V) when one is given; no state outlives its snapshot.
+    A step makes one Python call, advance; the monitor's product and its
+    bounds run inline.
 
     Steps and checks run without numpy's invalid and overflow warnings: a
-    state that turns non-finite is reported by the check's own error alone.
+    state that turns non-finite is reported by the monitor's error alone.
     Snapshots are measured under the caller's numpy error handling."""
     grid = state0.psi.grid
-    nsteps = len(traj) - 1
-    check = _monitor(grid, tol)
+    nsteps, stride = len(traj) - 1, config.snapshot_stride
     steps, records = [], []
 
     def snapshot(s, vals):
@@ -421,13 +429,22 @@ def _run(state0, operands, advance, measure, traj, model, config, tol, sink) -> 
             sink(s, psi, V)
 
     vals = state0.psi.values.copy()
+    weights, view, squares, out = _monitor(grid, vals)
+    drift, edge_max = tol.unitarity_drift, tol.boundary_mass
+    dot, multiply = np.dot, np.multiply
     snapshot(0, vals)
     caller = np.geterr()
     with np.errstate(invalid="ignore", over="ignore"):
         for s, operand in enumerate(operands, start=1):
-            vals = advance(vals, operand)
-            check(vals, s)
-            if s % config.snapshot_stride == 0 or s == nsteps:
+            advance(vals, operand)
+            nrm, bm = dot(weights, multiply(view, view, out=squares), out=out).tolist()
+            # written as "not <=" so that a NaN raises at the step it appears
+            if not abs(nrm - 1.0) <= drift:
+                raise UnitarityError(f"norm drifted to {nrm:.12g} at step {s}")
+            if not bm <= edge_max:
+                raise CoverageError(f"packet reached the grid boundary at step {s} "
+                                    f"(edge mass {bm:.3e})")
+            if s % stride == 0 or s == nsteps:
                 with np.errstate(**caller):
                     snapshot(s, vals)
     return RunResult(records=tuple(records), steps=tuple(steps), trajectory=traj,

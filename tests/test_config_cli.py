@@ -15,7 +15,6 @@ from gcsdyn import (
     ClassicalPoint,
     ConfigError,
     PropagatorConfig,
-    UnitarityError,
     errors,
     evolve_static,
     gcs_from_model,
@@ -690,28 +689,10 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
     assert (override / "diagnostics.csv").exists()
 
 
-def _fail_at_step_5(monkeypatch):
-    """Make the step monitors raise a UnitarityError at step 5."""
-    monitor = propagation._monitor
-
-    def failing_monitor(grid, tol):
-        check = monitor(grid, tol)
-
-        def failing(vals, step):
-            if step == 5:
-                raise UnitarityError("norm drifted at step 5")
-            return check(vals, step)
-
-        return failing
-
-    monkeypatch.setattr(propagation, "_monitor", failing_monitor)
-
-
-@pytest.mark.filterwarnings("error")
-def test_non_finite_state_exits_with_the_error_alone(tmp_path, monkeypatch, capsys):
-    # an inf placed into psi before step 3 spreads through the step and
-    # reaches the check: the run leaves with the UnitarityError's one line,
-    # and no numpy warning is printed (here: raised) next to it
+def _poison_at_step(monkeypatch, step, value):
+    """Make the split step put value into the middle of psi as it begins
+    step `step`; a non-finite value spreads through the step and the
+    monitor raises a UnitarityError at that step."""
     kernels = propagation._split_step
 
     def poisoning(*args):
@@ -720,13 +701,26 @@ def test_non_finite_state_exits_with_the_error_alone(tmp_path, monkeypatch, caps
 
         def advance(vals, operand):
             steps.append(1)
-            if len(steps) == 3:
-                vals[len(vals) // 2] = np.inf
+            if len(steps) == step:
+                vals[len(vals) // 2] = value
             return kernel.advance(vals, operand)
 
         return kernel._replace(advance=advance)
 
     monkeypatch.setattr(propagation, "_split_step", poisoning)
+
+
+def _fail_at_step_5(monkeypatch):
+    """Make the step monitor raise a UnitarityError at step 5."""
+    _poison_at_step(monkeypatch, 5, np.nan)
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_state_exits_with_the_error_alone(tmp_path, monkeypatch, capsys):
+    # an inf placed into psi before step 3 spreads through the step and
+    # reaches the check: the run leaves with the UnitarityError's one line,
+    # and no numpy warning is printed (here: raised) next to it
+    _poison_at_step(monkeypatch, 3, np.inf)
     path = _write_config(tmp_path, propagation={"T": 0.35})
     assert main(["run", "--config", str(path)]) == 4
     (err,) = capsys.readouterr().err.splitlines()

@@ -1,9 +1,9 @@
 import math
 import sys
 import tracemalloc
-from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -469,11 +469,36 @@ def test_unbounded_initial_point_escapes(morse, morse_run_grid):
                         morse_run_grid)
 
 
+def _monitored(g, tol, states):
+    """The monitor's reading after the last step of a _run over len(states)
+    steps, step s copying states[s - 1] into the run's buffer (np.copyto
+    stands in for the split step): (norm, edge mass)."""
+    made = []
+
+    def monitor(*args):
+        made.append(_monitor(*args))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagation, "_monitor", monitor)
+        propagation._run(SimpleNamespace(psi=ComplexField(g, states[0])), states,
+                         np.copyto, lambda s, vals: (None, None, None),
+                         range(len(states) + 1), None, PropagatorConfig(dt=1.0),
+                         tol, None)
+    weights, view, squares, out = made[0]
+    return out.tolist()
+
+
+def _narrow_state(g):
+    # normalized, with its edge mass far below DEFAULT_TOLERANCES'
+    return _free_gaussian(g, 0.5).values
+
+
 def test_monitor_raises_on_nan_at_its_step():
     g = Grid(-5.0, 5.0, 64)
-    vals = np.full(g.n, np.nan + 0j)
+    states = [_narrow_state(g)] * 6 + [np.full(g.n, np.nan + 0j)]
     with pytest.raises(UnitarityError, match="at step 7$"):
-        _monitor(g, DEFAULT_TOLERANCES)(vals, 7)
+        _monitored(g, DEFAULT_TOLERANCES, states)
 
 
 def _random_state(n, seed):
@@ -494,7 +519,7 @@ def test_monitor_norm_and_edge_mass_match_quadrature(n):
     # trapezoid (even n) and Simpson (odd n) weights, in one product
     g, vals = _random_state(n, n)
     loose = replace(DEFAULT_TOLERANCES, boundary_mass=1.0)
-    _assert_monitor_is_quadrature(*_monitor(g, loose)(vals, 1), vals, g)
+    _assert_monitor_is_quadrature(*_monitored(g, loose, [vals]), vals, g)
 
 
 @pytest.mark.parametrize("where, bad", [(32, np.nan), (2, np.inf)])
@@ -503,42 +528,40 @@ def test_monitor_raises_on_a_bad_sample_at_its_step(where, bad):
     # whose edge mass is within bounds; the norm check comes first, and
     # either sample makes the norm NaN or inf
     g, vals = _random_state(64, 3)
-    check = _monitor(g, replace(DEFAULT_TOLERANCES, boundary_mass=1.0))
-    check(vals, 4)
-    vals[where] = bad
+    tol = replace(DEFAULT_TOLERANCES, boundary_mass=1.0)
+    poisoned = vals.copy()
+    poisoned[where] = bad
     with pytest.raises(UnitarityError, match=f"at step {where + 5}$"):
-        check(vals, where + 5)
+        _monitored(g, tol, [vals] * (where + 4) + [poisoned])
 
 
 def test_monitor_raises_on_edge_mass_at_its_step():
     g, vals = _random_state(64, 4)  # about a sixth of the mass in the strips
     with pytest.raises(CoverageError, match="at step 9 "):
-        _monitor(g, DEFAULT_TOLERANCES)(vals, 9)
+        _monitored(g, DEFAULT_TOLERANCES, [_narrow_state(g)] * 8 + [vals])
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(st.integers(16, 2049), st.integers(0, 2**32 - 1), st.data())
 def test_monitor_is_quadrature_and_raises_on_any_bad_sample(n, seed, data):
-    # one monitor per run, reused at every step: its values are the
-    # quadrature norm and boundary_mass of each state it is handed, and a
-    # NaN or inf anywhere, real or imaginary part, raises at its step
+    # one monitor per run, read at every step: its values are the
+    # quadrature norm and boundary_mass of each state the run holds, and a
+    # NaN or inf anywhere, real or imaginary part, raises at its step with
+    # no numpy warning (an inf outside the edge strips meets the edge row's
+    # zero weights; _run silences numpy's warning of inf * 0)
     g, vals = _random_state(n, seed)
-    check = _monitor(g, replace(DEFAULT_TOLERANCES, boundary_mass=10.0,
-                                unitarity_drift=10.0))
-    _assert_monitor_is_quadrature(*check(vals, 1), vals, g)
+    tol = replace(DEFAULT_TOLERANCES, boundary_mass=10.0, unitarity_drift=10.0)
+    _assert_monitor_is_quadrature(*_monitored(g, tol, [vals]), vals, g)
     shifted = np.roll(vals, n // 3)
-    _assert_monitor_is_quadrature(*check(shifted, 2), shifted, g)
+    _assert_monitor_is_quadrature(*_monitored(g, tol, [vals, shifted]),
+                                  shifted, g)
     where = data.draw(st.integers(0, n - 1))
     bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     part = data.draw(st.sampled_from(["real", "imag"]))
-    setattr(vals[where:where + 1], part, bad)
-    # outside the edge strips an inf meets the edge row's zero weights, and
-    # numpy warns of inf * 0 (inside a run, _run silences it)
-    interior = BOUNDARY_POINTS <= where < n - BOUNDARY_POINTS
-    warns = (pytest.warns(RuntimeWarning, match="invalid value encountered in dot")
-             if np.isinf(bad) and interior else nullcontext())
-    with pytest.raises(UnitarityError, match="at step 3$"), warns:
-        check(vals, 3)
+    poisoned = vals.copy()
+    setattr(poisoned[where:where + 1], part, bad)
+    with pytest.raises(UnitarityError, match="at step 3$"):
+        _monitored(g, tol, [vals, shifted, poisoned])
 
 
 def _clamped(model, grid, v_vals):
@@ -703,10 +726,10 @@ def test_split_step_phase_is_exp_of_its_angle(v_random, offsets):
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@given(hnp.arrays(np.float64, (propagation.OPERAND_BLOCK, _KERNEL_GRID.n),
+@given(hnp.arrays(np.float64, (propagation._operand_rows(_KERNEL_GRID.n), _KERNEL_GRID.n),
                   elements=st.floats(-_CAP, _CAP)))
 def test_block_prepare_matches_row_by_row(v):
-    # the feedback loop prepares OPERAND_BLOCK potentials in one pass; each
+    # the feedback loop prepares a block of potentials in one pass; each
     # row must be the operand of that potential alone, bit for bit
     g, dt = _KERNEL_GRID, _DT_4PI
     block_kernel = propagation._split_step(g.n, g.dx, dt, 1.0, 1.0, len(v))
@@ -727,14 +750,14 @@ def test_feedback_frames_do_not_depend_on_the_block_size(kind, scheme,
     # so mainly the Morse run would see operands taken out of order
     model = request.getfixturevalue(kind)
     grid = suggest_grid(model, q_reach_min=-1.5, q_reach_max=1.5, n=512)
-    nsteps = 2 * propagation.OPERAND_BLOCK + 3
+    nsteps = 2 * propagation._operand_rows(grid.n) + 3
     dt = 2e-3
     conf = PropagatorConfig(dt=dt, scheme=scheme, mode="feedback")
     point0 = ClassicalPoint(0.3, 0.4)
     seen_blocked, seen_single = [], []
     blocked = evolve_feedback(model, point0, conf, nsteps * dt, grid,
                               sink=lambda *snap: seen_blocked.append(snap))
-    monkeypatch.setattr(propagation, "OPERAND_BLOCK", 1)
+    monkeypatch.setattr(propagation, "_operand_rows", lambda n: 1)
     single = evolve_feedback(model, point0, conf, nsteps * dt, grid,
                              sink=lambda *snap: seen_single.append(snap))
     assert len(seen_blocked) == len(seen_single) == nsteps + 1
@@ -760,10 +783,45 @@ def test_feedback_run_builds_one_block_kernel(kind, request, monkeypatch):
     monkeypatch.setattr(propagation, "_split_step", counting)
     model = request.getfixturevalue(kind)
     grid = suggest_grid(model, q_reach_min=-1.5, q_reach_max=1.5, n=512)
-    dt, nsteps = 2e-3, 2 * propagation.OPERAND_BLOCK + 3
+    dt, nsteps = 2e-3, 2 * propagation._operand_rows(grid.n) + 3
     conf = PropagatorConfig(dt=dt, mode="feedback", snapshot_stride=4)
     evolve_feedback(model, ClassicalPoint(0.3, 0.4), conf, nsteps * dt, grid)
-    assert calls == [(propagation.OPERAND_BLOCK,)]
+    assert calls == [(propagation._operand_rows(grid.n),)]
+
+
+@pytest.mark.parametrize("where", ["first step of the second block",
+                                   "last step, in a short block"])
+def test_alarm_keeps_its_step_across_operand_blocks(where, harmonic, monkeypatch):
+    # a NaN coefficient row makes that step's potential, phase and state
+    # NaN: the run must raise at exactly that step, however the steps fall
+    # into operand blocks
+    grid = suggest_grid(harmonic, q_reach_min=-1.5, q_reach_max=1.5, n=512)
+    rows = propagation._operand_rows(grid.n)
+    dt, nsteps = 2e-3, 2 * rows + 3
+    bad = rows + 1 if where.startswith("first") else nsteps
+    bases = propagation._stepping_basis
+
+    def poisoned(model, g):
+        basis, coefficients = bases(model, g)
+
+        def poisoned_coefficients(*args):
+            table = coefficients(*args)
+            table[bad - 1] = np.nan  # step s takes row s - 1
+            return table
+
+        return basis, poisoned_coefficients
+
+    monkeypatch.setattr(propagation, "_stepping_basis", poisoned)
+    conf = PropagatorConfig(dt=dt, mode="feedback", snapshot_stride=nsteps)
+    with pytest.raises(UnitarityError, match=f"at step {bad}$"):
+        evolve_feedback(harmonic, ClassicalPoint(0.3, 0.4), conf, nsteps * dt, grid)
+
+
+def test_operand_block_fills_a_slab_of_5120_samples_or_8_rows():
+    # the shipped grids: harmonic_feedback (n = 320) builds 16 steps a pass,
+    # morse_feedback (n = 768) 8, as every grid from n = 640 up
+    assert [propagation._operand_rows(n) for n in (320, 512, 640, 768, 4096)] == [
+        16, 10, 8, 8, 8]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -790,8 +848,6 @@ def test_split_step_without_pocketfft_gufuncs_is_an_error(stand_in, monkeypatch)
     # numpy.fft._pocketfft_umath is private: a numpy without its fft and ifft
     # gufuncs, or with others in their place, stops a split-step run with a
     # named error rather than stepping with something else
-    from types import SimpleNamespace
-
     monkeypatch.setitem(sys.modules, "numpy.fft._pocketfft_umath", {
         "no module": None,
         "no gufuncs": SimpleNamespace(),
