@@ -24,8 +24,9 @@ records were measured against (RunResult.potential: the assembled potential,
 or the at-rest V_model - E0 of a static run), and center_tracking.csv reads
 Q from the trajectory at each snapshot's step.
 
-The plot CSVs need only numpy. The SVG figures rendered from the same
-series need the optional matplotlib ('plots' extra).
+The plot CSVs need only numpy. Each SVG figure draws its plot CSV's series
+(1 - overlap, log scale) and needs the optional matplotlib ('plots' extra);
+the potential figure shows every profile, windowed around the packet's path.
 """
 
 import csv
@@ -114,32 +115,35 @@ def write_vclass_csv(path, rows) -> Path:
     return _write_rows(Path(path), header, zip(*rows))
 
 
-def write_plot_data(outdir, result: RunResult) -> list[Path]:
-    """Pre-binned series for the standard figures."""
-    outdir = Path(outdir) / "plots"
-    records = result.records
+def _figures(result: RunResult) -> dict:
+    """The four standard figures, one definition for their CSVs and SVGs:
+    file stem -> (header, columns), the abscissa first. The potential is
+    profiled at five snapshots: the first, the last and the three quarter
+    marks between them."""
+    records, steps = result.records, result.steps
     t = [r.t for r in records]
-    paths = [
-        _write_rows(outdir / "dq2_t.csv", ("t", "dq2"), (t, [r.dq2 for r in records])),
-        _write_rows(
-            outdir / "overlap_t.csv", ("t", "overlap"), (t, [r.overlap for r in records])
-        ),
-    ]
-    steps = result.steps
-    q = result.trajectory.q[list(steps)]
-    columns = (t, q, [r.q_mean for r in records])
-    paths.append(_write_rows(outdir / "center_tracking.csv", ("t", "Q", "q_mean"), columns))
-
-    # a handful of potential profiles across the run
     picks = sorted({0, len(steps) // 4, len(steps) // 2, (3 * len(steps)) // 4, len(steps) - 1})
-    header = ["x"] + [f"V_{records[i].t:.6g}" for i in picks]
-    columns = [result.grid.points] + [result.potential(steps[i]).values for i in picks]
-    paths.append(_write_rows(outdir / "potential_snapshots.csv", header, columns))
-    return paths
+    q = result.trajectory.q[list(steps)]
+    return {
+        "dq2_t": (("t", "dq2"), (t, [r.dq2 for r in records])),
+        "overlap_t": (("t", "overlap"), (t, [r.overlap for r in records])),
+        "center_tracking": (("t", "Q", "q_mean"), (t, q, [r.q_mean for r in records])),
+        "potential_snapshots": (
+            ["x"] + [f"V_{records[i].t:.6g}" for i in picks],
+            [result.grid.points] + [result.potential(steps[i]).values for i in picks],
+        ),
+    }
+
+
+def write_plot_data(outdir, result: RunResult) -> list[Path]:
+    """The series of the four standard figures, one plots/<stem>.csv each."""
+    outdir = Path(outdir) / "plots"
+    return [_write_rows(outdir / f"{stem}.csv", header, columns)
+            for stem, (header, columns) in _figures(result).items()]
 
 
 def render_plots(outdir, result: RunResult) -> list[Path]:
-    """Vector images of the four standard figures.
+    """Vector images of the four standard figures, each drawn from its CSV's series.
 
     Raises OptionalDependencyError, before writing anything, when matplotlib
     (the optional 'plots' extra) cannot be imported.
@@ -156,58 +160,35 @@ def render_plots(outdir, result: RunResult) -> list[Path]:
 
     outdir = Path(outdir) / "plots"
     outdir.mkdir(parents=True, exist_ok=True)
-    records = result.records
-    t = np.array([r.t for r in records])
+    figures = _figures(result)
     made = []
-
-    def save(fig, name):
-        target = outdir / name
+    for stem, (header, (x, *ys)) in figures.items():
+        fig, ax = plt.subplots()
+        ax.set_xlabel(header[0])
+        if stem == "dq2_t":
+            ax.plot(x, ys[0])
+            ax.set_ylabel(header[1])
+        elif stem == "overlap_t":
+            ax.plot(x, 1.0 - np.asarray(ys[0]))
+            ax.set(ylabel="1 - " + header[1], yscale="log")
+        elif stem == "center_tracking":
+            ax.plot(x, ys[0], label=header[1])
+            ax.plot(x, ys[1], "--", label=header[2])
+            ax.legend()
+        else:
+            # every profile, in a window of 6 dq around the packet's path
+            q_mean, span = figures["center_tracking"][1][2], 6.0 * result.model.dq
+            lo, hi = min(q_mean) - span, max(q_mean) + span
+            window = (x >= lo) & (x <= hi)
+            for name, v in zip(header[1:], ys):
+                ax.plot(x, v, label=name)
+            v_lo = min(float(v[window].min()) for v in ys)
+            v_hi = max(float(v[window].max()) for v in ys)
+            pad = 0.1 * (v_hi - v_lo) + 1e-12
+            ax.set(xlim=(lo, hi), ylim=(v_lo - pad, v_hi + pad), ylabel="V")
+            ax.legend()
+        target = outdir / f"{stem}.svg"
         fig.savefig(target, format="svg")
         plt.close(fig)
         made.append(target)
-
-    fig, ax = plt.subplots()
-    ax.plot(t, [r.dq2 for r in records])
-    ax.set_xlabel("t")
-    ax.set_ylabel("dq2")
-    save(fig, "dq2_t.svg")
-
-    fig, ax = plt.subplots()
-    ax.plot(t, [1.0 - r.overlap for r in records])
-    ax.set_xlabel("t")
-    ax.set_ylabel("1 - overlap")
-    ax.set_yscale("log")
-    save(fig, "overlap_t.svg")
-
-    fig, ax = plt.subplots()
-    ax.plot(t, result.trajectory.q[list(result.steps)], label="Q")
-    ax.plot(t, [r.q_mean for r in records], "--", label="q_mean")
-    ax.set_xlabel("t")
-    ax.legend()
-    save(fig, "center_tracking.svg")
-
-    fig, ax = plt.subplots()
-    picks = sorted({0, len(records) // 2, len(records) - 1})
-    lo = min(r.q_mean for r in records)
-    hi = max(r.q_mean for r in records)
-    span = 6.0 * result.model.dq
-    x = result.grid.points
-    window = (x >= lo - span) & (x <= hi + span)
-    v_lo, v_hi = np.inf, -np.inf
-    # profiles of feedback runs only: a static run's V is one frozen well
-    plotted = result.config.mode == "feedback"
-    if plotted:
-        for i in picks:
-            v = result.potential(result.steps[i]).values
-            ax.plot(x, v, label=f"t = {records[i].t:.3g}")
-            v_lo = min(v_lo, float(v[window].min()))
-            v_hi = max(v_hi, float(v[window].max()))
-    ax.set_xlabel("x")
-    ax.set_ylabel("V")
-    ax.set_xlim(lo - span, hi + span)
-    if plotted:
-        pad = 0.1 * (v_hi - v_lo) + 1e-12
-        ax.set_ylim(v_lo - pad, v_hi + pad)
-        ax.legend()
-    save(fig, "potential_snapshots.svg")
     return made

@@ -233,12 +233,16 @@ def step(
 
     Split-step (the one scheme): Strang splitting, half-step phase from tan
     of its half angle, spectral in space, second order in dt; in feedback
-    mode the caller hands in V at the step's midpoint time.
+    mode the caller hands in V at the step's midpoint time. Raises
+    PropagationError unless dt, m and hbar are positive and finite.
     """
     if psi.grid != V.grid:
         raise PropagationError("psi and V live on different grids")
     if scheme not in SCHEMES:
         raise PropagationError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    _require_time_step(dt)
+    if not (0.0 < m < math.inf and 0.0 < hbar < math.inf):
+        raise PropagationError(f"m and hbar must be positive and finite, got {m!r}, {hbar!r}")
     kernel = _split_step(psi.grid.n, psi.grid.dx, dt, m, hbar)
     operand = kernel.prepare(_in_units(kernel, V.values))
     vals = psi.values.astype(np.complex128)  # a copy; advance writes into it

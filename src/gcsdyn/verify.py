@@ -145,7 +145,7 @@ def run_verification(cfg: RunConfig) -> list[CheckResult]:
         for q in np.linspace(-reach, reach, 10):
             pt = ClassicalPoint(Q=float(q), P=0.3, t=0.0)
             ana = float(classical_force(model, pt.Q)) - 0.05
-            num = linear_coefficient(model, pt, dPdt=0.05, grid=grid)
+            num = linear_coefficient(model, pt, dPdt=0.05, grid=grid, tol=tol)
             lin_worst = max(lin_worst, abs(num - ana) / max(abs(ana), 1e-12))
         yield "linear_coefficient_agreement", lin_worst
 

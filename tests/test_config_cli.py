@@ -1077,6 +1077,28 @@ def test_config_tolerances_reach_ground_state_checks(tmp_path, capsys):
     assert {r[0]: r[3] for r in rows}["grid_coverage"] == "PASS"
 
 
+def test_config_tolerances_reach_linear_coefficient_agreement(tmp_path, capsys):
+    # the fitted coefficient's coverage check takes the config's looser
+    # boundary_mass, as grid_coverage (5.2e-6 here) does; with the default
+    # 1e-8 the fit raised and the check read inf. The config fails other
+    # checks for reasons of its own (continuity_identity on the coarse grid,
+    # and the run), so only this one is asserted
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "model": {"kind": "harmonic"},
+        "grid": {"x_min": -4.2, "x_max": 4.2, "n": 256},
+        "initial": {"Q0": 1.0, "P0": 0.0},
+        "propagation": {"T": 1.0, "dt": 0.002},
+        "tolerances": {"boundary_mass": 1e-4},
+        "output": {"directory": str(tmp_path / "out")},
+    }))
+    assert main(["verify", "--config", str(path)]) == 1
+    rows = {r.split(",")[0]: r.split(",")[1:]
+            for r in capsys.readouterr().out.splitlines() if "," in r}
+    value, threshold, status = rows["linear_coefficient_agreement"]
+    assert np.isfinite(float(value)) and status == "PASS"
+
+
 # linear_coefficient_agreement on each shipped config, pinned at 15-26x its
 # reading (7.8e-11, 5.1e-14, 1.3e-10) and far below verify's 1e-6 gate: the
 # quintic spline this fit replaced read 6.3e-8 and 7.8e-8 on the Morse grids

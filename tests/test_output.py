@@ -1,7 +1,9 @@
 import csv
 import io
+import sys
 import tempfile
 import tracemalloc
+import types
 from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
@@ -10,8 +12,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcsdyn import (
+    ClassicalPoint,
+    PropagatorConfig,
+    evolve_feedback,
+    evolve_static,
+    gcs_from_model,
+    suggest_grid,
+)
 from gcsdyn.classical import integrate_trajectory
-from gcsdyn.output import BLOCK_ROWS, _write_rows, write_trajectory_csv
+from gcsdyn.output import (
+    BLOCK_ROWS,
+    _write_rows,
+    render_plots,
+    write_plot_data,
+    write_trajectory_csv,
+)
 
 
 def _reference_text(header, columns) -> str:
@@ -94,3 +110,83 @@ def test_trajectory_writer_memory_does_not_grow_with_the_file(harmonic, tmp_path
         tracemalloc.stop()
     assert peak < 1 << 20
     assert len((tmp_path / "trajectory.csv").read_bytes().splitlines()) == 20002
+
+
+def _stub_matplotlib(monkeypatch):
+    """Put a matplotlib into sys.modules whose figures record the arrays of
+    each plot call and write a placeholder at each savefig target; return
+    the record, {file name: [(x, y), ...]}."""
+    drawn = {}
+
+    class Axes:
+        def __init__(self):
+            self.lines = []
+
+        def plot(self, x, y, *fmt, **kwargs):
+            self.lines.append((np.asarray(x), np.asarray(y)))
+
+        def __getattr__(self, name):  # labels, scales, limits, legend
+            return lambda *args, **kwargs: None
+
+    class Figure:
+        def __init__(self, ax):
+            self.ax = ax
+
+        def savefig(self, target, format):
+            Path(target).write_text("<svg/>")
+            drawn[Path(target).name] = self.ax.lines
+
+    def subplots():
+        ax = Axes()
+        return Figure(ax), ax
+
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    pyplot.subplots = subplots
+    pyplot.close = lambda fig: None
+    matplotlib = types.ModuleType("matplotlib")
+    matplotlib.use = lambda backend: None
+    matplotlib.pyplot = pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    return drawn
+
+
+@pytest.mark.parametrize("mode", ["feedback", "static"])
+def test_figures_draw_the_plot_csvs(mode, morse, tmp_path, monkeypatch):
+    # each SVG draws exactly its CSV's columns against the abscissa: 1 -
+    # overlap for the overlap figure, and every potential profile, of a
+    # static run too
+    drawn = _stub_matplotlib(monkeypatch)
+    grid = suggest_grid(morse, q_reach_min=-1.0, q_reach_max=1.0, n=512)
+    pt = ClassicalPoint(0.0, 0.3)
+    conf = PropagatorConfig(dt=2e-3, mode=mode, snapshot_stride=5)
+    if mode == "feedback":
+        run = evolve_feedback(morse, pt, conf, 0.1, grid)
+    else:
+        run = evolve_static(gcs_from_model(morse, grid, pt), morse, conf, 0.1)
+    write_plot_data(tmp_path, run)
+    made = render_plots(tmp_path, run)
+    stems = ["dq2_t", "overlap_t", "center_tracking", "potential_snapshots"]
+    assert made == [tmp_path / "plots" / f"{stem}.svg" for stem in stems]
+    assert all(path.exists() for path in made)
+
+    def columns(stem):
+        path = tmp_path / "plots" / f"{stem}.csv"
+        return list(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T)
+
+    t, dq2 = columns("dq2_t")
+    _, overlap = columns("overlap_t")
+    _, q, q_mean = columns("center_tracking")
+    x, *profiles = columns("potential_snapshots")
+    assert len(profiles) == 5
+    expected = {
+        "dq2_t.svg": [(t, dq2)],
+        "overlap_t.svg": [(t, 1.0 - overlap)],
+        "center_tracking.svg": [(t, q), (t, q_mean)],
+        "potential_snapshots.svg": [(x, v) for v in profiles],
+    }
+    assert drawn.keys() == expected.keys()
+    for name, lines in expected.items():
+        assert len(drawn[name]) == len(lines), name
+        for got, want in zip(drawn[name], lines):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), name

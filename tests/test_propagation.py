@@ -87,8 +87,8 @@ def test_evolve_rejects_a_bad_horizon(morse, morse_run_grid, mode, T):
 
 @pytest.mark.parametrize("given", propagation.MODES)
 def test_run_result_names_the_mode_that_ran(morse, morse_run_grid, given):
-    # each evolve_* stores its own mode, whatever mode its config named; the
-    # SVG output reads it to decide whether to draw potential profiles
+    # each evolve_* stores its own mode, whatever mode its config named;
+    # RunResult.potential reads it to give each snapshot's V
     conf = PropagatorConfig(dt=1e-3, mode=given, snapshot_stride=5)
     pt = ClassicalPoint(0.0, 0.1)
     fb = evolve_feedback(morse, pt, conf, 5e-3, morse_run_grid)
@@ -104,6 +104,23 @@ def test_step_grid_mismatch():
     v = RealField(g2, np.zeros(g2.n))
     with pytest.raises(PropagationError):
         step(psi, v, 1e-3)
+
+
+@pytest.mark.parametrize("dt, m, hbar", [
+    (0.0, 1.0, 1.0), (-1e-3, 1.0, 1.0), (math.inf, 1.0, 1.0), (math.nan, 1.0, 1.0),
+    (1e-3, 0.0, 1.0), (1e-3, -1.0, 1.0), (1e-3, math.inf, 1.0), (1e-3, math.nan, 1.0),
+    (1e-3, 1.0, 0.0), (1e-3, 1.0, -1.0), (1e-3, 1.0, math.inf), (1e-3, 1.0, math.nan),
+])
+def test_step_refuses_what_the_run_refuses(dt, m, hbar):
+    # a dt that PropagatorConfig refuses, or a mass or hbar that is not
+    # positive and finite, is a PropagationError before any numpy operation
+    # (no ZeroDivisionError, and no RuntimeWarning, which the suite makes an
+    # error, on the way to a non-finite field)
+    g = Grid(-5.0, 5.0, 64)
+    psi = _free_gaussian(g, 1.0)
+    v = RealField(g, np.zeros(g.n))
+    with pytest.raises(PropagationError, match="positive and finite"):
+        step(psi, v, dt, "split-step", m, hbar)
 
 
 @pytest.mark.parametrize("scheme", propagation.SCHEMES)
